@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .multiplier import StepMultiplier, telescoping_Tm
 from .semigroup import MarkovKernel, ReversibleGenerator, heat_operator
 from .space import Field, same_space
 
@@ -383,8 +384,6 @@ def transform_expectation_identity(
 
     dev_tel = None
     if generator is not None:
-        from .multiplier import StepMultiplier, telescoping_Tm
-
         eps = 2.0 * ps.kernel.step
         breakpoints = eps * np.arange(ps.horizon + 1)
         telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)

@@ -16,12 +16,15 @@ import numpy as np
 from .dilation import (
     DEFAULT_PATH_BUDGET,
     PathSpace,
+    dilation_identity_check,
     hat_expectation,
     martingale_transform,
     path_lp_norm,
+    transform_expectation_identity,
 )
 from .inequalities import (
     InequalityReport,
+    _pnorm_growth_fit,
     approximation_limit_check,
     llogl_chain_check,
     make_report,
@@ -206,8 +209,6 @@ def suite_dilation_identity(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """E[f_k | x_0] = Q^{2k} f = T^{k eps} f for every level k, by exact enumeration."""
-    from .dilation import dilation_identity_check
-
     worst_power = 0.0
     worst_heat = 0.0
     levels = 0
@@ -237,8 +238,6 @@ def suite_transform_identity(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """E[sum M_i (f_{i+1}-f_i) | x_0] against kernel powers and the telescoped operator."""
-    from .dilation import transform_expectation_identity
-
     worst_power = 0.0
     worst_tel = 0.0
     for i, (gen, ps, probe) in enumerate(
@@ -258,15 +257,6 @@ def suite_transform_identity(
         "tol": tol,
     }
     return SuiteResult("transform_identity", max(worst_power, worst_tel) <= tol, summary)
-
-
-def _pnorm_growth_fit(per_p_ratios: dict[float, float]) -> tuple[float | None, float | None]:
-    points = [(1.0 / (p - 1.0), r) for p, r in per_p_ratios.items() if p <= 2.0]
-    if len(points) < 2 or not all(math.isfinite(r) for _, r in points):
-        return None, None
-    xs, ys = zip(*points)
-    slope, intercept = (float(v) for v in np.polyfit(xs, ys, 1))
-    return slope, intercept
 
 
 def suite_multiplier_pnorm(
@@ -317,7 +307,7 @@ def suite_multiplier_pnorm_family(
             if prev is None or report.ratio > prev.ratio:
                 worst[p] = report
     reports = tuple(worst[p] for p in grid)
-    slope, intercept = _pnorm_growth_fit({p: worst[p].ratio for p in grid})
+    slope, intercept = _pnorm_growth_fit((p, r.ratio) for p, r in worst.items())
     summary = {
         "instances": instances,
         "p_grid": [float(p) for p in p_grid],

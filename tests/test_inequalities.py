@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,90 @@ class TestOpnormLowerEstimate:
         for p in (1.0, math.inf):
             with pytest.raises(ValueError):
                 opnorm_lower_estimate(np.eye(2), space, p)
+
+
+# The probe ascent as first written (five |.|^s passes per step), kept verbatim
+# as the reference for the one-power-per-dual-map loop in the library.
+def _columnwise_pnorm(values, w, p):
+    return (w @ np.abs(values) ** p) ** (1.0 / p)
+
+
+def _dual_map(values, exponent):
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = a**exponent * values
+    return np.where(a > 0.0, out, 0.0)
+
+
+def reference_lower_estimate(op, space, p, probes, ascent_steps, seed):
+    t = np.asarray(op, dtype=complex)
+    w = space.weights
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((probes, 2, space.n))
+    complex_probes = z[:, 0, :] + 1j * z[:, 1, :]
+    fields = np.concatenate([complex_probes, np.abs(complex_probes)], axis=0).T
+    q = p / (p - 1.0)
+    adj = t.conj().T
+
+    best = 0.0
+    for step in range(ascent_steps + 1):
+        images = t @ fields
+        num = _columnwise_pnorm(images, w, p)
+        den = _columnwise_pnorm(fields, w, p)
+        live = den > 0.0
+        if np.any(live):
+            best = max(best, float((num[live] / den[live]).max()))
+        if step == ascent_steps:
+            break
+        duals = _dual_map(images, p - 2.0)
+        pullback = (adj @ (duals * w[:, None])) / w[:, None]
+        updated = _dual_map(pullback, q - 2.0)
+        norms = _columnwise_pnorm(updated, w, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = updated / norms
+        fields = np.where(norms > 0.0, scaled, fields)
+    return best
+
+
+ORACLE_P = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
+
+
+class TestAscentOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_reference_loop(self, n, kind):
+        rng = np.random.default_rng([n, kind == "complex"])
+        space = WeightedSpace(rng.uniform(0.05, 4.0, n))
+        op = rng.standard_normal((n, n))
+        if kind == "complex":
+            op = op + 1j * rng.standard_normal((n, n))
+        for p in ORACLE_P:
+            want = reference_lower_estimate(op, space, p, 12, 25, n)
+            got = opnorm_lower_estimate(op, space, p, probes=12, ascent_steps=25, seed=n).value
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), p
+
+    def test_zero_operator(self):
+        space = WeightedSpace([0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ORACLE_P:
+                est = opnorm_lower_estimate(np.zeros((3, 3)), space, p, probes=4, ascent_steps=3)
+                assert est.value == 0.0
+
+    def test_exact_zeros_in_image_and_pullback(self):
+        # a zero row leaves exact zeros in Tf; a zero column leaves them in the pullback
+        rng = np.random.default_rng(5)
+        space = WeightedSpace(rng.uniform(0.5, 2.0, 4))
+        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        op[1, :] = 0.0
+        op[:, 2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1.25, 1.5, 3.0, 4.0):
+                got = opnorm_lower_estimate(op, space, p, probes=6, ascent_steps=8, seed=1).value
+                assert math.isfinite(got) and got > 0.0
+                want = reference_lower_estimate(op, space, p, 6, 8, 1)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), p
 
 
 class TestMultiplierPnormCheck:
