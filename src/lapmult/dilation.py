@@ -9,6 +9,7 @@ coordinate realizes even kernel powers: E[f_k | x_0] = Q^{2k} f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,6 +71,28 @@ class PathSpace:
     def path_count(self) -> int:
         return self.n_states ** (self.horizon + 1)
 
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every path and its weight conditional on its start, built once, read-only.
+
+        The kernel entries are frozen, so the table can never go stale; callers
+        check the enumeration budget before touching it.
+        """
+        steps = self.horizon + 1
+        paths = np.indices((self.n_states,) * steps).reshape(steps, -1).T.astype(np.int32)
+        weights = _step_products(self, paths)
+        paths.flags.writeable = False
+        weights.flags.writeable = False
+        return paths, weights
+
+    @functools.cached_property
+    def _row_cumulative(self) -> np.ndarray:
+        """Row-cumulative kernel for inverse-CDF sampling, last column pinned to 1."""
+        cum = np.cumsum(self.kernel.entries, axis=1)
+        cum[:, -1] = 1.0
+        cum.flags.writeable = False
+        return cum
+
 
 @dataclass(frozen=True, eq=False)
 class PathFunctional:
@@ -95,23 +118,37 @@ class ReverseMartingaleFamily:
 
 
 def all_paths(ps: PathSpace, budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
-    """All state paths as an integer array of shape (n^{N+1}, N+1)."""
+    """All state paths as a read-only int32 array of shape (n^{N+1}, N+1).
+
+    The budget is checked on every call; the table itself is built on the
+    first call that passes it and the same array is returned thereafter.
+    """
     count = ps.path_count
     if count > budget:
         raise EnumerationBudgetError(
             f"{count} paths exceed the enumeration budget of {budget}"
         )
-    steps = ps.horizon + 1
-    return np.indices((ps.n_states,) * steps).reshape(steps, -1).T.astype(np.int32)
+    return ps._table[0]
 
 
-def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
-    """prod_k Q(x_k, x_{k+1}): the path weight conditional on its start."""
+def _step_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
     q = ps.kernel.entries
     w = np.ones(len(paths))
     for k in range(ps.horizon):
         w *= q[paths[:, k], paths[:, k + 1]]
     return w
+
+
+def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
+    """prod_k Q(x_k, x_{k+1}): the path weight conditional on its start.
+
+    For the table returned by :func:`all_paths` this is the read-only array
+    cached with it; any other path array gets a freshly computed product.
+    """
+    table = vars(ps).get("_table")  # only a table already built, never build one here
+    if table is not None and paths is table[0]:
+        return table[1]
+    return _step_products(ps, paths)
 
 
 def path_measure(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
@@ -158,9 +195,7 @@ def _stratum_counts(ps: PathSpace, samples: int) -> np.ndarray:
 
 
 def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: int) -> np.ndarray:
-    q = ps.kernel.entries
-    cum = np.cumsum(q, axis=1)
-    cum[:, -1] = 1.0
+    cum = ps._row_cumulative
     paths = np.empty((count, ps.horizon + 1), dtype=np.int32)
     paths[:, 0] = start
     for k in range(ps.horizon):
@@ -314,17 +349,28 @@ def dilation_identity_check(
     return DilationIdentityReport(k, dev_power, dev_heat, tol)
 
 
+def _increment_tables(m: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
+    """Per step i, the flattened n x n table of M_i (g_{i+1}[y] - g_i[x]) at index x*n + y."""
+    return [(m[i] * (levels[i + 1][None, :] - levels[i][:, None])).ravel() for i in range(len(m))]
+
+
+def _edge_index(paths: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Flat index x_i * n + x_{i+1} of each path's step-i edge."""
+    return paths[:, i] * n + paths[:, i + 1]
+
+
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
     """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform."""
     m = np.asarray(m_values, dtype=complex).ravel()
     if m.size != ps.horizon:
         raise ValueError(f"need exactly {ps.horizon} multiplier values, got {m.size}")
-    levels = reverse_martingale(ps, f).level_matrix()
+    n = ps.n_states
+    edges = _increment_tables(m, reverse_martingale(ps, f).level_matrix())
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
         out = np.zeros(len(paths), dtype=complex)
-        for i in range(ps.horizon):
-            out += m[i] * (levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]])
+        for i, edge in enumerate(edges):
+            out += edge.take(_edge_index(paths, i, n))
         return out
 
     return PathFunctional(evaluator, "martingale transform")
@@ -410,17 +456,20 @@ def square_and_maximal(
         if m.size != n_steps:
             raise ValueError(f"need exactly {n_steps} multiplier values, got {m.size}")
 
+    n = ps.n_states
+    squares = [np.abs(edge) ** 2 for edge in _increment_tables(m, levels)]
+    moduli = np.abs(levels)
+
     def square_eval(paths: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(paths))
-        for i in range(n_steps):
-            inc = m[i] * (levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]])
-            acc += np.abs(inc) ** 2
+        for i, square in enumerate(squares):
+            acc += square.take(_edge_index(paths, i, n))
         return np.sqrt(acc)
 
     def maximal_eval(paths: np.ndarray) -> np.ndarray:
-        best = np.abs(levels[0][paths[:, 0]])
+        best = moduli[0].take(paths[:, 0])
         for k in range(1, n_steps + 1):
-            best = np.maximum(best, np.abs(levels[k][paths[:, k]]))
+            best = np.maximum(best, moduli[k].take(paths[:, k]))
         return best
 
     return (

@@ -24,8 +24,9 @@ from lapmult import (
     reverse_martingale,
     square_and_maximal,
     transform_expectation_identity,
+    transition_products,
 )
-from lapmult.dilation import PathFunctional
+from lapmult.dilation import PathFunctional, _stratum_counts
 
 from conftest import random_field
 
@@ -351,3 +352,157 @@ class TestSquareAndMaximal:
         lhs = np.abs(transform.evaluator(paths))
         rhs = math.sqrt(ps.horizon) * square_fn.evaluator(paths)
         assert np.all(lhs <= rhs + 1e-12)
+
+
+def mc_sampled_paths(ps, seed=5, samples=300):
+    """The stratified Monte Carlo paths that hat_expectation feeds a functional, in order."""
+    seen = []
+
+    def record(paths):
+        seen.append(paths.copy())
+        return np.zeros(len(paths))
+
+    hat_expectation(ps, PathFunctional(record, "recorder"), mode="mc", seed=seed, samples=samples)
+    return seen
+
+
+def per_step_products(ps, paths):
+    q = ps.kernel.entries
+    w = np.ones(len(paths))
+    for k in range(ps.horizon):
+        w *= q[paths[:, k], paths[:, k + 1]]
+    return w
+
+
+class TestPathTableCache:
+    def test_one_read_only_table_per_path_space(self):
+        _, _, ps = make_path_space(n=3, horizon=4)
+        paths = all_paths(ps)
+        assert all_paths(ps) is paths
+        assert paths.dtype == np.int32
+        assert not paths.flags.writeable
+        steps = ps.horizon + 1
+        expected = np.indices((ps.n_states,) * steps).reshape(steps, -1).T
+        assert np.array_equal(paths, expected)
+        with pytest.raises(ValueError):
+            paths[0, 0] = 1
+
+    def test_budget_checked_after_table_is_built(self):
+        _, _, ps = make_path_space(n=3, horizon=3)
+        all_paths(ps)
+        with pytest.raises(EnumerationBudgetError):
+            all_paths(ps, budget=ps.path_count - 1)
+        assert all_paths(ps, budget=ps.path_count).shape == (ps.path_count, ps.horizon + 1)
+
+    def test_cached_weights_are_read_only_step_products(self):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        paths = all_paths(ps)
+        weights = transition_products(ps, paths)
+        assert transition_products(ps, paths) is weights
+        assert not weights.flags.writeable
+        assert np.array_equal(weights, per_step_products(ps, paths))
+
+    def test_other_path_arrays_get_the_step_product(self):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        paths = all_paths(ps)
+        for other in (paths.copy(), paths[::-1].copy()):
+            assert np.array_equal(transition_products(ps, other), per_step_products(ps, other))
+        for sample in mc_sampled_paths(ps):
+            assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
+
+    def test_products_before_any_table_build_nothing(self):
+        _, _, ps = make_path_space(n=3, horizon=2)
+        sample = mc_sampled_paths(ps)[0]
+        assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
+        assert "_table" not in vars(ps)
+
+
+def seed_sample_stratum(ps, rng, count, start):
+    # the sampler as first written, rebuilding the cumulative kernel per stratum
+    q = ps.kernel.entries
+    cum = np.cumsum(q, axis=1)
+    cum[:, -1] = 1.0
+    paths = np.empty((count, ps.horizon + 1), dtype=np.int32)
+    paths[:, 0] = start
+    for k in range(ps.horizon):
+        u = rng.random(count)
+        paths[:, k + 1] = (u[:, None] > cum[paths[:, k]]).sum(axis=1)
+    return paths
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize("n,horizon", [(1, 2), (3, 0), (4, 4)])
+    def test_same_paths_as_seed_sampler(self, n, horizon):
+        _, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
+        rng = np.random.default_rng(9)
+        counts = _stratum_counts(ps, 400)
+        expected = [seed_sample_stratum(ps, rng, counts[x], x) for x in range(ps.n_states)]
+        seen = mc_sampled_paths(ps, seed=9, samples=400)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
+
+# The path functionals as first written, one gather per level and step; the
+# table-gather evaluators must agree with them bit for bit.
+
+def seed_transform(ps, m_values, f):
+    m = np.asarray(m_values, dtype=complex).ravel()
+    levels = reverse_martingale(ps, f).level_matrix()
+
+    def evaluator(paths):
+        out = np.zeros(len(paths), dtype=complex)
+        for i in range(ps.horizon):
+            out += m[i] * (levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]])
+        return out
+
+    return evaluator
+
+
+def seed_square_and_maximal(ps, family, m_values=None):
+    levels = family.level_matrix()
+    n_steps = ps.horizon
+    if m_values is None:
+        m = np.ones(n_steps, dtype=complex)
+    else:
+        m = np.asarray(m_values, dtype=complex).ravel()
+
+    def square_eval(paths):
+        acc = np.zeros(len(paths))
+        for i in range(n_steps):
+            inc = m[i] * (levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]])
+            acc += np.abs(inc) ** 2
+        return np.sqrt(acc)
+
+    def maximal_eval(paths):
+        best = np.abs(levels[0][paths[:, 0]])
+        for k in range(1, n_steps + 1):
+            best = np.maximum(best, np.abs(levels[k][paths[:, k]]))
+        return best
+
+    return square_eval, maximal_eval
+
+
+class TestEvaluatorOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    @pytest.mark.parametrize("real_field", [False, True])
+    def test_gathers_match_seed_evaluators(self, n, horizon, real_field):
+        space, _, ps = make_path_space(seed=10 * n + horizon, n=n, horizon=horizon)
+        f = random_field(space, n + horizon, real=real_field)
+        rng = np.random.default_rng(n * horizon)
+        m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
+        family = reverse_martingale(ps, f)
+        pairs = [
+            (martingale_transform(ps, m_values, f).evaluator, seed_transform(ps, m_values, f)),
+            *zip((fn.evaluator for fn in square_and_maximal(ps, family, m_values)),
+                 seed_square_and_maximal(ps, family, m_values)),
+            *zip((fn.evaluator for fn in square_and_maximal(ps, family)),
+                 seed_square_and_maximal(ps, family)),
+        ]
+        tables = [all_paths(ps), *mc_sampled_paths(ps, seed=horizon, samples=200)]
+        for paths in tables:
+            for new, old in pairs:
+                got, want = new(paths), old(paths)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
