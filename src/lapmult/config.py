@@ -3,39 +3,31 @@
 Validation happens in full before anything runs: a config either yields a list
 of ready-to-run suite specs or raises ConfigError, so a malformed config never
 produces partial output.  Every randomized component must carry its own seed.
+
+Each check is declared once, in ``CHECKS``: its suite runner, the kind and
+bounds of every key it accepts, the keys it requires, and how the keys of its
+``dilation`` block map onto runner keyword arguments.  A key the table does not
+name is a config error at every level, so a config cannot silently mean
+something other than what it says.  A key the config omits takes the default
+of the suite runner's signature; this module holds no defaults of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
+from . import suites
 from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset
 from .semigroup import ReversibleGenerator, random_reversible_generator
 from .space import WeightedSpace
 
-__all__ = ["ConfigError", "SuiteSpec", "ExperimentConfig", "parse_config"]
+__all__ = ["ConfigError", "SuiteSpec", "ExperimentConfig", "Check", "CHECKS", "parse_config"]
 
 CONFIG_SCHEMA = "lapmult-config-1"
-
-KNOWN_CHECKS = (
-    "markov_conditions",
-    "step_identity",
-    "l2_bound",
-    "dilation_identity",
-    "transform_identity",
-    "multiplier_pnorm",
-    "multiplier_pnorm_family",
-    "transform_pnorm",
-    "step_convergence",
-    "llogl_chain",
-    "imaginary_powers",
-    "approximation_limit",
-    "mc_crosscheck",
-)
 
 
 class ConfigError(ValueError):
@@ -58,385 +50,271 @@ class ExperimentConfig:
     suites: tuple[SuiteSpec, ...]
 
 
+# A kind parses one config value: kind(value, what) returns the parsed value or
+# raises ConfigError; ``what`` names the value in messages ("step_identity.tol").
+Kind = Callable[[Any, str], Any]
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
-def _get(params: dict, key: str, kind, check: str, required: bool = True, default=None):
-    if key not in params:
-        _require(not required, f"{check}: missing required key {key!r}")
-        return default
-    value = params[key]
-    if kind is float:
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"{check}: {key!r} must be a number")
-        return float(value)
-    if kind is int:
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 f"{check}: {key!r} must be an integer")
+def _fields(spec: Any, kinds: dict[str, Kind], required, where: str) -> dict:
+    """Parse the object ``spec`` against ``kinds``; any key ``kinds`` does not name is an error."""
+    _require(isinstance(spec, dict), f"{where} must be an object")
+    unknown = [key for key in spec if key not in kinds]
+    _require(not unknown, f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(kinds)}")
+    for key in required:
+        _require(key in spec, f"{where}: missing required key {key!r}")
+    return {key: kind(spec[key], f"{where}.{key}") for key, kind in kinds.items() if key in spec}
+
+
+def _number(value: Any, what: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{what} must be a number")
+    return float(value)
+
+
+def _positive(value: Any, what: str) -> float:
+    value = _number(value, what)
+    _require(value > 0.0 and math.isfinite(value), f"{what} must be a positive finite number")
+    return value
+
+
+def _at_least(low: int) -> Kind:
+    def integer(value: Any, what: str) -> int:
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+                 f"{what} must be an integer >= {low}")
         return value
-    if kind is bool:
-        _require(isinstance(value, bool), f"{check}: {key!r} must be a boolean")
-        return value
-    _require(isinstance(value, kind), f"{check}: {key!r} must be of type {kind.__name__}")
+
+    return integer
+
+
+_SEED, _COUNT = _at_least(0), _at_least(1)
+
+
+def _boolean(value: Any, what: str) -> bool:
+    _require(isinstance(value, bool), f"{what} must be a boolean")
     return value
 
 
-def _positive(value: float, name: str, check: str) -> float:
-    _require(value > 0.0 and math.isfinite(value), f"{check}: {name} must be a positive finite number")
+def _string(value: Any, what: str) -> str:
+    _require(isinstance(value, str), f"{what} must be a string")
     return value
 
 
-def _seed(params: dict, key: str, check: str) -> int:
-    value = _get(params, key, int, check)
-    _require(value >= 0, f"{check}: {key!r} must be a nonnegative integer seed")
+def _array(value: Any, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be an array")
     return value
 
 
-def _parse_chain(spec: Any, check: str) -> ReversibleGenerator:
-    _require(isinstance(spec, dict), f"{check}: 'chain' must be an object")
-    if "weights" in spec or "generator" in spec:
-        _require("weights" in spec and "generator" in spec,
-                 f"{check}: explicit chains need both 'weights' and 'generator'")
-        try:
-            space = WeightedSpace(np.asarray(spec["weights"], dtype=float))
-            return ReversibleGenerator(space, np.asarray(spec["generator"], dtype=float))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{check}: invalid explicit chain: {exc}") from exc
-    seed = _seed(spec, "seed", check)
-    n = _get(spec, "n", int, check)
-    _require(n >= 1, f"{check}: chain 'n' must be >= 1")
-    scale = _positive(_get(spec, "conductance_scale", float, check, required=False, default=1.0),
-                      "conductance_scale", check)
-    unit_mass = _get(spec, "unit_mass", bool, check, required=False, default=False)
-    _, generator = random_reversible_generator(seed, n, scale, unit_mass)
-    return generator
+def _list_of(item: Kind) -> Kind:
+    def nonempty(value: Any, what: str) -> list:
+        _require(isinstance(value, list) and value, f"{what} must be a nonempty array")
+        return [item(v, f"{what} entry") for v in value]
+
+    return nonempty
 
 
-def _parse_scalar(value: Any, check: str) -> complex:
+def _exponent(value: Any, what: str) -> float:
+    p = _number(value, what)
+    _require(1.0 < p < math.inf, f"{what} must lie in (1, inf)")
+    return p
+
+
+def _gamma(value: Any, what: str) -> float:
+    gamma = _number(value, what)
+    _require(abs(gamma) <= 10.0, f"{what} must satisfy |gamma| <= 10")
+    return gamma
+
+
+def _scalar(value: Any, what: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{check}: scalar entries must be numbers or [re, im] pairs")
+    _require(isinstance(value, list) and len(value) == 2
+             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value),
+             f"{what} must be a number or an [re, im] pair")
+    return complex(value[0], value[1])
 
 
-def _parse_multiplier(spec: Any, check: str) -> StepMultiplier | SampledMultiplier:
-    _require(isinstance(spec, dict), f"{check}: 'multiplier' must be an object")
-    kind = _get(spec, "type", str, check)
-    if kind == "step":
-        breakpoints = _get(spec, "breakpoints", list, check)
-        values = _get(spec, "values", list, check)
-        parsed = [_parse_scalar(v, check) for v in values]
+def _schema(value: Any, what: str) -> str:
+    _require(value == CONFIG_SCHEMA, f"{what} must be {CONFIG_SCHEMA!r}, got {value!r}")
+    return value
+
+
+_SEEDED_CHAIN = {"seed": _SEED, "n": _COUNT, "conductance_scale": _positive, "unit_mass": _boolean}
+_EXPLICIT_CHAIN = {"weights": _array, "generator": _array}
+
+
+def _chain(spec: Any, what: str) -> ReversibleGenerator:
+    if isinstance(spec, dict) and ("weights" in spec or "generator" in spec):
+        given = _fields(spec, _EXPLICIT_CHAIN, tuple(_EXPLICIT_CHAIN), what)
         try:
-            return StepMultiplier(np.asarray(breakpoints, dtype=float), np.asarray(parsed))
+            space = WeightedSpace(np.asarray(given["weights"], dtype=float))
+            return ReversibleGenerator(space, np.asarray(given["generator"], dtype=float))
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{check}: invalid step multiplier: {exc}") from exc
-    if kind == "sampled":
-        name = _get(spec, "name", str, check)
-        t_max = _positive(_get(spec, "t_max", float, check), "t_max", check)
-        grid = _get(spec, "grid", int, check)
-        _require(grid >= 5, f"{check}: sampled multiplier 'grid' must be >= 5")
-        if name == "exp":
-            return SampledMultiplier(lambda t: np.exp(-np.asarray(t, dtype=float)), t_max, grid, 1.0)
-        if name == "imaginary_power":
-            gamma = _get(spec, "gamma", float, check)
-            _require(abs(gamma) <= 10.0, f"{check}: 'gamma' must satisfy |gamma| <= 10")
-            return imaginary_power_preset(gamma, t_max, grid)
-        raise ConfigError(f"{check}: unknown sampled multiplier {name!r}")
-    raise ConfigError(f"{check}: multiplier 'type' must be 'step' or 'sampled'")
+            raise ConfigError(f"{what}: invalid explicit chain: {exc}") from exc
+    return random_reversible_generator(**_fields(spec, _SEEDED_CHAIN, ("seed", "n"), what))[1]
 
 
-def _parse_p_grid(spec: Any, check: str, endpoints_allowed: bool = False) -> list[float]:
-    _require(isinstance(spec, list) and spec, f"{check}: 'p_grid' must be a nonempty array")
-    out = []
-    for entry in spec:
-        if entry == "inf":
-            _require(endpoints_allowed, f"{check}: p = inf is not valid for this check")
-            out.append(math.inf)
-            continue
-        _require(isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                 f"{check}: p-grid entries must be numbers or 'inf'")
-        p = float(entry)
-        if p == 1.0:
-            _require(endpoints_allowed, f"{check}: p = 1 is not valid for this check")
-        else:
-            _require(1.0 < p < math.inf, f"{check}: p-grid entries must lie in (1, inf)")
-        out.append(p)
-    return out
+_STEP = {"type": _string, "breakpoints": _array, "values": _list_of(_scalar)}
+_SAMPLED = {"type": _string, "name": _string, "t_max": _positive, "grid": _at_least(5)}
 
 
-def _parse_dilation(params: dict, check: str, mc_allowed: bool = False) -> dict:
-    spec = _get(params, "dilation", dict, check)
-    epsilon = _positive(_get(spec, "epsilon", float, check), "epsilon", check)
-    mode = _get(spec, "mode", str, check, required=False, default="exact")
-    _require(mode in ("exact", "mc"), f"{check}: dilation mode must be 'exact' or 'mc'")
-    out = {"epsilon": epsilon, "mode": mode}
-    if mode == "mc":
-        _require(mc_allowed, f"{check}: only exact mode is valid for this check")
-        out["mc_seed"] = _seed(spec, "seed", check)
-        samples = _get(spec, "samples", int, check)
-        _require(samples >= 1, f"{check}: 'samples' must be >= 1")
-        out["samples"] = samples
-    if "horizon" in spec:
-        horizon = _get(spec, "horizon", int, check)
-        _require(horizon >= 0, f"{check}: 'horizon' must be >= 0")
-        out["horizon"] = horizon
-    return out
+def _multiplier(spec: Any, what: str) -> StepMultiplier | SampledMultiplier:
+    _require(isinstance(spec, dict), f"{what} must be an object")
+    kind, name = spec.get("type"), spec.get("name")
+    if kind == "step":
+        given = _fields(spec, _STEP, tuple(_STEP), what)
+        try:
+            return StepMultiplier(np.asarray(given["breakpoints"], dtype=float),
+                                  np.asarray(given["values"]))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{what}: invalid step multiplier: {exc}") from exc
+    _require(kind == "sampled", f"{what}.type must be 'step' or 'sampled'")
+    if name == "exp":
+        given = _fields(spec, _SAMPLED, tuple(_SAMPLED), what)
+        return SampledMultiplier(lambda t: np.exp(-np.asarray(t, dtype=float)),
+                                 given["t_max"], given["grid"], 1.0)
+    _require(name == "imaginary_power", f"{what}: unknown sampled multiplier {name!r}")
+    kinds = {**_SAMPLED, "gamma": _gamma}
+    given = _fields(spec, kinds, tuple(kinds), what)
+    return imaginary_power_preset(given["gamma"], given["t_max"], given["grid"])
 
 
-def _parse_piece_counts(params: dict, check: str) -> list[int]:
-    counts = _get(params, "piece_counts", list, check)
-    _require(all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in counts)
-             and len(counts) >= 1, f"{check}: 'piece_counts' must be positive integers")
-    return list(counts)
+def _sampled(spec: Any, what: str) -> SampledMultiplier:
+    multiplier = _multiplier(spec, what)
+    _require(isinstance(multiplier, SampledMultiplier), f"{what} must be a sampled multiplier")
+    return multiplier
 
 
-def _family_sizes(params: dict, check: str) -> dict:
-    instances = _get(params, "instances", int, check)
-    _require(instances >= 1, f"{check}: 'instances' must be >= 1")
-    out = {"seed": _seed(params, "seed", check), "instances": instances}
-    if "max_n" in params:
-        out["max_n"] = _get(params, "max_n", int, check)
-        _require(out["max_n"] >= 2, f"{check}: 'max_n' must be >= 2")
-    return out
+# Kinds of every key a dilation block may hold; each check maps a subset of them
+# onto its runner's keyword arguments.  "mode" only selects, and is not passed on.
+_DILATION = {"epsilon": _positive, "horizon": _COUNT, "seed": _SEED, "samples": _COUNT}
+
+# Config keys whose runner keyword argument has another name.
+_RENAMED = {"field": "field_values"}
 
 
-def _validate_markov_conditions(params: dict) -> dict:
-    check = "markov_conditions"
-    out = {"chain": _parse_chain(_get(params, "chain", dict, check), check)}
-    out["time"] = _positive(_get(params, "time", float, check, required=False, default=1.0), "time", check)
-    out["tol"] = _positive(_get(params, "tol", float, check, required=False, default=1e-10), "tol", check)
-    return out
+@dataclass(frozen=True, eq=False)
+class Check:
+    """One check: its runner, the kind of each key it accepts, and the keys it requires.
+
+    ``dilation`` maps the keys of the check's required ``dilation`` block onto
+    runner keyword arguments (every key but ``horizon`` is required there), and
+    the block's ``mode`` (default ``"exact"``) must equal ``mode``.
+    """
+
+    run: Callable[..., suites.SuiteResult]
+    params: dict[str, Kind]
+    required: tuple[str, ...] = ()
+    dilation: dict[str, str] = field(default_factory=dict)
+    mode: str = "exact"
+
+    def _dilation_block(self, spec: Any, what: str) -> dict:
+        kinds = {"mode": _string, **{key: _DILATION[key] for key in self.dilation}}
+        given = _fields(spec, kinds, [key for key in self.dilation if key != "horizon"], what)
+        _require(given.pop("mode", "exact") == self.mode, f"{what}.mode must be {self.mode!r}")
+        return given
+
+    def parse(self, entry: dict, name: str) -> dict:
+        kinds = {"check": _string, **self.params}
+        required = ("check", *self.required)
+        if self.dilation:
+            kinds["dilation"] = self._dilation_block
+            required += ("dilation",)
+        kwargs = _fields(entry, kinds, required, name)
+        del kwargs["check"]
+        for key, value in kwargs.pop("dilation", {}).items():
+            kwarg = self.dilation[key]
+            _require(kwarg not in kwargs, f"{name}: give {kwarg!r} or 'dilation.{key}', not both")
+            kwargs[kwarg] = value
+        if "field" in self.params:
+            _require(("field" in kwargs) != ("field_seed" in kwargs),
+                     f"{name}: give exactly one of 'field' (literal values) or 'field_seed'")
+            if "field" in kwargs:
+                values = np.asarray(kwargs.pop("field"))
+                n = kwargs["chain"].space.n
+                _require(values.size == n, f"{name}.field must have {n} entries")
+                kwargs[_RENAMED["field"]] = values
+        return kwargs
 
 
-def _validate_step_family(params: dict, check: str) -> dict:
-    out = _family_sizes(params, check)
-    if "max_pieces" in params:
-        out["max_pieces"] = _get(params, "max_pieces", int, check)
-        _require(out["max_pieces"] >= 1, f"{check}: 'max_pieces' must be >= 1")
-    return out
+_FAMILY = {"seed": _SEED, "instances": _COUNT, "max_n": _at_least(2)}
+_STEP_FAMILY = {**_FAMILY, "max_pieces": _COUNT}
+_PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT, "budget": _COUNT}
+_ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_least(0),
+           "probe_seed": _SEED}
+_PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_COUNT),
+           "field": _list_of(_scalar), "field_seed": _SEED}
+_FAMILY_REQUIRED = ("seed", "instances")
+_PROBED_REQUIRED = ("chain", "multiplier", "piece_counts")
+_PATH_DILATION = {"epsilon": "epsilon", "horizon": "max_horizon"}
 
-
-def _validate_step_identity(params: dict) -> dict:
-    out = _validate_step_family(params, "step_identity")
-    out["tol"] = _positive(
-        _get(params, "tol", float, "step_identity", required=False, default=1e-10),
-        "tol", "step_identity")
-    return out
-
-
-def _validate_l2_bound(params: dict) -> dict:
-    return _validate_step_family(params, "l2_bound")
-
-
-def _validate_dilation_family(params: dict, check: str) -> dict:
-    out = _family_sizes(params, check)
-    if "max_horizon" in params:
-        out["max_horizon"] = _get(params, "max_horizon", int, check)
-        _require(out["max_horizon"] >= 1, f"{check}: 'max_horizon' must be >= 1")
-    dil = _parse_dilation(params, check)
-    out["epsilon"] = dil["epsilon"]
-    if "horizon" in dil:
-        out["max_horizon"] = dil["horizon"]
-    out["tol"] = _positive(_get(params, "tol", float, check, required=False, default=1e-10), "tol", check)
-    if "budget" in params:
-        out["budget"] = _get(params, "budget", int, check)
-        _require(out["budget"] >= 1, f"{check}: 'budget' must be >= 1")
-    return out
-
-
-def _validate_multiplier_pnorm(params: dict) -> dict:
-    check = "multiplier_pnorm"
-    return {
-        "chain": _parse_chain(_get(params, "chain", dict, check), check),
-        "multiplier": _parse_multiplier(_get(params, "multiplier", dict, check), check),
-        "p_grid": _parse_p_grid(_get(params, "p_grid", list, check), check),
-        "probes": _probes(params, check),
-        "ascent_steps": _ascent(params, check),
-        "probe_seed": _seed(params, "probe_seed", check),
-    }
-
-
-def _probes(params: dict, check: str) -> int:
-    probes = _get(params, "probes", int, check)
-    _require(probes >= 1, f"{check}: 'probes' must be >= 1")
-    return probes
-
-
-def _ascent(params: dict, check: str) -> int:
-    steps = _get(params, "ascent_steps", int, check)
-    _require(steps >= 0, f"{check}: 'ascent_steps' must be >= 0")
-    return steps
-
-
-def _validate_multiplier_pnorm_family(params: dict) -> dict:
-    check = "multiplier_pnorm_family"
-    out = _validate_step_family(params, check)
-    out["p_grid"] = _parse_p_grid(_get(params, "p_grid", list, check), check)
-    out["probes"] = _probes(params, check)
-    out["ascent_steps"] = _ascent(params, check)
-    out["probe_seed"] = _seed(params, "probe_seed", check)
-    return out
-
-
-def _validate_transform_pnorm(params: dict) -> dict:
-    check = "transform_pnorm"
-    out = _validate_dilation_family(params, check)
-    del out["tol"]
-    out["p_grid"] = _parse_p_grid(_get(params, "p_grid", list, check), check)
-    if "contraction_tol" in params:
-        out["contraction_tol"] = _positive(_get(params, "contraction_tol", float, check),
-                                           "contraction_tol", check)
-    return out
-
-
-def _parse_field(params: dict, chain: ReversibleGenerator, check: str) -> dict:
-    has_literal = "field" in params
-    has_seed = "field_seed" in params
-    _require(has_literal != has_seed,
-             f"{check}: give exactly one of 'field' (literal values) or 'field_seed'")
-    if has_literal:
-        literal = _get(params, "field", list, check)
-        values = np.asarray([_parse_scalar(v, check) for v in literal])
-        _require(values.size == chain.space.n,
-                 f"{check}: 'field' must have {chain.space.n} entries")
-        return {"field_values": values}
-    return {"field_seed": _seed(params, "field_seed", check)}
-
-
-def _validate_step_convergence(params: dict) -> dict:
-    check = "step_convergence"
-    out = {
-        "chain": _parse_chain(_get(params, "chain", dict, check), check),
-        "multiplier": _parse_multiplier(_get(params, "multiplier", dict, check), check),
-        "piece_counts": _parse_piece_counts(params, check),
-    }
-    out.update(_parse_field(params, out["chain"], check))
-    _require(isinstance(out["multiplier"], SampledMultiplier),
-             f"{check}: needs a sampled multiplier")
-    out["rel_tol"] = _positive(_get(params, "rel_tol", float, check, required=False, default=1e-2),
-                               "rel_tol", check)
-    return out
-
-
-def _validate_llogl_chain(params: dict) -> dict:
-    check = "llogl_chain"
-    chains = _get(params, "chains", int, check)
-    fields = _get(params, "fields", int, check)
-    _require(chains >= 1 and fields >= 1, f"{check}: 'chains' and 'fields' must be >= 1")
-    dil = _parse_dilation(params, check)
-    out = {
-        "seed": _seed(params, "seed", check),
-        "chains": chains,
-        "fields": fields,
-        "epsilon": dil["epsilon"],
-    }
-    if "n" in params:
-        out["n"] = _get(params, "n", int, check)
-        _require(out["n"] >= 2, f"{check}: 'n' must be >= 2")
-    if "horizon" in dil:
-        _require(dil["horizon"] >= 1, f"{check}: 'horizon' must be >= 1")
-        out["horizon"] = dil["horizon"]
-    elif "horizon" in params:
-        out["horizon"] = _get(params, "horizon", int, check)
-        _require(out["horizon"] >= 1, f"{check}: 'horizon' must be >= 1")
-    out["stability_doubling"] = _get(params, "stability_doubling", bool, check,
-                                     required=False, default=True)
-    if "stability_rel" in params:
-        out["stability_rel"] = _positive(_get(params, "stability_rel", float, check),
-                                         "stability_rel", check)
-    return out
-
-
-def _validate_imaginary_powers(params: dict) -> dict:
-    check = "imaginary_powers"
-    gammas = _get(params, "gammas", list, check)
-    _require(gammas and all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                            and abs(g) <= 10.0 for g in gammas),
-             f"{check}: 'gammas' must be numbers with |gamma| <= 10")
-    out = {
-        "chain": _parse_chain(_get(params, "chain", dict, check), check),
-        "gammas": [float(g) for g in gammas],
-    }
-    if "t_max" in params:
-        out["t_max"] = _positive(_get(params, "t_max", float, check), "t_max", check)
-    if "grid" in params:
-        out["grid"] = _get(params, "grid", int, check)
-        _require(out["grid"] >= 5, f"{check}: 'grid' must be >= 5")
-    return out
-
-
-def _validate_approximation_limit(params: dict) -> dict:
-    check = "approximation_limit"
-    p = params.get("p", 2.0)
-    _require(isinstance(p, (int, float)) and not isinstance(p, bool) and 1.0 < float(p) < math.inf,
-             f"{check}: 'p' must lie in (1, inf)")
-    out = {
-        "chain": _parse_chain(_get(params, "chain", dict, check), check),
-        "multiplier": _parse_multiplier(_get(params, "multiplier", dict, check), check),
-        "piece_counts": _parse_piece_counts(params, check),
-        "p": float(p),
-    }
-    out.update(_parse_field(params, out["chain"], check))
-    _require(isinstance(out["multiplier"], SampledMultiplier),
-             f"{check}: needs a sampled multiplier")
-    out["tol"] = _positive(_get(params, "tol", float, check, required=False, default=1e-2),
-                           "tol", check)
-    return out
-
-
-def _validate_mc_crosscheck(params: dict) -> dict:
-    check = "mc_crosscheck"
-    dil = _parse_dilation(params, check, mc_allowed=True)
-    _require(dil["mode"] == "mc", f"{check}: the dilation block must use mode 'mc'")
-    out = {
-        "seed": _seed(params, "seed", check),
-        "samples": dil["samples"],
-        "mc_seed": dil["mc_seed"],
-        "epsilon": dil["epsilon"],
-    }
-    if "horizon" in dil:
-        _require(dil["horizon"] >= 1, f"{check}: 'horizon' must be >= 1")
-        out["horizon"] = dil["horizon"]
-    if "n" in params:
-        out["n"] = _get(params, "n", int, check)
-        _require(out["n"] >= 1, f"{check}: 'n' must be >= 1")
-    return out
-
-
-_VALIDATORS: dict[str, Callable[[dict], dict]] = {
-    "markov_conditions": _validate_markov_conditions,
-    "step_identity": _validate_step_identity,
-    "l2_bound": _validate_l2_bound,
-    "dilation_identity": lambda p: _validate_dilation_family(p, "dilation_identity"),
-    "transform_identity": lambda p: _validate_dilation_family(p, "transform_identity"),
-    "multiplier_pnorm": _validate_multiplier_pnorm,
-    "multiplier_pnorm_family": _validate_multiplier_pnorm_family,
-    "transform_pnorm": _validate_transform_pnorm,
-    "step_convergence": _validate_step_convergence,
-    "llogl_chain": _validate_llogl_chain,
-    "imaginary_powers": _validate_imaginary_powers,
-    "approximation_limit": _validate_approximation_limit,
-    "mc_crosscheck": _validate_mc_crosscheck,
+CHECKS: dict[str, Check] = {
+    "markov_conditions": Check(
+        suites.suite_markov_conditions,
+        {"chain": _chain, "time": _positive, "tol": _positive}, ("chain",)),
+    "step_identity": Check(
+        suites.suite_step_identity, {**_STEP_FAMILY, "tol": _positive}, _FAMILY_REQUIRED),
+    "l2_bound": Check(suites.suite_l2_bound, _STEP_FAMILY, _FAMILY_REQUIRED),
+    "dilation_identity": Check(
+        suites.suite_dilation_identity,
+        {**_PATH_FAMILY, "tol": _positive}, _FAMILY_REQUIRED, _PATH_DILATION),
+    "transform_identity": Check(
+        suites.suite_transform_identity,
+        {**_PATH_FAMILY, "tol": _positive}, _FAMILY_REQUIRED, _PATH_DILATION),
+    "multiplier_pnorm": Check(
+        suites.suite_multiplier_pnorm,
+        {"chain": _chain, "multiplier": _multiplier, **_ASCENT}, ("chain", "multiplier", *_ASCENT)),
+    "multiplier_pnorm_family": Check(
+        suites.suite_multiplier_pnorm_family,
+        {**_STEP_FAMILY, **_ASCENT}, (*_FAMILY_REQUIRED, *_ASCENT)),
+    "transform_pnorm": Check(
+        suites.suite_transform_pnorm,
+        {**_PATH_FAMILY, "p_grid": _ASCENT["p_grid"], "contraction_tol": _positive},
+        (*_FAMILY_REQUIRED, "p_grid"), _PATH_DILATION),
+    "step_convergence": Check(
+        suites.suite_step_convergence, {**_PROBED, "rel_tol": _positive}, _PROBED_REQUIRED),
+    "llogl_chain": Check(
+        suites.suite_llogl_chain,
+        {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
+         "stability_doubling": _boolean, "stability_rel": _positive},
+        ("seed", "chains", "fields"), {"epsilon": "epsilon", "horizon": "horizon"}),
+    "imaginary_powers": Check(
+        suites.suite_imaginary_powers,
+        {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _at_least(5)},
+        ("chain", "gammas")),
+    "approximation_limit": Check(
+        suites.suite_approximation_limit,
+        {**_PROBED, "p": _exponent, "tol": _positive}, _PROBED_REQUIRED),
+    "mc_crosscheck": Check(
+        suites.suite_mc_crosscheck, {"seed": _SEED, "n": _COUNT}, ("seed",),
+        {"epsilon": "epsilon", "horizon": "horizon", "seed": "mc_seed", "samples": "samples"},
+        mode="mc"),
 }
+
+KNOWN_CHECKS = tuple(CHECKS)
+
+
+def _suite(entry: Any, where: str) -> SuiteSpec:
+    _require(isinstance(entry, dict), f"{where} must be an object")
+    name = entry.get("check")
+    _require(isinstance(name, str) and name in CHECKS,
+             f"{where}: unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+    return SuiteSpec(name, CHECKS[name].parse(entry, name))
+
+
+def _suites(value: Any, what: str) -> tuple[SuiteSpec, ...]:
+    _require(isinstance(value, list) and value, "config needs a nonempty 'suites' array")
+    return tuple(_suite(entry, f"{what}[{idx}]") for idx, entry in enumerate(value))
+
+
+_ROOT = {"schema": _schema, "description": _string, "suites": _suites}
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
     """Validate a whole config (no partial results: raises ConfigError on any defect)."""
-    _require(isinstance(raw, dict), "config root must be a JSON object")
-    schema = raw.get("schema")
-    _require(schema == CONFIG_SCHEMA, f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
-    suites_raw = raw.get("suites")
-    _require(isinstance(suites_raw, list) and suites_raw, "config needs a nonempty 'suites' array")
-    specs = []
-    for idx, entry in enumerate(suites_raw):
-        _require(isinstance(entry, dict), f"suite #{idx} must be an object")
-        check = entry.get("check")
-        _require(isinstance(check, str) and check in KNOWN_CHECKS,
-                 f"suite #{idx}: unknown check {check!r}; known: {', '.join(KNOWN_CHECKS)}")
-        params = {k: v for k, v in entry.items() if k != "check"}
-        specs.append(SuiteSpec(check, _VALIDATORS[check](params)))
-    return ExperimentConfig(raw=raw, suites=tuple(specs))
+    given = _fields(raw, _ROOT, ("schema", "suites"), "config")
+    return ExperimentConfig(raw=raw, suites=given["suites"])

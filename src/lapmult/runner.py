@@ -18,29 +18,17 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from . import __version__, suites
-from .config import ExperimentConfig, SuiteSpec
+from . import __version__
+from .config import CHECKS, ExperimentConfig, SuiteSpec
 from .suites import SuiteResult
 
 __all__ = ["RunOutcome", "run_config", "report_json", "inequalities_csv"]
 
 REPORT_SCHEMA = "lapmult-report-1"
 
-_RUNNERS: dict[str, Callable[..., SuiteResult]] = {
-    "markov_conditions": suites.suite_markov_conditions,
-    "step_identity": suites.suite_step_identity,
-    "l2_bound": suites.suite_l2_bound,
-    "dilation_identity": suites.suite_dilation_identity,
-    "transform_identity": suites.suite_transform_identity,
-    "multiplier_pnorm": suites.suite_multiplier_pnorm,
-    "multiplier_pnorm_family": suites.suite_multiplier_pnorm_family,
-    "transform_pnorm": suites.suite_transform_pnorm,
-    "step_convergence": suites.suite_step_convergence,
-    "llogl_chain": suites.suite_llogl_chain,
-    "imaginary_powers": suites.suite_imaginary_powers,
-    "approximation_limit": suites.suite_approximation_limit,
-    "mc_crosscheck": suites.suite_mc_crosscheck,
-}
+# Derived from config.CHECKS.  A module-level dict of plain functions, so that
+# instrumentation can rebind an entry without touching the check table.
+_RUNNERS: dict[str, Callable[..., SuiteResult]] = {name: c.run for name, c in CHECKS.items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -125,9 +125,12 @@ def dilation_instance_family(
     epsilon: float = 0.8,
     conductance_scale: float = 1.0,
     unit_mass: bool = False,
-) -> list[tuple[ReversibleGenerator, PathSpace, Field]]:
-    """Random chains dilated with kernel Q = T^{eps/2} and a random horizon."""
-    out = []
+) -> Iterator[tuple[ReversibleGenerator, PathSpace, Field]]:
+    """Random chains dilated with kernel Q = T^{eps/2} and a random horizon.
+
+    Instances are yielded one at a time, so a caller that iterates keeps at
+    most one path space (and its cached path table) alive.
+    """
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(2, max_n + 1))
@@ -135,8 +138,7 @@ def dilation_instance_family(
         space, gen = random_reversible_generator([seed, i, 1], n, conductance_scale, unit_mass)
         kernel = heat_operator(gen, epsilon / 2.0)
         probe = Field(space, _random_complex(rng, n))
-        out.append((gen, PathSpace(kernel, horizon), probe))
-    return out
+        yield gen, PathSpace(kernel, horizon), probe
 
 
 def suite_markov_conditions(
@@ -505,7 +507,7 @@ def suite_approximation_limit(
     chain: ReversibleGenerator,
     multiplier: SampledMultiplier,
     piece_counts: Sequence[int],
-    p: float,
+    p: float = 2.0,
     field_seed: int | None = None,
     field_values=None,
     tol: float = 1e-2,

@@ -1,0 +1,197 @@
+"""The check table: each check's keys are declared once, match its runner, and
+no key a config gives is silently dropped or overridden."""
+
+import copy
+import inspect
+import json
+
+import pytest
+
+from lapmult import runner
+from lapmult.cli import EXIT_CONFIG_ERROR, main
+from lapmult.config import _RENAMED, CHECKS, KNOWN_CHECKS, ConfigError, parse_config
+
+SEEDED_CHAIN = {"seed": 3, "n": 4}
+EXP = {"type": "sampled", "name": "exp", "t_max": 3.0, "grid": 65}
+STEP = {"type": "step", "breakpoints": [0.0, 1.0], "values": [1.0]}
+EXACT = {"epsilon": 0.8, "mode": "exact"}
+
+# One small valid entry per check, with every nested object the check accepts.
+VALID = {
+    "markov_conditions": {"chain": SEEDED_CHAIN},
+    "step_identity": {"seed": 1, "instances": 2},
+    "l2_bound": {"seed": 1, "instances": 2},
+    "dilation_identity": {"seed": 1, "instances": 2, "dilation": EXACT},
+    "transform_identity": {"seed": 1, "instances": 2, "dilation": EXACT},
+    "multiplier_pnorm": {"chain": SEEDED_CHAIN, "multiplier": STEP, "p_grid": [1.5],
+                         "probes": 2, "ascent_steps": 1, "probe_seed": 0},
+    "multiplier_pnorm_family": {"seed": 1, "instances": 2, "p_grid": [1.5], "probes": 2,
+                                "ascent_steps": 1, "probe_seed": 0},
+    "transform_pnorm": {"seed": 1, "instances": 2, "p_grid": [1.5], "dilation": EXACT},
+    "step_convergence": {"chain": SEEDED_CHAIN, "multiplier": EXP, "piece_counts": [2],
+                         "field_seed": 5},
+    "llogl_chain": {"seed": 1, "chains": 1, "fields": 1, "dilation": EXACT},
+    "imaginary_powers": {"chain": SEEDED_CHAIN, "gammas": [1.0]},
+    "approximation_limit": {"chain": SEEDED_CHAIN, "multiplier": EXP, "piece_counts": [2],
+                            "field_seed": 5},
+    "mc_crosscheck": {"seed": 1, "dilation": {"epsilon": 0.8, "mode": "mc", "samples": 10,
+                                              "seed": 2}},
+}
+
+NESTED = ("chain", "multiplier", "dilation")
+
+
+def config_of(check, **entry):
+    return {"schema": "lapmult-config-1", "suites": [{"check": check, **entry}]}
+
+
+def kwargs_of(check, **entry):
+    return parse_config(config_of(check, **entry)).suites[0].kwargs
+
+
+def test_valid_entries_cover_every_check():
+    assert list(VALID) == list(CHECKS)
+    for check, entry in VALID.items():
+        assert parse_config(config_of(check, **entry)).suites[0].check == check
+
+
+def test_derived_names_follow_the_table():
+    assert KNOWN_CHECKS == tuple(CHECKS)
+    assert list(runner._RUNNERS) == list(CHECKS)
+    for name, check in CHECKS.items():
+        assert runner._RUNNERS[name] is check.run
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_table_matches_runner_signature(name):
+    check = CHECKS[name]
+    params = inspect.signature(check.run).parameters
+    produced = {_RENAMED.get(key, key) for key in check.params} | set(check.dilation.values())
+    assert produced <= set(params), produced - set(params)
+    required = {_RENAMED.get(key, key) for key in check.required}
+    required |= {kwarg for key, kwarg in check.dilation.items() if key != "horizon"}
+    for param in params.values():
+        if param.default is inspect.Parameter.empty:
+            assert param.name in required, param.name
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_unknown_key_rejected(name):
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        parse_config(config_of(name, **VALID[name], bogus=1))
+
+
+@pytest.mark.parametrize("name,obj", [(name, obj) for name in CHECKS for obj in NESTED
+                                      if obj in VALID[name]])
+def test_unknown_nested_key_rejected(name, obj):
+    entry = copy.deepcopy(VALID[name])
+    entry[obj]["bogus"] = 1
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        parse_config(config_of(name, **entry))
+
+
+def test_unknown_root_key_rejected():
+    raw = config_of("step_identity", seed=1, instances=2)
+    parse_config(dict(raw, description="a run"))
+    with pytest.raises(ConfigError, match="unknown key 'comment'"):
+        parse_config(dict(raw, comment="x"))
+
+
+def test_omitted_keys_take_the_runner_defaults():
+    assert set(kwargs_of("markov_conditions", chain=SEEDED_CHAIN)) == {"chain"}
+    kwargs = kwargs_of("approximation_limit", **VALID["approximation_limit"])
+    assert "p" not in kwargs
+    assert inspect.signature(CHECKS["approximation_limit"].run).parameters["p"].default == 2.0
+
+
+# Each of these was accepted before the table and ran with a value other than
+# the one the config states.
+MISREAD = {
+    "tolerance-for-tol": ("step_identity", {"seed": 1, "instances": 2, "tolerance": 1e-30}),
+    "tol-on-transform-pnorm": ("transform_pnorm", {**VALID["transform_pnorm"], "tol": 1e-3}),
+    "llogl-horizon-twice": ("llogl_chain", {
+        "seed": 1, "chains": 1, "fields": 1, "horizon": 3,
+        "dilation": {"epsilon": 0.8, "mode": "exact", "horizon": 4}}),
+    "family-horizon-twice": ("dilation_identity", {
+        "seed": 1, "instances": 2, "max_horizon": 3,
+        "dilation": {"epsilon": 0.8, "mode": "exact", "horizon": 4}}),
+    "seed-on-explicit-chain": ("markov_conditions", {
+        "chain": {"weights": [0.5, 0.5], "generator": [[0.7, -0.7], [-0.7, 0.7]], "seed": 3}}),
+    "gamma-on-exp": ("step_convergence", {
+        **VALID["step_convergence"], "multiplier": {**EXP, "gamma": 1.0}}),
+    "horizn-in-dilation": ("llogl_chain", {
+        "seed": 1, "chains": 1, "fields": 1,
+        "dilation": {"epsilon": 0.8, "mode": "exact", "horizn": 4}}),
+    "nn-in-chain": ("markov_conditions", {"chain": {"seed": 3, "n": 4, "nn": 5}}),
+}
+
+
+@pytest.mark.parametrize("label", list(MISREAD))
+def test_misread_config_is_rejected(label):
+    check, entry = MISREAD[label]
+    with pytest.raises(ConfigError):
+        parse_config(config_of(check, **entry))
+
+
+@pytest.mark.parametrize("label", list(MISREAD))
+def test_misread_config_exits_2_without_output(label, tmp_path):
+    check, entry = MISREAD[label]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_of(check, **entry)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+    assert not out_dir.exists()
+
+
+def test_each_horizon_spelling_is_accepted_alone():
+    base = {"seed": 1, "chains": 1, "fields": 1}
+    top = kwargs_of("llogl_chain", **base, horizon=3, dilation=EXACT)
+    nested = kwargs_of("llogl_chain", **base, dilation={**EXACT, "horizon": 3})
+    assert top["horizon"] == nested["horizon"] == 3
+    base = {"seed": 1, "instances": 2}
+    top = kwargs_of("transform_identity", **base, max_horizon=3, dilation=EXACT)
+    nested = kwargs_of("transform_identity", **base, dilation={**EXACT, "horizon": 3})
+    assert top["max_horizon"] == nested["max_horizon"] == 3
+
+
+@pytest.mark.parametrize("dilation", [
+    {"epsilon": 0.8},
+    {"epsilon": 0.8, "mode": "exact", "samples": 10, "seed": 2},
+])
+def test_mc_crosscheck_needs_mc_mode(dilation):
+    with pytest.raises(ConfigError):
+        parse_config(config_of("mc_crosscheck", seed=1, dilation=dilation))
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("step_identity", "seed", -1),
+    ("step_identity", "instances", 0),
+    ("step_identity", "max_n", 1),
+    ("step_identity", "max_pieces", 0),
+    ("dilation_identity", "max_horizon", 0),
+    ("dilation_identity", "budget", 0),
+    ("multiplier_pnorm", "probes", 0),
+    ("multiplier_pnorm", "ascent_steps", -1),
+    ("multiplier_pnorm", "p_grid", [1.0]),
+    ("multiplier_pnorm", "p_grid", ["inf"]),
+    ("multiplier_pnorm", "p_grid", []),
+    ("step_convergence", "piece_counts", [0]),
+    ("step_convergence", "rel_tol", float("inf")),
+    ("step_convergence", "multiplier", STEP),
+    ("imaginary_powers", "gammas", [10.5]),
+    ("imaginary_powers", "grid", 4),
+    ("approximation_limit", "p", 1.0),
+    ("llogl_chain", "n", 1),
+    ("llogl_chain", "horizon", 0),
+    ("llogl_chain", "stability_doubling", 1),
+])
+def test_bounds_are_kept(name, key, value):
+    with pytest.raises(ConfigError):
+        parse_config(config_of(name, **{**VALID[name], key: value}))
+
+
+def test_field_literal_must_match_chain_size():
+    entry = {**VALID["step_convergence"], "field": [1.0, 2.0]}
+    del entry["field_seed"]
+    with pytest.raises(ConfigError, match="4 entries"):
+        parse_config(config_of("step_convergence", **entry))

@@ -1,0 +1,72 @@
+"""Imports inside the package follow one direction: no module reaches up.
+
+The order is space -> semigroup -> spectral -> multiplier -> dilation ->
+inequalities -> suites -> config/runner -> cli; a module may import its own
+rank or below, at module level or deferred inside a function.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lapmult"
+
+RANK = {
+    "space": 0, "semigroup": 1, "spectral": 2, "multiplier": 3, "dilation": 4,
+    "inequalities": 5, "suites": 6, "config": 7, "runner": 7, "cli": 8,
+}
+
+# Names a module may take from the package root itself.
+PACKAGE_NAMES = {"__version__"}
+
+# Known upward imports, deferred inside semigroup: (module, function, target).
+# heat_operator cannot move into spectral without renaming the per-layer metric
+# semigroup.heat_operator that the benchmark reports.
+ALLOWED = {
+    ("semigroup", "heat_operator", "spectral"),
+    ("semigroup", "verify_markov_conditions", "inequalities"),
+}
+
+
+def _relative_imports(tree):
+    """Yield (enclosing function or None, target name, line) for each relative import."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level > 0:
+                assert child.level == 1, f"line {child.lineno}: imports from above the package"
+                targets = [child.module] if child.module else [a.name for a in child.names]
+                for target in targets:
+                    yield function, target.split(".")[0], child.lineno
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def _upward_imports():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        assert module in RANK, f"{module}.py has no place in the layer order"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, target, line in _relative_imports(tree):
+            if target in PACKAGE_NAMES:
+                continue
+            assert target in RANK, f"{module}.py:{line} imports unknown module {target!r}"
+            if RANK[target] > RANK[module]:
+                found[(module, function, target)] = line
+    return found
+
+
+def test_no_import_reaches_up():
+    found = _upward_imports()
+    unexpected = {key: line for key, line in found.items() if key not in ALLOWED}
+    assert not unexpected, unexpected
+
+
+def test_allowlist_is_exact():
+    # an allowlisted import that is gone must leave the allowlist too
+    assert set(_upward_imports()) == ALLOWED

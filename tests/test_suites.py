@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 
 from lapmult.suites import (
@@ -26,6 +29,15 @@ def test_dilation_family_prefix_stable():
         assert np.array_equal(g1.entries, g2.entries)
         assert ps1.horizon == ps2.horizon
         assert np.array_equal(f1.values, f2.values)
+
+
+def test_dilation_family_keeps_one_instance_alive():
+    family = iter(dilation_instance_family(12, 3))
+    first = weakref.ref(next(family)[1])
+    second = next(family)[1]
+    gc.collect()
+    assert first() is None
+    assert second.horizon >= 1
 
 
 def test_step_family_respects_bounds():
