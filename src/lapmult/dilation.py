@@ -79,19 +79,23 @@ class PathSpace:
         check the enumeration budget before touching it.
         """
         steps = self.horizon + 1
-        paths = np.indices((self.n_states,) * steps).reshape(steps, -1).T.astype(np.int32)
+        paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
         weights = _step_products(self, paths)
         paths.flags.writeable = False
         weights.flags.writeable = False
         return paths, weights
 
     @functools.cached_property
-    def _row_cumulative(self) -> np.ndarray:
-        """Row-cumulative kernel for inverse-CDF sampling, last column pinned to 1."""
-        cum = np.cumsum(self.kernel.entries, axis=1)
-        cum[:, -1] = 1.0
-        cum.flags.writeable = False
-        return cum
+    def _cumulative_columns(self) -> np.ndarray:
+        """Columns j < n - 1 of the row-cumulative kernel, one contiguous row each.
+
+        Inverse-CDF sampling counts the columns a uniform draw u < 1 exceeds.
+        The last column is taken as exactly 1, whatever the roundoff in the
+        row sums, so no draw exceeds it and it is left out.
+        """
+        cols = np.cumsum(self.kernel.entries, axis=1)[:, :-1].T.copy()
+        cols.flags.writeable = False
+        return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +124,8 @@ class ReverseMartingaleFamily:
 def all_paths(ps: PathSpace, budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
     """All state paths as a read-only int32 array of shape (n^{N+1}, N+1).
 
+    The array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
+
     The budget is checked on every call; the table itself is built on the
     first call that passes it and the same array is returned thereafter.
     """
@@ -131,11 +137,16 @@ def all_paths(ps: PathSpace, budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
     return ps._table[0]
 
 
+def _edge_index(paths: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Flat index x_i * n + x_{i+1} of each path's step-i edge."""
+    return paths[:, i] * n + paths[:, i + 1]
+
+
 def _step_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
-    q = ps.kernel.entries
+    q = ps.kernel.entries.ravel()
     w = np.ones(len(paths))
     for k in range(ps.horizon):
-        w *= q[paths[:, k], paths[:, k + 1]]
+        w *= q.take(_edge_index(paths, k, ps.n_states))
     return w
 
 
@@ -190,18 +201,29 @@ class MonteCarloField:
 
 
 def _stratum_counts(ps: PathSpace, samples: int) -> np.ndarray:
-    counts = np.maximum(1, np.rint(samples * ps.initial_law).astype(int))
-    return counts
+    """Samples per start state, proportional to nu.
+
+    At least two each, so every stratum has a sample variance.
+    """
+    return np.maximum(2, np.rint(samples * ps.initial_law).astype(int))
 
 
 def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: int) -> np.ndarray:
-    cum = ps._row_cumulative
-    paths = np.empty((count, ps.horizon + 1), dtype=np.int32)
-    paths[:, 0] = start
+    """``count`` paths from ``start``, one uniform draw per path and step.
+
+    The next state is the number of cumulative-kernel columns the draw
+    exceeds.  Rows are filled one step at a time and the transposed view is
+    returned, so each coordinate ``paths[:, k]`` is contiguous.
+    """
+    columns = ps._cumulative_columns
+    rows = np.zeros((ps.horizon + 1, count), dtype=np.int32)
+    rows[0] = start
     for k in range(ps.horizon):
         u = rng.random(count)
-        paths[:, k + 1] = (u[:, None] > cum[paths[:, k]]).sum(axis=1)
-    return paths
+        here, nxt = rows[k], rows[k + 1]
+        for column in columns:
+            nxt += u > column.take(here)
+    return rows.T
 
 
 def hat_expectation(
@@ -216,7 +238,7 @@ def hat_expectation(
     """The conditional expectation x -> E[S | pi_0 = x].
 
     Exact mode enumerates every path; Monte Carlo stratifies on the initial
-    state (allocation proportional to nu, at least one sample each) and
+    state (allocation proportional to nu, at least two samples each) and
     reports a per-state standard error alongside the estimate.
     """
     space = ps.kernel.space
@@ -352,11 +374,6 @@ def dilation_identity_check(
 def _increment_tables(m: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
     """Per step i, the flattened n x n table of M_i (g_{i+1}[y] - g_i[x]) at index x*n + y."""
     return [(m[i] * (levels[i + 1][None, :] - levels[i][:, None])).ravel() for i in range(len(m))]
-
-
-def _edge_index(paths: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Flat index x_i * n + x_{i+1} of each path's step-i edge."""
-    return paths[:, i] * n + paths[:, i + 1]
 
 
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:

@@ -7,12 +7,12 @@ exact closed form; sampled functions go through certified quadrature.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as complex_gamma
 
 from .semigroup import ReversibleGenerator, heat_operator
 from .space import Field, lp_norm
@@ -200,6 +200,25 @@ def telescoping_Tm(generator: ReversibleGenerator, step: StepMultiplier, f: Fiel
     return Field(f.space, out)
 
 
+# B_{2k} / (2k (2k - 1)) for k = 1..8: the coefficients of Stirling's series.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _complex_gamma(z: complex) -> complex:
+    """Gamma(z) for Re z > 0.
+
+    The recurrence log Gamma(z) = log Gamma(z + 1) - log z shifts z to
+    Re z >= 10, where Stirling's series truncated after eight terms errs by
+    under 2e-18.
+    """
+    shift = 0j
+    while z.real < 10.0:
+        shift += cmath.log(z)
+        z += 1.0
+    series = sum(c / z ** (2 * k - 1) for k, c in enumerate(_STIRLING, start=1))
+    return cmath.exp((z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series - shift)
+
+
 def imaginary_power_preset(
     gamma: float, t_max: float = 48.0, grid_size: int = 24001
 ) -> SampledMultiplier:
@@ -211,7 +230,7 @@ def imaginary_power_preset(
     """
     if not (math.isfinite(gamma) and abs(gamma) <= 10.0):
         raise ValueError("gamma must be finite with |gamma| <= 10")
-    g = complex(complex_gamma(1.0 - 1j * gamma))
+    g = _complex_gamma(1.0 - 1j * gamma)
 
     def sampler(t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))

@@ -26,7 +26,7 @@ from lapmult import (
     transform_expectation_identity,
     transition_products,
 )
-from lapmult.dilation import PathFunctional, _stratum_counts
+from lapmult.dilation import PathFunctional, _sample_stratum, _stratum_counts
 
 from conftest import random_field
 
@@ -410,6 +410,18 @@ class TestPathTableCache:
         for sample in mc_sampled_paths(ps):
             assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
 
+    @pytest.mark.parametrize("n,horizon", [(1, 0), (1, 5), (2, 1), (3, 4), (5, 3), (7, 2)])
+    def test_table_is_the_int32_enumeration(self, n, horizon):
+        _, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
+        paths = all_paths(ps)
+        steps = horizon + 1
+        expected = np.indices((n,) * steps).reshape(steps, -1).T
+        assert paths.dtype == np.int32
+        assert paths.shape == (n**steps, steps)
+        assert np.array_equal(paths, expected)
+        assert all(paths[:, k].flags.c_contiguous for k in range(steps))
+        assert np.array_equal(transition_products(ps, paths), per_step_products(ps, paths))
+
     def test_products_before_any_table_build_nothing(self):
         _, _, ps = make_path_space(n=3, horizon=2)
         sample = mc_sampled_paths(ps)[0]
@@ -430,17 +442,61 @@ def seed_sample_stratum(ps, rng, count, start):
     return paths
 
 
+def three_state_space_with_zeros(horizon):
+    # rows with exact zeros, so cumulative entries tie with their neighbours
+    space = WeightedSpace([1.0, 1.0, 1.0])
+    kernel = MarkovKernel(space, [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], step=1.0)
+    return space, PathSpace(kernel, horizon)
+
+
+def assert_same_paths_as_seed_sampler(ps, seed=9, samples=400):
+    rng = np.random.default_rng(seed)
+    counts = _stratum_counts(ps, samples)
+    expected = [seed_sample_stratum(ps, rng, counts[x], x) for x in range(ps.n_states)]
+    seen = mc_sampled_paths(ps, seed=seed, samples=samples)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
 class TestSamplerStream:
-    @pytest.mark.parametrize("n,horizon", [(1, 2), (3, 0), (4, 4)])
+    @pytest.mark.parametrize(
+        "n,horizon", [(1, 2), (3, 0), (4, 4), *itertools.product((1, 2, 5, 7), (0, 1, 6))]
+    )
     def test_same_paths_as_seed_sampler(self, n, horizon):
         _, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
-        rng = np.random.default_rng(9)
-        counts = _stratum_counts(ps, 400)
-        expected = [seed_sample_stratum(ps, rng, counts[x], x) for x in range(ps.n_states)]
-        seen = mc_sampled_paths(ps, seed=9, samples=400)
-        assert len(seen) == len(expected)
-        for got, want in zip(seen, expected):
-            assert np.array_equal(got, want)
+        assert_same_paths_as_seed_sampler(ps)
+
+    @pytest.mark.parametrize("horizon", [1, 6])
+    @pytest.mark.parametrize(
+        "make_space",
+        [
+            lambda h: two_state_flip_space(0.0, h),
+            lambda h: two_state_flip_space(1.0, h),
+            three_state_space_with_zeros,
+        ],
+        ids=["stay", "flip", "three-state-zeros"],
+    )
+    def test_kernels_with_zero_entries(self, make_space, horizon):
+        _, ps = make_space(horizon)
+        assert_same_paths_as_seed_sampler(ps)
+        for paths in mc_sampled_paths(ps):
+            assert np.all(per_step_products(ps, paths) > 0.0)
+
+    def test_sampled_coordinates_are_contiguous(self):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        rng = np.random.default_rng(0)
+        paths = _sample_stratum(ps, rng, 50, 2)
+        assert paths.shape == (50, 4)
+        assert all(paths[:, k].flags.c_contiguous for k in range(4))
+
+    @pytest.mark.parametrize("samples", [1, 8])
+    def test_every_stratum_gets_two_samples(self, samples):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        counts = _stratum_counts(ps, samples)
+        assert counts.min() == 2
+        assert [len(paths) for paths in mc_sampled_paths(ps, samples=samples)] == list(counts)
 
 
 # The path functionals as first written, one gather per level and step; the

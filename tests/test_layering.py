@@ -6,6 +6,9 @@ rank or below, at module level or deferred inside a function.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lapmult"
@@ -70,3 +73,14 @@ def test_no_import_reaches_up():
 def test_allowlist_is_exact():
     # an allowlisted import that is gone must leave the allowlist too
     assert set(_upward_imports()) == ALLOWED
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 0.3 s and 24 MB per process; Gamma(1 - i gamma)
+    # comes from multiplier._complex_gamma instead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = "import sys, lapmult, lapmult.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as scipy_gamma
 
 from lapmult import (
     Field,
@@ -19,6 +20,7 @@ from lapmult import (
     symbol_of_step,
     telescoping_Tm,
 )
+from lapmult.multiplier import _complex_gamma
 
 from conftest import random_field
 
@@ -215,6 +217,26 @@ class TestImaginaryPowers:
             target = np.exp(1j * gamma * math.log(lam))
             assert abs(symbol.evaluator(lam) - target) <= symbol.error_bound(lam)
             assert abs(abs(symbol.evaluator(lam)) - 1.0) <= symbol.error_bound(lam)
+
+
+class TestComplexGamma:
+    def test_matches_scipy_on_the_imaginary_power_line(self):
+        z = 1.0 - 1j * np.linspace(-10.0, 10.0, 4001)
+        got = np.array([_complex_gamma(complex(v)) for v in z])
+        want = scipy_gamma(z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_matches_scipy_on_the_right_half_plane(self):
+        re, im = np.meshgrid(np.linspace(0.25, 14.0, 56), np.linspace(-10.0, 10.0, 81))
+        z = (re + 1j * im).ravel()
+        got = np.array([_complex_gamma(complex(v)) for v in z])
+        want = scipy_gamma(z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_real_values(self):
+        assert _complex_gamma(1 + 0j) == pytest.approx(1.0, rel=1e-15)
+        assert _complex_gamma(5 + 0j) == pytest.approx(24.0, rel=1e-14)
+        assert _complex_gamma(0.5 + 0j) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 class TestStepApproximation:

@@ -2,6 +2,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 from lapmult.suites import (
     dilation_instance_family,
@@ -66,3 +67,12 @@ def test_mc_crosscheck_deterministic():
     a = suite_mc_crosscheck(17, samples=5000, mc_seed=23)
     b = suite_mc_crosscheck(17, samples=5000, mc_seed=23)
     assert a.summary == b.summary
+
+
+@pytest.mark.parametrize("seed", [1, 5, 8])
+def test_mc_crosscheck_passes_on_roundoff_alone(seed):
+    # one state, so every path carries the same transform value (0 up to
+    # roundoff): the standard error is 0 and the two routes differ in the last ulp
+    result = suite_mc_crosscheck(seed, samples=1000, mc_seed=23, n=1, horizon=4)
+    assert result.summary["mc_norm"] != result.summary["exact_norm"]
+    assert result.passed
