@@ -27,6 +27,7 @@ from .dilation import (
     transition_products,
 )
 from .inequalities import (
+    ConditionReport,
     InequalityReport,
     NormEstimate,
     approximation_limit_check,
@@ -37,6 +38,7 @@ from .inequalities import (
     opnorm_lower_estimate,
     reference_constant,
     transform_pnorm_check,
+    verify_markov_conditions,
 )
 from .multiplier import (
     MultiplierSymbol,
@@ -51,12 +53,10 @@ from .multiplier import (
     telescoping_Tm,
 )
 from .semigroup import (
-    ConditionReport,
     MarkovKernel,
     ReversibleGenerator,
     heat_operator,
     random_reversible_generator,
-    verify_markov_conditions,
 )
 from .space import (
     Field,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,6 +226,25 @@ def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: 
     return rows.T
 
 
+def _sampled_strata(
+    ps: PathSpace, functional: PathFunctional, seed: int | None, samples: int | None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start state, sample count, functional values) for each stratum in turn.
+
+    The strata share one stream seeded by ``seed``, drawn in state order.
+    Values must be finite on every sampled path, as exact mode requires.
+    """
+    if seed is None or samples is None or samples < 1:
+        raise ValueError("Monte Carlo mode needs a seed and a positive sample count")
+    rng = np.random.default_rng(seed)
+    counts = _stratum_counts(ps, samples)
+    for x in range(ps.n_states):
+        values = np.asarray(functional.evaluator(_sample_stratum(ps, rng, counts[x], x)))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("path functional returned non-finite values")
+        yield x, counts[x], values
+
+
 def hat_expectation(
     ps: PathSpace,
     functional: PathFunctional,
@@ -253,17 +272,12 @@ def hat_expectation(
         out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=space.n)
         return Field(space, out)
     if mode == "mc":
-        if seed is None or samples is None or samples < 1:
-            raise ValueError("Monte Carlo mode needs a seed and a positive sample count")
-        rng = np.random.default_rng(seed)
-        counts = _stratum_counts(ps, samples)
         means = np.empty(space.n, dtype=complex)
         stderr = np.empty(space.n)
-        for x in range(space.n):
-            paths = _sample_stratum(ps, rng, counts[x], x)
-            svals = np.asarray(functional.evaluator(paths), dtype=complex)
+        for x, count, values in _sampled_strata(ps, functional, seed, samples):
+            svals = np.asarray(values, dtype=complex)
             means[x] = svals.mean()
-            stderr[x] = math.sqrt(float(np.var(svals)) / counts[x])
+            stderr[x] = math.sqrt(float(np.var(svals)) / count)
         return MonteCarloField(Field(space, means), stderr)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -297,18 +311,13 @@ def path_lp_norm(
     if mode == "mc":
         if math.isinf(p):
             raise ValueError("Monte Carlo mode supports finite p only")
-        if seed is None or samples is None or samples < 1:
-            raise ValueError("Monte Carlo mode needs a seed and a positive sample count")
-        rng = np.random.default_rng(seed)
-        counts = _stratum_counts(ps, samples)
         nu = ps.initial_law
         moment = 0.0
         variance = 0.0
-        for x in range(ps.n_states):
-            paths = _sample_stratum(ps, rng, counts[x], x)
-            avals = np.abs(np.asarray(functional.evaluator(paths))) ** p
+        for x, count, values in _sampled_strata(ps, functional, seed, samples):
+            avals = np.abs(values) ** p
             moment += nu[x] * float(avals.mean())
-            variance += nu[x] ** 2 * float(np.var(avals)) / counts[x]
+            variance += nu[x] ** 2 * float(np.var(avals)) / count
         estimate = moment ** (1.0 / p)
         if moment > 0.0:
             stderr = (1.0 / p) * moment ** (1.0 / p - 1.0) * math.sqrt(variance)
@@ -333,15 +342,6 @@ class DilationIdentityReport:
         if self.deviation_heat is not None:
             devs.append(self.deviation_heat)
         return max(devs) <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "deviation_kernel_power": self.deviation_kernel_power,
-            "deviation_heat": self.deviation_heat,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def dilation_identity_check(
@@ -407,14 +407,6 @@ class TransformIdentityReport:
         if self.deviation_telescoping is not None:
             devs.append(self.deviation_telescoping)
         return max(devs) <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "deviation_kernel_powers": self.deviation_kernel_powers,
-            "deviation_telescoping": self.deviation_telescoping,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def transform_expectation_identity(

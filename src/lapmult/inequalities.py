@@ -1,4 +1,8 @@
-"""Exact and probe-based weighted operator p-norms, and the inequality checks built on them.
+"""Exact and probe-based weighted operator p-norms, and the checks built on them.
+
+The checks are a kernel's Markov conditions (its endpoint contractions are
+exact norms at p in {1, inf}) and the multiplier, transform and L log L
+inequalities.
 
 Upper-bound statements are verified in the sound direction: general-p norms are
 certified only as lower bounds, so "no observed violation" is meaningful.  The
@@ -30,7 +34,7 @@ from .multiplier import (
     symbol_of_sampled,
     symbol_of_step,
 )
-from .semigroup import ReversibleGenerator
+from .semigroup import MarkovKernel, ReversibleGenerator
 from .space import Field, WeightedSpace, llogl_norm, lp_norm
 from .spectral import decompose, operator_matrix
 
@@ -39,6 +43,8 @@ __all__ = [
     "InequalityReport",
     "reference_constant",
     "opnorm_exact",
+    "ConditionReport",
+    "verify_markov_conditions",
     "opnorm_lower_estimate",
     "multiplier_operator",
     "multiplier_pnorm_check",
@@ -52,6 +58,11 @@ __all__ = [
 ]
 
 _PASS_SLACK = 1e-9
+
+_INTERPOLATION_NOTE = (
+    "contraction for intermediate 1 < p < inf follows from the "
+    "p in {1, inf} endpoints by interpolation; it is not re-verified per p"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +151,66 @@ def opnorm_exact(op: np.ndarray, space: WeightedSpace, p: float) -> NormEstimate
     else:
         raise ValueError("exact norms are available only at p in {1, 2, inf}")
     return NormEstimate(value, "exact", method, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class ConditionReport:
+    """Per-condition maximal violations for a kernel, measured against ``tol``."""
+
+    positivity_violation: float
+    conservation_violation: float
+    symmetry_violation: float
+    contraction_violation_p1: float
+    contraction_violation_pinf: float
+    tol: float
+    note: str = _INTERPOLATION_NOTE
+
+    @property
+    def max_violation(self) -> float:
+        return max(
+            self.positivity_violation,
+            self.conservation_violation,
+            self.symmetry_violation,
+            self.contraction_violation_p1,
+            self.contraction_violation_pinf,
+        )
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tol
+
+    def to_dict(self) -> dict:
+        return {
+            "positivity_violation": self.positivity_violation,
+            "conservation_violation": self.conservation_violation,
+            "symmetry_violation": self.symmetry_violation,
+            "contraction_violation_p1": self.contraction_violation_p1,
+            "contraction_violation_pinf": self.contraction_violation_pinf,
+            "tol": self.tol,
+            "passed": self.passed,
+            "note": self.note,
+        }
+
+
+def verify_markov_conditions(kernel: MarkovKernel, tol: float = 1e-10) -> ConditionReport:
+    """Measure positivity, conservation, symmetry, and endpoint contraction of Q."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    q = kernel.entries
+    w = kernel.space.weights
+    positivity = max(0.0, -float(q.min()))
+    conservation = float(np.abs(q.sum(axis=1) - 1.0).max())
+    symmetry = float(np.abs(w[:, None] * q - w[None, :] * q.T).max())
+    contr_1 = max(0.0, opnorm_exact(q, kernel.space, 1.0).value - 1.0)
+    contr_inf = max(0.0, opnorm_exact(q, kernel.space, math.inf).value - 1.0)
+    return ConditionReport(
+        positivity_violation=positivity,
+        conservation_violation=conservation,
+        symmetry_violation=symmetry,
+        contraction_violation_p1=contr_1,
+        contraction_violation_pinf=contr_inf,
+        tol=tol,
+    )
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
@@ -301,12 +372,6 @@ class TransformPnormResult:
         return self.report.passed and self.contraction_ok
 
 
-def _nu_norm(values: np.ndarray, nu: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.abs(values).max())
-    return float((nu @ np.abs(values) ** p) ** (1.0 / p))
-
-
 def transform_pnorm_check(
     ps: PathSpace,
     m_values: Sequence[complex],
@@ -327,13 +392,13 @@ def transform_pnorm_check(
         m = m / sup
     functional = martingale_transform(ps, m, f)
     lhs = path_lp_norm(ps, functional, p, budget=budget)
-    nu = ps.initial_law
-    rhs = _nu_norm(f.values, nu, p)
+    law = ps.kernel.space.normalized()
+    rhs = lp_norm(Field(law, f.values), p)
     report = make_report(
         f"transform-pnorm p={p:g}", lhs, rhs, reference_constant(p), "reference-constant"
     )
     conditioned = hat_expectation(ps, functional, budget=budget)
-    c_lhs = _nu_norm(conditioned.values, nu, p)
+    c_lhs = lp_norm(Field(law, conditioned.values), p)
     if lhs > 0.0:
         excess = max(0.0, (c_lhs - lhs) / lhs)
     else:

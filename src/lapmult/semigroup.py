@@ -1,4 +1,4 @@
-"""Reversible Markov generators and kernels, the heat semigroup, and its condition checks."""
+"""Reversible Markov generators and kernels, and the heat semigroup they generate."""
 
 from __future__ import annotations
 
@@ -8,23 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import WeightedSpace, _frozen
+from .spectral import decompose, operator_matrix
 
 __all__ = [
     "ReversibleGenerator",
     "MarkovKernel",
-    "ConditionReport",
     "random_reversible_generator",
     "heat_operator",
-    "verify_markov_conditions",
 ]
 
 _CONSTRUCTION_TOL = 1e-8
 _HEAT_TOL = 1e-10
-
-_INTERPOLATION_NOTE = (
-    "contraction for intermediate 1 < p < inf follows from the "
-    "p in {1, inf} endpoints by interpolation; it is not re-verified per p"
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +69,8 @@ class MarkovKernel:
 
     Construction only checks shape and finiteness; conformance to the Markov
     conditions (positivity, conservation, symmetry, contraction) is measured
-    by :func:`verify_markov_conditions`, which must be able to receive broken
-    kernels and report their defects.
+    by :func:`lapmult.inequalities.verify_markov_conditions`, which must be
+    able to receive broken kernels and report their defects.
     """
 
     space: WeightedSpace
@@ -140,8 +134,6 @@ def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("time must be a finite nonnegative real")
-    from .spectral import decompose, operator_matrix  # deferred: spectral sits on this module
-
     dec = decompose(generator)
     m = operator_matrix(dec, lambda lam: math.exp(-t * lam)).real
     worst = float(m.min())
@@ -154,65 +146,3 @@ def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
     if row_defect > _HEAT_TOL:
         raise ValueError(f"heat kernel row sums off by {row_defect:.3e}")
     return MarkovKernel(generator.space, m, step=t)
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionReport:
-    """Per-condition maximal violations for a kernel, measured against ``tol``."""
-
-    positivity_violation: float
-    conservation_violation: float
-    symmetry_violation: float
-    contraction_violation_p1: float
-    contraction_violation_pinf: float
-    tol: float
-    note: str = _INTERPOLATION_NOTE
-
-    @property
-    def max_violation(self) -> float:
-        return max(
-            self.positivity_violation,
-            self.conservation_violation,
-            self.symmetry_violation,
-            self.contraction_violation_p1,
-            self.contraction_violation_pinf,
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "positivity_violation": self.positivity_violation,
-            "conservation_violation": self.conservation_violation,
-            "symmetry_violation": self.symmetry_violation,
-            "contraction_violation_p1": self.contraction_violation_p1,
-            "contraction_violation_pinf": self.contraction_violation_pinf,
-            "tol": self.tol,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
-
-def verify_markov_conditions(kernel: MarkovKernel, tol: float = 1e-10) -> ConditionReport:
-    """Measure positivity, conservation, symmetry, and endpoint contraction of Q."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    from .inequalities import opnorm_exact  # deferred: inequalities sits on this module
-
-    q = kernel.entries
-    w = kernel.space.weights
-    positivity = max(0.0, -float(q.min()))
-    conservation = float(np.abs(q.sum(axis=1) - 1.0).max())
-    symmetry = float(np.abs(w[:, None] * q - w[None, :] * q.T).max())
-    contr_1 = max(0.0, opnorm_exact(q, kernel.space, 1.0).value - 1.0)
-    contr_inf = max(0.0, opnorm_exact(q, kernel.space, math.inf).value - 1.0)
-    return ConditionReport(
-        positivity_violation=positivity,
-        conservation_violation=conservation,
-        symmetry_violation=symmetry,
-        contraction_violation_p1=contr_1,
-        contraction_violation_pinf=contr_inf,
-        tol=tol,
-    )

@@ -7,7 +7,6 @@ from typing import Callable
 
 import numpy as np
 
-from .semigroup import ReversibleGenerator
 from .space import Field, WeightedSpace, _frozen, same_space
 
 __all__ = [
@@ -55,8 +54,13 @@ class SpectralDecomposition:
         }
 
 
-def decompose(generator: ReversibleGenerator) -> SpectralDecomposition:
+def decompose(generator) -> SpectralDecomposition:
     """Diagonalize A by conjugating with D^{1/2} and applying a symmetric eigensolver.
+
+    ``generator`` is a :class:`lapmult.semigroup.ReversibleGenerator`, read
+    only through ``generator.space.weights`` and ``generator.entries`` (the
+    decomposition lives on ``generator.space``), so this module, which sits
+    below the semigroup module, never imports it.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below that range
     means the generator is not nonnegative and raises.

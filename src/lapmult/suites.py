@@ -32,6 +32,7 @@ from .inequalities import (
     multiplier_pnorm_check,
     opnorm_exact,
     transform_pnorm_check,
+    verify_markov_conditions,
 )
 from .multiplier import (
     SampledMultiplier,
@@ -47,7 +48,6 @@ from .semigroup import (
     ReversibleGenerator,
     heat_operator,
     random_reversible_generator,
-    verify_markov_conditions,
 )
 from .space import Field, lp_norm
 from .spectral import decompose

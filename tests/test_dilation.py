@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +319,21 @@ class TestPathNorms:
             for p in (1.0, 2.0, 4.0):
                 lhs = float((nu @ np.abs(conditioned.values) ** p) ** (1 / p))
                 assert lhs <= path_lp_norm(ps, functional, p) * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("reduce", [hat_expectation, functools.partial(path_lp_norm, p=2.0)],
+                         ids=["hat_expectation", "path_lp_norm"])
+def test_non_finite_path_values_rejected(reduce, bad, mode):
+    # every path from state 1 is bad; Monte Carlo samples every start state
+    _, _, ps = make_path_space(n=3, horizon=2)
+    functional = PathFunctional(lambda paths: np.where(paths[:, 0] == 1, bad, 1.0), "bad from 1")
+    sampling = {"seed": 1, "samples": 50} if mode == "mc" else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="path functional returned non-finite values"):
+            reduce(ps, functional, mode=mode, **sampling)
 
 
 class TestSquareAndMaximal:

@@ -1,8 +1,8 @@
 """Imports inside the package follow one direction: no module reaches up.
 
-The order is space -> semigroup -> spectral -> multiplier -> dilation ->
+The order is space -> spectral -> semigroup -> multiplier -> dilation ->
 inequalities -> suites -> config/runner -> cli; a module may import its own
-rank or below, at module level or deferred inside a function.
+rank or below, and only at module level, never deferred inside a function.
 """
 
 import ast
@@ -14,20 +14,12 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lapmult"
 
 RANK = {
-    "space": 0, "semigroup": 1, "spectral": 2, "multiplier": 3, "dilation": 4,
+    "space": 0, "spectral": 1, "semigroup": 2, "multiplier": 3, "dilation": 4,
     "inequalities": 5, "suites": 6, "config": 7, "runner": 7, "cli": 8,
 }
 
 # Names a module may take from the package root itself.
 PACKAGE_NAMES = {"__version__"}
-
-# Known upward imports, deferred inside semigroup: (module, function, target).
-# heat_operator cannot move into spectral without renaming the per-layer metric
-# semigroup.heat_operator that the benchmark reports.
-ALLOWED = {
-    ("semigroup", "heat_operator", "spectral"),
-    ("semigroup", "verify_markov_conditions", "inequalities"),
-}
 
 
 def _relative_imports(tree):
@@ -47,8 +39,8 @@ def _relative_imports(tree):
     yield from visit(tree, None)
 
 
-def _upward_imports():
-    found = {}
+def _package_imports():
+    """Yield (module, enclosing function or None, target, line) for every module but the root."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         if module == "__init__":
@@ -56,23 +48,24 @@ def _upward_imports():
         assert module in RANK, f"{module}.py has no place in the layer order"
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function, target, line in _relative_imports(tree):
-            if target in PACKAGE_NAMES:
-                continue
-            assert target in RANK, f"{module}.py:{line} imports unknown module {target!r}"
-            if RANK[target] > RANK[module]:
-                found[(module, function, target)] = line
-    return found
+            yield module, function, target, line
 
 
 def test_no_import_reaches_up():
-    found = _upward_imports()
-    unexpected = {key: line for key, line in found.items() if key not in ALLOWED}
-    assert not unexpected, unexpected
+    upward = []
+    for module, function, target, line in _package_imports():
+        if target in PACKAGE_NAMES:
+            continue
+        assert target in RANK, f"{module}.py:{line} imports unknown module {target!r}"
+        if RANK[target] > RANK[module]:
+            upward.append(f"{module}.py:{line} imports {target}")
+    assert not upward, upward
 
 
-def test_allowlist_is_exact():
-    # an allowlisted import that is gone must leave the allowlist too
-    assert set(_upward_imports()) == ALLOWED
+def test_no_import_is_deferred():
+    deferred = [f"{module}.py:{line} imports {target} inside {function}()"
+                for module, function, target, line in _package_imports() if function is not None]
+    assert not deferred, deferred
 
 
 def test_import_leaves_scipy_special_unloaded():
