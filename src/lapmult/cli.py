@@ -88,6 +88,16 @@ def _cmd_list_presets(_: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapmult",
@@ -99,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run an experiment config (path or preset name)")
     run_parser.add_argument("config", help="path to a JSON config, or a bundled preset name")
     run_parser.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./lapmult-out)")
-    run_parser.add_argument("--threads", type=int, default=1, help="suite-level worker threads")
+    run_parser.add_argument("--threads", type=_positive_int, default=1, help="suite-level worker threads (at least 1)")
     run_parser.set_defaults(func=_cmd_run)
 
     list_parser = sub.add_parser("list-presets", help="list bundled configs")

@@ -96,6 +96,10 @@ class SampledMultiplier:
         vals.setflags(write=False)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_grid_values", vals)
+        # lam -> (full-grid, half-grid) Simpson sums, shared by every symbol
+        # built from this multiplier; filled by symbol_of_sampled.  Threads
+        # that race on one lam compute and store equal pairs.
+        object.__setattr__(self, "_quadrature_pairs", {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +152,10 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     half grid (smooth part of the integrand), an analytic cap on the first cell
     (samplers may oscillate or be undefined as t -> 0), and the truncation tail
     bound sup|M| * e^{-lam T}.
+
+    Each lam's pair of Simpson sums is computed once and kept in ``sampled``,
+    so the value, the error bound and every symbol built from one multiplier
+    share it; the table holds one pair of complex numbers per distinct lam.
     """
     t = sampled._grid
     mv = sampled._grid_values
@@ -156,10 +164,14 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     tmax = sampled.truncation
     w_full = _simpson_weights(t.size, h)
     w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h)
+    pairs = sampled._quadrature_pairs
 
     def _quadratures(lam: float) -> tuple[complex, complex]:
-        g = mv * np.exp(-lam * t)
-        return complex(w_full @ g), complex(w_half @ g[::2])
+        pair = pairs.get(lam)
+        if pair is None:
+            g = mv * np.exp(-lam * t)
+            pair = pairs[lam] = complex(w_full @ g), complex(w_half @ g[::2])
+        return pair
 
     def evaluator(lam: float) -> complex:
         if lam == 0.0:
@@ -189,8 +201,12 @@ def apply_Tm(dec: SpectralDecomposition, symbol: MultiplierSymbol, f: Field) -> 
 def telescoping_Tm(generator: ReversibleGenerator, step: StepMultiplier, f: Field) -> Field:
     """sum_i M_i (T^{t_{i+1}} f - T^{t_i} f), built from heat kernels only.
 
-    Must agree with apply_Tm(symbol_of_step(step)) to working precision; the
-    two routes share nothing beyond the eigensolver.
+    Must agree with apply_Tm(symbol_of_step(step)) to working precision.  The
+    two routes share one thing: the decomposition that ``decompose`` memoizes
+    for ``generator``, which every heat kernel here reuses.  Each route would
+    get the same bytes from an eigensolve of its own, so the sharing does not
+    weaken the comparison; only a route that avoids the eigensolver, such as
+    a matrix exponential, would make the two independent.
     """
     out = np.zeros(generator.space.n, dtype=complex)
     for mi, t0, t1 in zip(step.values, step.breakpoints[:-1], step.breakpoints[1:]):

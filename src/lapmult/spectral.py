@@ -54,6 +54,13 @@ class SpectralDecomposition:
         }
 
 
+# The last (generator, decomposition) pair that decompose returned.  The
+# generator is held by strong reference, so an ``is`` match can never be a
+# recycled id.  The pair is read and replaced as one tuple, so threads that
+# race on it can at worst decompose the same generator twice.
+_last: tuple[object, SpectralDecomposition] | None = None
+
+
 def decompose(generator) -> SpectralDecomposition:
     """Diagonalize A by conjugating with D^{1/2} and applying a symmetric eigensolver.
 
@@ -64,7 +71,19 @@ def decompose(generator) -> SpectralDecomposition:
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below that range
     means the generator is not nonnegative and raises.
+
+    The last result is memoized with one entry keyed by the identity of
+    ``generator``: a repeat call on the same object returns the same
+    decomposition without running the eigensolver, while an equal but distinct
+    generator gets its own.  A failure is never kept, so a generator that
+    raises raises on every call.  Generators are frozen and the eigensolver is
+    deterministic, so the memoized result is byte-identical to a fresh one.
+    The memo holds one generator and one decomposition, two n x n arrays.
     """
+    global _last
+    last = _last
+    if last is not None and last[0] is generator:
+        return last[1]
     w = generator.space.weights
     s = np.sqrt(w)
     sym = generator.entries * s[:, None] / s[None, :]
@@ -76,7 +95,9 @@ def decompose(generator) -> SpectralDecomposition:
     if lam[0] < -EIGENVALUE_FLOOR:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{EIGENVALUE_FLOOR}")
     lam = np.where(lam < 0.0, 0.0, lam)
-    return SpectralDecomposition(generator.space, lam, v / s[:, None])
+    dec = SpectralDecomposition(generator.space, lam, v / s[:, None])
+    _last = (generator, dec)
+    return dec
 
 
 def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex]) -> np.ndarray:

@@ -253,6 +253,21 @@ class TestRunner:
                     "dilation": {"epsilon": 0.8, "mode": "exact"},
                     "p_grid": [1.5, 2],
                 },
+                {
+                    "check": "imaginary_powers",
+                    "chain": {"seed": 11, "n": 5},
+                    "gammas": [0.5, 1.0],
+                    "t_max": 8.0,
+                    "grid": 401,
+                },
+                {
+                    "check": "step_convergence",
+                    "chain": {"seed": 7, "n": 4},
+                    "field_seed": 5,
+                    "multiplier": {"type": "sampled", "name": "exp", "t_max": 4.0, "grid": 129},
+                    "piece_counts": [4, 8, 16],
+                    "rel_tol": 0.05,
+                },
             ],
         }
         config = parse_config(cfg)
@@ -296,6 +311,16 @@ class TestCli:
         cfg_path.write_text("{not json", encoding="utf-8")
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error_without_report(self, tmp_path, capsys, threads):
+        cfg_path = write_config(tmp_path, MINIMAL)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(cfg_path), "--out", str(out_dir), "--threads", threads])
+        assert excinfo.value.code == EXIT_CONFIG_ERROR
+        assert "usage:" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_invalid_config_exits_config_error(self, tmp_path):

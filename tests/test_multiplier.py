@@ -20,13 +20,47 @@ from lapmult import (
     symbol_of_step,
     telescoping_Tm,
 )
-from lapmult.multiplier import _complex_gamma
+from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _simpson_weights
 
 from conftest import random_field
 
 
 def exp_sampler(t):
     return np.exp(-np.asarray(t, dtype=float))
+
+
+def reference_symbol_of_sampled(sampled):
+    """symbol_of_sampled as it was before the quadrature table: fresh Simpson sums on every call."""
+    t = sampled._grid
+    mv = sampled._grid_values
+    h = float(t[1] - t[0])
+    sup = sampled.declared_sup
+    tmax = sampled.truncation
+    w_full = _simpson_weights(t.size, h)
+    w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h)
+
+    def _quadratures(lam: float) -> tuple[complex, complex]:
+        g = mv * np.exp(-lam * t)
+        return complex(w_full @ g), complex(w_half @ g[::2])
+
+    def evaluator(lam: float) -> complex:
+        if lam == 0.0:
+            return 0j
+        s_full, _ = _quadratures(lam)
+        return -lam * s_full
+
+    def error_bound(lam: float) -> float:
+        if lam == 0.0:
+            return 0.0
+        s_full, s_half = _quadratures(lam)
+        richardson = abs(lam) * abs(s_full - s_half)
+        first_cell = sup * (1.0 - math.exp(-2.0 * lam * h)) + sup * lam * (h / 3.0) * (
+            1.0 + 4.0 * math.exp(-lam * h) + math.exp(-2.0 * lam * h)
+        )
+        tail = sup * math.exp(-lam * tmax)
+        return richardson + first_cell + tail
+
+    return MultiplierSymbol(evaluator, "quadrature", error_bound)
 
 
 def random_step_multiplier(seed, pieces, horizon=3.0):
@@ -113,6 +147,32 @@ class TestSampledSymbol:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
             SampledMultiplier(exp_sampler, 1.0, 3, 1.0)
+
+
+SAMPLED_CASES = {
+    "imaginary_power": lambda: imaginary_power_preset(1.0, 8.0, 401),
+    "exp": lambda: SampledMultiplier(exp_sampler, 4.0, 129, 1.0),
+}
+REPEATED_LAMS = (0.0, 0.3, 2.5, 0.3, 0.0, 7.0, 2.5, 0.3)
+
+
+class TestQuadratureReuse:
+    @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
+    @pytest.mark.parametrize("bound_first", [False, True])
+    def test_bytes_match_fresh_quadrature(self, case, bound_first):
+        sampled = SAMPLED_CASES[case]()
+        reference = reference_symbol_of_sampled(SAMPLED_CASES[case]())
+        # two symbols of one multiplier share its table; calls alternate between them
+        symbols = (symbol_of_sampled(sampled), symbol_of_sampled(sampled))
+        for i, lam in enumerate(REPEATED_LAMS):
+            symbol = symbols[i % 2]
+            calls = [("error_bound", np.float64), ("evaluator", np.complex128)]
+            if not bound_first:
+                calls.reverse()
+            for name, dtype in calls:
+                got = dtype(getattr(symbol, name)(lam)).tobytes()
+                assert got == dtype(getattr(reference, name)(lam)).tobytes(), (name, lam)
+        assert sorted(sampled._quadrature_pairs) == sorted(set(REPEATED_LAMS) - {0.0})
 
 
 class TestApplyTm:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,32 @@ from lapmult import (
     weighted_inner,
 )
 
+from lapmult.spectral import EIGENVALUE_FLOOR, SpectralDecomposition
+from lapmult.suites import step_instance_family
+
 from conftest import random_field
+
+
+def reference_decompose(generator):
+    """decompose as it was before the memo: a fresh eigensolve on every call."""
+    w = generator.space.weights
+    s = np.sqrt(w)
+    sym = generator.entries * s[:, None] / s[None, :]
+    sym = 0.5 * (sym + sym.T)
+    try:
+        lam, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("symmetric eigensolver failed to converge") from exc
+    if lam[0] < -EIGENVALUE_FLOOR:
+        raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{EIGENVALUE_FLOOR}")
+    lam = np.where(lam < 0.0, 0.0, lam)
+    return SpectralDecomposition(generator.space, lam, v / s[:, None])
+
+
+def assert_same_bytes(dec, ref):
+    assert dec.space is ref.space
+    assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert dec.eigenfields.tobytes() == ref.eigenfields.tobytes()
 
 
 class TestDecompose:
@@ -68,6 +95,59 @@ class TestDecompose:
         space, gen = random_reversible_generator(3, 5)
         dec = decompose(gen)
         assert dec.eigenvalues.min() >= 0.0
+
+
+class TestDecomposeReuse:
+    def test_repeat_call_returns_the_same_object(self):
+        _, gen = random_reversible_generator(31, 7)
+        first = decompose(gen)
+        assert decompose(gen) is first
+        heat_operator(gen, 0.5)
+        assert decompose(gen) is first
+
+    def test_equal_generator_gets_its_own_decomposition(self):
+        space, gen = random_reversible_generator(32, 6)
+        twin = ReversibleGenerator(WeightedSpace(space.weights.copy()), gen.entries.copy())
+        first = decompose(gen)
+        second = decompose(twin)
+        assert second is not first
+        assert second.space is twin.space
+        assert_same_bytes(second, reference_decompose(twin))
+        assert second.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+        assert second.eigenfields.tobytes() == first.eigenfields.tobytes()
+
+    def test_bytes_match_a_fresh_eigensolve_over_interleaved_generators(self):
+        gens = [gen for gen, _, _ in step_instance_family(5, 5, max_n=12)]
+        order = [0, 0, 1, 0, 2, 2, 1, 3, 4, 3, 3, 0, 4]
+        for idx in order:
+            assert_same_bytes(decompose(gens[idx]), reference_decompose(gens[idx]))
+
+    def test_failed_eigensolve_raises_on_every_call(self, monkeypatch):
+        _, gen = random_reversible_generator(33, 5)
+        _, other = random_reversible_generator(34, 5)
+        decompose(other)
+
+        def broken(_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="failed to converge"):
+                decompose(gen)
+        monkeypatch.undo()
+        assert_same_bytes(decompose(gen), reference_decompose(gen))
+
+    def test_memo_releases_earlier_results(self):
+        _, gen = random_reversible_generator(35, 8)
+        dec_ref = weakref.ref(decompose(gen))
+        gen_ref = weakref.ref(gen)
+        gc.collect()
+        assert dec_ref() is not None
+        decompose(random_reversible_generator(36, 4)[1])
+        del gen
+        gc.collect()
+        assert dec_ref() is None
+        assert gen_ref() is None
 
 
 class TestSpectralApply:
