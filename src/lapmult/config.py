@@ -104,11 +104,6 @@ def _string(value: Any, what: str) -> str:
     return value
 
 
-def _array(value: Any, what: str) -> list:
-    _require(isinstance(value, list), f"{what} must be an array")
-    return value
-
-
 def _list_of(item: Kind) -> Kind:
     def nonempty(value: Any, what: str) -> list:
         _require(isinstance(value, list) and value, f"{what} must be a nonempty array")
@@ -144,7 +139,8 @@ def _schema(value: Any, what: str) -> str:
 
 
 _SEEDED_CHAIN = {"seed": _SEED, "n": _COUNT, "conductance_scale": _positive, "unit_mass": _boolean}
-_EXPLICIT_CHAIN = {"weights": _array, "generator": _array}
+_NUMBERS = _list_of(_number)
+_EXPLICIT_CHAIN = {"weights": _NUMBERS, "generator": _list_of(_NUMBERS)}
 
 
 def _chain(spec: Any, what: str) -> ReversibleGenerator:
@@ -158,7 +154,7 @@ def _chain(spec: Any, what: str) -> ReversibleGenerator:
     return random_reversible_generator(**_fields(spec, _SEEDED_CHAIN, ("seed", "n"), what))[1]
 
 
-_STEP = {"type": _string, "breakpoints": _array, "values": _list_of(_scalar)}
+_STEP = {"type": _string, "breakpoints": _NUMBERS, "values": _list_of(_scalar)}
 _SAMPLED = {"type": _string, "name": _string, "t_max": _positive, "grid": _at_least(5)}
 
 
@@ -192,9 +188,6 @@ def _sampled(spec: Any, what: str) -> SampledMultiplier:
 # Kinds of every key a dilation block may hold; each check maps a subset of them
 # onto its runner's keyword arguments.  "mode" only selects, and is not passed on.
 _DILATION = {"epsilon": _positive, "horizon": _COUNT, "seed": _SEED, "samples": _COUNT}
-
-# Config keys whose runner keyword argument has another name.
-_RENAMED = {"field": "field_values"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +227,8 @@ class Check:
             _require(("field" in kwargs) != ("field_seed" in kwargs),
                      f"{name}: give exactly one of 'field' (literal values) or 'field_seed'")
             if "field" in kwargs:
-                values = np.asarray(kwargs.pop("field"))
                 n = kwargs["chain"].space.n
-                _require(values.size == n, f"{name}.field must have {n} entries")
-                kwargs[_RENAMED["field"]] = values
+                _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
         return kwargs
 
 

@@ -107,7 +107,6 @@ class PathFunctional:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    description: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +188,7 @@ def level_functional(family: ReverseMartingaleFamily, k: int) -> PathFunctional:
     def evaluator(paths: np.ndarray) -> np.ndarray:
         return g[paths[:, k]]
 
-    return PathFunctional(evaluator, f"martingale level {k}")
+    return PathFunctional(evaluator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +330,6 @@ def path_lp_norm(
 class DilationIdentityReport:
     """Deviations of the enumerated E[f_k | x_0] from Q^{2k} f and from the heat operator."""
 
-    level: int
     deviation_kernel_power: float
     deviation_heat: float | None
     tol: float
@@ -368,12 +366,12 @@ def dilation_identity_check(
     if generator is not None:
         heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
         dev_heat = float(np.abs(conditioned.values - heated).max())
-    return DilationIdentityReport(k, dev_power, dev_heat, tol)
+    return DilationIdentityReport(dev_power, dev_heat, tol)
 
 
-def _increment_tables(m: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
-    """Per step i, the flattened n x n table of M_i (g_{i+1}[y] - g_i[x]) at index x*n + y."""
-    return [(m[i] * (levels[i + 1][None, :] - levels[i][:, None])).ravel() for i in range(len(m))]
+def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
+    """Per step i, the flattened n x n table of g_{i+1}[y] - g_i[x] at index x*n + y."""
+    return [(levels[i + 1][None, :] - levels[i][:, None]).ravel() for i in range(len(levels) - 1)]
 
 
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
@@ -382,7 +380,8 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
     if m.size != ps.horizon:
         raise ValueError(f"need exactly {ps.horizon} multiplier values, got {m.size}")
     n = ps.n_states
-    edges = _increment_tables(m, reverse_martingale(ps, f).level_matrix())
+    increments = _increment_tables(reverse_martingale(ps, f).level_matrix())
+    edges = [mi * increment for mi, increment in zip(m, increments)]
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
         out = np.zeros(len(paths), dtype=complex)
@@ -390,7 +389,7 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
             out += edge.take(_edge_index(paths, i, n))
         return out
 
-    return PathFunctional(evaluator, "martingale transform")
+    return PathFunctional(evaluator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,26 +446,17 @@ def transform_expectation_identity(
 
 
 def square_and_maximal(
-    ps: PathSpace,
-    family: ReverseMartingaleFamily,
-    m_values: Sequence[complex] | None = None,
+    ps: PathSpace, family: ReverseMartingaleFamily
 ) -> tuple[PathFunctional, PathFunctional]:
-    """The square function of the increments and the maximal function of the levels.
+    """The square function of the martingale increments and the maximal function of the levels.
 
-    With ``m_values`` the increments are the transformed ones M_i (f_{i+1} - f_i);
-    otherwise the raw martingale increments.
+    A transform with signs M_i = +-1 has the same square function, so the
+    L log L chain needs only the raw increments.
     """
     levels = family.level_matrix()
     n_steps = ps.horizon
-    if m_values is None:
-        m = np.ones(n_steps, dtype=complex)
-    else:
-        m = np.asarray(m_values, dtype=complex).ravel()
-        if m.size != n_steps:
-            raise ValueError(f"need exactly {n_steps} multiplier values, got {m.size}")
-
     n = ps.n_states
-    squares = [np.abs(edge) ** 2 for edge in _increment_tables(m, levels)]
+    squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
     moduli = np.abs(levels)
 
     def square_eval(paths: np.ndarray) -> np.ndarray:
@@ -481,7 +471,4 @@ def square_and_maximal(
             best = np.maximum(best, moduli[k].take(paths[:, k]))
         return best
 
-    return (
-        PathFunctional(square_eval, "square function of increments"),
-        PathFunctional(maximal_eval, "maximal function of levels"),
-    )
+    return PathFunctional(square_eval), PathFunctional(maximal_eval)

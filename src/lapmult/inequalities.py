@@ -362,8 +362,6 @@ class TransformPnormResult:
     """The transform bound report plus the conditional-expectation contraction check."""
 
     report: InequalityReport
-    contraction_lhs: float
-    contraction_rhs: float
     contraction_excess: float
     contraction_ok: bool
 
@@ -403,7 +401,7 @@ def transform_pnorm_check(
         excess = max(0.0, (c_lhs - lhs) / lhs)
     else:
         excess = 0.0 if c_lhs == 0.0 else math.inf
-    return TransformPnormResult(report, c_lhs, lhs, excess, excess <= contraction_tol)
+    return TransformPnormResult(report, excess, excess <= contraction_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +426,6 @@ def llogl_chain_check(
     ps: PathSpace,
     m_values: Sequence[complex],
     f: Field,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> LloglChainResult:
     """Record the L^1 comparison chain on a unit-mass space, report-only thresholds.
 
@@ -449,11 +446,11 @@ def llogl_chain_check(
     square_fn, maximal_fn = square_and_maximal(ps, family)
     transform = martingale_transform(ps, m, f)
 
-    e_transform = path_lp_norm(ps, transform, 1.0, budget=budget)
-    e_square = path_lp_norm(ps, square_fn, 1.0, budget=budget)
-    e_maximal = path_lp_norm(ps, maximal_fn, 1.0, budget=budget)
+    e_transform = path_lp_norm(ps, transform, 1.0)
+    e_square = path_lp_norm(ps, square_fn, 1.0)
+    e_maximal = path_lp_norm(ps, maximal_fn, 1.0)
     llogl = llogl_norm(f)
-    conditioned = hat_expectation(ps, transform, budget=budget)
+    conditioned = hat_expectation(ps, transform)
     end_lhs = lp_norm(conditioned, 1.0)
 
     inf = math.inf

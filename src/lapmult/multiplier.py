@@ -65,8 +65,8 @@ class StepMultiplier:
 class SampledMultiplier:
     """A bounded sampler M(t) with a truncation window [0, T] and quadrature grid.
 
-    ``sampler`` should accept an ndarray of times and return the matching array
-    of values; scalar-only callables are wrapped transparently.  ``grid_size``
+    ``sampler`` must be vectorized: it maps an ndarray of times to the array of
+    values of the same shape, and any other shape is a ValueError.  ``grid_size``
     is rounded up so the point count is 4m+1, which keeps both the full and the
     half grid valid for composite Simpson quadrature.
     """
@@ -104,20 +104,19 @@ class SampledMultiplier:
 
 @dataclass(frozen=True, eq=False)
 class MultiplierSymbol:
-    """m(lam) with its provenance and a per-lam bound on the evaluation error.
+    """m(lam) with a per-lam bound on the evaluation error.
 
     Always m(0) = 0, and |m(lam)| <= sup|M| + error_bound(lam).
     """
 
     evaluator: Callable[[float], complex]
-    provenance: str
     error_bound: Callable[[float], float]
 
 
 def _eval_sampler(sampler: Callable, t: np.ndarray) -> np.ndarray:
     out = np.asarray(sampler(t))
     if out.shape != t.shape:
-        out = np.asarray([sampler(float(x)) for x in t])
+        raise ValueError(f"sampler returned shape {out.shape} for times of shape {t.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("sampler returned non-finite values")
     return out.astype(complex)
@@ -134,7 +133,7 @@ def symbol_of_step(step: StepMultiplier) -> MultiplierSymbol:
         e = np.exp(-lam * bp)
         return complex(vals @ (e[1:] - e[:-1]))
 
-    return MultiplierSymbol(evaluator, "step-closed-form", lambda lam: 0.0)
+    return MultiplierSymbol(evaluator, lambda lam: 0.0)
 
 
 def _simpson_weights(npoints: int, h: float) -> np.ndarray:
@@ -190,7 +189,7 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
         tail = sup * math.exp(-lam * tmax)
         return richardson + first_cell + tail
 
-    return MultiplierSymbol(evaluator, "quadrature", error_bound)
+    return MultiplierSymbol(evaluator, error_bound)
 
 
 def apply_Tm(dec: SpectralDecomposition, symbol: MultiplierSymbol, f: Field) -> Field:
@@ -248,14 +247,13 @@ def imaginary_power_preset(
         raise ValueError("gamma must be finite with |gamma| <= 10")
     g = _complex_gamma(1.0 - 1j * gamma)
 
-    def sampler(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(arr.shape, dtype=complex)
-        pos = arr > 0.0
-        out[pos] = -np.exp(-1j * gamma * np.log(arr[pos])) / g
+    def sampler(t: np.ndarray) -> np.ndarray:
+        out = np.zeros(t.shape, dtype=complex)
+        pos = t > 0.0
+        out[pos] = -np.exp(-1j * gamma * np.log(t[pos])) / g
         if gamma == 0.0:
             out[~pos] = -1.0 / g
-        return out.reshape(np.shape(t))
+        return out
 
     return SampledMultiplier(sampler, t_max, grid_size, 1.0 / abs(g))
 
@@ -273,6 +271,10 @@ def approximate_by_steps(sampled: SampledMultiplier, n: int) -> StepMultiplier:
     return StepMultiplier(bp, _eval_sampler(sampled.sampler, mids))
 
 
+# Relative rise allowed between consecutive errors of a convergence curve.
+_JITTER = 0.10
+
+
 @dataclass(frozen=True, eq=False)
 class StepConvergenceReport:
     """L^2 errors of step-approximated operators against the quadrature operator."""
@@ -280,7 +282,6 @@ class StepConvergenceReport:
     piece_counts: tuple[int, ...]
     errors: tuple[float, ...]
     tol: float
-    jitter: float
 
     @property
     def final_error(self) -> float:
@@ -289,7 +290,7 @@ class StepConvergenceReport:
     @property
     def monotone_ok(self) -> bool:
         return all(
-            later <= earlier * (1.0 + self.jitter)
+            later <= earlier * (1.0 + _JITTER)
             for earlier, later in zip(self.errors[:-1], self.errors[1:])
         )
 
@@ -302,7 +303,7 @@ class StepConvergenceReport:
             "piece_counts": list(self.piece_counts),
             "errors": list(self.errors),
             "tol": self.tol,
-            "jitter": self.jitter,
+            "jitter": _JITTER,
             "final_error": self.final_error,
             "monotone_ok": self.monotone_ok,
             "passed": self.passed,
@@ -315,12 +316,11 @@ def step_convergence_check(
     f: Field,
     piece_counts: Sequence[int],
     tol: float,
-    jitter: float = 0.10,
 ) -> StepConvergenceReport:
     """Errors ||T_{M_n} f - T_M f||_2 for midpoint step approximations M_n.
 
     The report passes when the last error is below ``tol`` and the curve is
-    nonincreasing up to the ``jitter`` allowance.
+    nonincreasing up to the ``_JITTER`` allowance.
     """
     reference = apply_Tm(dec, symbol_of_sampled(sampled), f)
     errors = []
@@ -328,4 +328,4 @@ def step_convergence_check(
         step = approximate_by_steps(sampled, int(n))
         approx = apply_Tm(dec, symbol_of_step(step), f)
         errors.append(lp_norm(approx - reference, 2.0))
-    return StepConvergenceReport(tuple(int(n) for n in piece_counts), tuple(errors), tol, jitter)
+    return StepConvergenceReport(tuple(int(n) for n in piece_counts), tuple(errors), tol)

@@ -124,7 +124,11 @@ def _orlicz_integral(a: np.ndarray, w: np.ndarray, k: float) -> float:
     return float((s * np.log(np.e + s)) @ w)
 
 
-def llogl_norm(f: Field, rel_tol: float = 1e-10) -> float:
+# Relative width at which the Luxemburg bisection stops.
+_LUXEMBURG_REL_TOL = 1e-10
+
+
+def llogl_norm(f: Field) -> float:
     """Luxemburg norm for Phi(s) = s log(e + s), by bisection.
 
     Returns inf{k > 0 : sum_i Phi(|f_i|/k) dx_i <= 1}; zero for the zero field.
@@ -140,7 +144,7 @@ def llogl_norm(f: Field, rel_tol: float = 1e-10) -> float:
     hi = l1
     while _orlicz_integral(a, w, hi) > 1.0:
         hi *= 2.0
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _LUXEMBURG_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _orlicz_integral(a, w, mid) > 1.0:
             lo = mid

@@ -54,7 +54,7 @@ def test_criterion_1_step_identity_exact():
 
 
 def test_criterion_2_l2_multiplier_bound():
-    result = suite_l2_bound(**STEP_FAMILY, slack=1e-9)
+    result = suite_l2_bound(**STEP_FAMILY)
     ok = result.passed
     announce(2, ok, f"violations {result.summary['violations']}, worst ratio "
                     f"{result.summary['worst_ratio']:.12f} (slack 1e-9)")

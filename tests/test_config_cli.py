@@ -135,7 +135,7 @@ class TestParsing:
             ],
         }
         spec = parse_config(cfg).suites[0]
-        assert np.array_equal(spec.kwargs["field_values"], [1 + 2j, 0.5, -1j])
+        assert np.array_equal(spec.kwargs["field"], [1 + 2j, 0.5, -1j])
 
     def test_field_literal_and_seed_conflict(self):
         cfg = {

@@ -9,7 +9,7 @@ import pytest
 
 from lapmult import runner
 from lapmult.cli import EXIT_CONFIG_ERROR, main
-from lapmult.config import _RENAMED, CHECKS, KNOWN_CHECKS, ConfigError, parse_config
+from lapmult.config import CHECKS, KNOWN_CHECKS, ConfigError, parse_config
 
 SEEDED_CHAIN = {"seed": 3, "n": 4}
 EXP = {"type": "sampled", "name": "exp", "t_max": 3.0, "grid": 65}
@@ -66,9 +66,11 @@ def test_derived_names_follow_the_table():
 def test_table_matches_runner_signature(name):
     check = CHECKS[name]
     params = inspect.signature(check.run).parameters
-    produced = {_RENAMED.get(key, key) for key in check.params} | set(check.dilation.values())
+    produced = set(check.params) | set(check.dilation.values())
     assert produced <= set(params), produced - set(params)
-    required = {_RENAMED.get(key, key) for key in check.required}
+    # the converse: no runner parameter is out of a config's reach
+    assert set(params) <= produced, set(params) - produced
+    required = set(check.required)
     required |= {kwarg for key, kwarg in check.dilation.items() if key != "horizon"}
     for param in params.values():
         if param.default is inspect.Parameter.empty:
@@ -104,8 +106,8 @@ def test_omitted_keys_take_the_runner_defaults():
     assert inspect.signature(CHECKS["approximation_limit"].run).parameters["p"].default == 2.0
 
 
-# Each of these was accepted before the table and ran with a value other than
-# the one the config states.
+# Each of these was once accepted and ran with a value other than the one the
+# config states.
 MISREAD = {
     "tolerance-for-tol": ("step_identity", {"seed": 1, "instances": 2, "tolerance": 1e-30}),
     "tol-on-transform-pnorm": ("transform_pnorm", {**VALID["transform_pnorm"], "tol": 1e-3}),
@@ -123,6 +125,10 @@ MISREAD = {
         "seed": 1, "chains": 1, "fields": 1,
         "dilation": {"epsilon": 0.8, "mode": "exact", "horizn": 4}}),
     "nn-in-chain": ("markov_conditions", {"chain": {"seed": 3, "n": 4, "nn": 5}}),
+    "boolean-breakpoints": ("multiplier_pnorm", {
+        **VALID["multiplier_pnorm"], "multiplier": {**STEP, "breakpoints": [False, True]}}),
+    "string-weights": ("markov_conditions", {
+        "chain": {"weights": ["1", "2"], "generator": [[0.7, -0.7], [-0.35, 0.35]]}}),
 }
 
 

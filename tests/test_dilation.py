@@ -141,7 +141,7 @@ class TestHatExpectation:
     def test_function_of_initial_state_returned_exactly(self):
         space, _, ps = make_path_space(n=3, horizon=3)
         f = random_field(space, 2)
-        functional = PathFunctional(lambda paths: f.values[paths[:, 0]], "depends on x0 only")
+        functional = PathFunctional(lambda paths: f.values[paths[:, 0]])
         out = hat_expectation(ps, functional)
         assert np.abs(out.values - f.values).max() < 1e-12
 
@@ -183,7 +183,7 @@ class TestHatExpectation:
 
     def test_mc_needs_seed_and_samples(self):
         space, _, ps = make_path_space()
-        functional = PathFunctional(lambda paths: np.ones(len(paths)), "one")
+        functional = PathFunctional(lambda paths: np.ones(len(paths)))
         with pytest.raises(ValueError):
             hat_expectation(ps, functional, mode="mc")
 
@@ -288,13 +288,13 @@ class TestTransformIdentity:
 class TestPathNorms:
     def test_constant_functional(self):
         space, _, ps = make_path_space()
-        functional = PathFunctional(lambda paths: np.full(len(paths), 2.0 - 1.0j), "constant")
+        functional = PathFunctional(lambda paths: np.full(len(paths), 2.0 - 1.0j))
         assert path_lp_norm(ps, functional, 3.0) == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
 
     def test_initial_state_functional_matches_field_norm(self):
         space, _, ps = make_path_space(n=4, horizon=3)
         f = random_field(space, 12)
-        functional = PathFunctional(lambda paths: f.values[paths[:, 0]], "f(x0)")
+        functional = PathFunctional(lambda paths: f.values[paths[:, 0]])
         nu = ps.initial_law
         for p in (1.0, 2.0, 4.0):
             expected = float((nu @ np.abs(f.values) ** p) ** (1 / p))
@@ -328,7 +328,7 @@ class TestPathNorms:
 def test_non_finite_path_values_rejected(reduce, bad, mode):
     # every path from state 1 is bad; Monte Carlo samples every start state
     _, _, ps = make_path_space(n=3, horizon=2)
-    functional = PathFunctional(lambda paths: np.where(paths[:, 0] == 1, bad, 1.0), "bad from 1")
+    functional = PathFunctional(lambda paths: np.where(paths[:, 0] == 1, bad, 1.0))
     sampling = {"seed": 1, "samples": 50} if mode == "mc" else {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -379,7 +379,7 @@ def mc_sampled_paths(ps, seed=5, samples=300):
         seen.append(paths.copy())
         return np.zeros(len(paths))
 
-    hat_expectation(ps, PathFunctional(record, "recorder"), mode="mc", seed=seed, samples=samples)
+    hat_expectation(ps, PathFunctional(record), mode="mc", seed=seed, samples=samples)
     return seen
 
 
@@ -532,18 +532,14 @@ def seed_transform(ps, m_values, f):
     return evaluator
 
 
-def seed_square_and_maximal(ps, family, m_values=None):
+def seed_square_and_maximal(ps, family):
     levels = family.level_matrix()
     n_steps = ps.horizon
-    if m_values is None:
-        m = np.ones(n_steps, dtype=complex)
-    else:
-        m = np.asarray(m_values, dtype=complex).ravel()
 
     def square_eval(paths):
         acc = np.zeros(len(paths))
         for i in range(n_steps):
-            inc = m[i] * (levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]])
+            inc = levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]]
             acc += np.abs(inc) ** 2
         return np.sqrt(acc)
 
@@ -568,8 +564,6 @@ class TestEvaluatorOracle:
         family = reverse_martingale(ps, f)
         pairs = [
             (martingale_transform(ps, m_values, f).evaluator, seed_transform(ps, m_values, f)),
-            *zip((fn.evaluator for fn in square_and_maximal(ps, family, m_values)),
-                 seed_square_and_maximal(ps, family, m_values)),
             *zip((fn.evaluator for fn in square_and_maximal(ps, family)),
                  seed_square_and_maximal(ps, family)),
         ]

@@ -60,7 +60,7 @@ def reference_symbol_of_sampled(sampled):
         tail = sup * math.exp(-lam * tmax)
         return richardson + first_cell + tail
 
-    return MultiplierSymbol(evaluator, "quadrature", error_bound)
+    return MultiplierSymbol(evaluator, error_bound)
 
 
 def random_step_multiplier(seed, pieces, horizon=3.0):
@@ -143,6 +143,10 @@ class TestSampledSymbol:
     def test_sampler_exceeding_sup_rejected(self):
         with pytest.raises(ValueError):
             SampledMultiplier(lambda t: 2.0 * np.ones(np.shape(t)), 1.0, 9, 1.0)
+
+    def test_scalar_sampler_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            SampledMultiplier(lambda t: 0.5, 1.0, 9, 1.0)
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
