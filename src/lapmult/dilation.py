@@ -166,17 +166,22 @@ def path_measure(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
     return ps.initial_law[paths[:, 0]] * transition_products(ps, paths)
 
 
-def reverse_martingale(ps: PathSpace, f: Field) -> ReverseMartingaleFamily:
-    """Level fields g_k = Q^k f for k = 0..N, so g_0 = f and g_{k+1} = Q g_k."""
+def _levels(ps: PathSpace, f: Field) -> np.ndarray:
+    """The level fields g_0 = f, g_{k+1} = Q g_k as the rows of one array."""
     if not same_space(ps.kernel.space, f.space):
         raise ValueError("field lives on a different space than the kernel")
     q = ps.kernel.entries
-    levels = [f]
-    g = f.values
-    for _ in range(ps.horizon):
-        g = q @ g
-        levels.append(Field(f.space, g))
-    return ReverseMartingaleFamily(ps, tuple(levels))
+    levels = np.empty((ps.horizon + 1, ps.n_states), dtype=complex)
+    levels[0] = f.values
+    for k in range(ps.horizon):
+        levels[k + 1] = q @ levels[k]
+    return levels
+
+
+def reverse_martingale(ps: PathSpace, f: Field) -> ReverseMartingaleFamily:
+    """Level fields g_k = Q^k f for k = 0..N, so g_0 = f and g_{k+1} = Q g_k."""
+    rows = _levels(ps, f)
+    return ReverseMartingaleFamily(ps, (f,) + tuple(Field(f.space, g) for g in rows[1:]))
 
 
 def level_functional(family: ReverseMartingaleFamily, k: int) -> PathFunctional:
@@ -244,6 +249,26 @@ def _sampled_strata(
         yield x, counts[x], values
 
 
+def _exact_hat(paths: np.ndarray, weights: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """E[S | x_0] from every path, its weight given its start, and S on it."""
+    svals = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(svals)):
+        raise ValueError("path functional returned non-finite values")
+    contrib = weights * svals
+    out = np.bincount(paths[:, 0], weights=contrib.real, minlength=n).astype(complex)
+    out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=n)
+    return out
+
+
+def _exact_lp(measure: np.ndarray, avals: np.ndarray, p: float) -> float:
+    """||S||_{L^p(P)} from the path measure and the moduli |S| on every path."""
+    if not np.all(np.isfinite(avals)):
+        raise ValueError("path functional returned non-finite values")
+    if math.isinf(p):
+        return float(avals[measure > 0.0].max(initial=0.0))
+    return float((measure @ avals**p) ** (1.0 / p))
+
+
 def hat_expectation(
     ps: PathSpace,
     functional: PathFunctional,
@@ -263,13 +288,7 @@ def hat_expectation(
     if mode == "exact":
         paths = all_paths(ps, budget)
         weights = transition_products(ps, paths)
-        svals = np.asarray(functional.evaluator(paths), dtype=complex)
-        if not np.all(np.isfinite(svals)):
-            raise ValueError("path functional returned non-finite values")
-        contrib = weights * svals
-        out = np.bincount(paths[:, 0], weights=contrib.real, minlength=space.n).astype(complex)
-        out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=space.n)
-        return Field(space, out)
+        return Field(space, _exact_hat(paths, weights, functional.evaluator(paths), space.n))
     if mode == "mc":
         means = np.empty(space.n, dtype=complex)
         stderr = np.empty(space.n)
@@ -300,13 +319,8 @@ def path_lp_norm(
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
         paths = all_paths(ps, budget)
-        weights = path_measure(ps, paths)
-        avals = np.abs(np.asarray(functional.evaluator(paths)))
-        if not np.all(np.isfinite(avals)):
-            raise ValueError("path functional returned non-finite values")
-        if math.isinf(p):
-            return float(avals[weights > 0.0].max(initial=0.0))
-        return float((weights @ avals**p) ** (1.0 / p))
+        measure = path_measure(ps, paths)
+        return _exact_lp(measure, np.abs(np.asarray(functional.evaluator(paths))), p)
     if mode == "mc":
         if math.isinf(p):
             raise ValueError("Monte Carlo mode supports finite p only")
@@ -374,20 +388,51 @@ def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
     return [(levels[i + 1][None, :] - levels[i][:, None]).ravel() for i in range(len(levels) - 1)]
 
 
+def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    return [mi * increment for mi, increment in zip(m, _increment_tables(levels))]
+
+
+def _square_tables(levels: np.ndarray) -> list[np.ndarray]:
+    return [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
+
+
+def _edge_sum(
+    tables: list[np.ndarray], edge: Callable[[int], np.ndarray], count: int, dtype
+) -> np.ndarray:
+    """sum_i table_i[edge(i)] on each of ``count`` paths.
+
+    ``edge(i)`` gives step i's edge indices; each is dropped once it is
+    gathered, so an evaluator that builds them on demand holds one at a time.
+    """
+    out = np.zeros(count, dtype=dtype)
+    for i, table in enumerate(tables):
+        out += table.take(edge(i))
+    return out
+
+
+def _maximal(moduli: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """max_k |g_k(x_k)| on each path."""
+    best = moduli[0].take(paths[:, 0])
+    for k in range(1, len(moduli)):
+        np.maximum(best, moduli[k].take(paths[:, k]), out=best)
+    return best
+
+
+def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
+    m = np.asarray(m_values, dtype=complex).ravel()
+    if m.size != horizon:
+        raise ValueError(f"need exactly {horizon} multiplier values, got {m.size}")
+    return m
+
+
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
     """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform."""
-    m = np.asarray(m_values, dtype=complex).ravel()
-    if m.size != ps.horizon:
-        raise ValueError(f"need exactly {ps.horizon} multiplier values, got {m.size}")
+    m = _multiplier_row(m_values, ps.horizon)
     n = ps.n_states
-    increments = _increment_tables(reverse_martingale(ps, f).level_matrix())
-    edges = [mi * increment for mi, increment in zip(m, increments)]
+    tables = _transform_tables(_levels(ps, f), m)
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(paths), dtype=complex)
-        for i, edge in enumerate(edges):
-            out += edge.take(_edge_index(paths, i, n))
-        return out
+        return _edge_sum(tables, lambda i: _edge_index(paths, i, n), len(paths), complex)
 
     return PathFunctional(evaluator)
 
@@ -454,21 +499,45 @@ def square_and_maximal(
     L log L chain needs only the raw increments.
     """
     levels = family.level_matrix()
-    n_steps = ps.horizon
     n = ps.n_states
-    squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
+    squares = _square_tables(levels)
     moduli = np.abs(levels)
 
     def square_eval(paths: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(paths))
-        for i, square in enumerate(squares):
-            acc += square.take(_edge_index(paths, i, n))
-        return np.sqrt(acc)
+        return np.sqrt(_edge_sum(squares, lambda i: _edge_index(paths, i, n), len(paths), float))
 
     def maximal_eval(paths: np.ndarray) -> np.ndarray:
-        best = moduli[0].take(paths[:, 0])
-        for k in range(1, n_steps + 1):
-            best = np.maximum(best, moduli[k].take(paths[:, k]))
-        return best
+        return _maximal(moduli, paths)
 
     return PathFunctional(square_eval), PathFunctional(maximal_eval)
+
+
+class _ExactPaths:
+    """What every exact functional on one path space shares, built once per call.
+
+    The table, conditional weights, path measure and per-step edge indices of
+    a batch of functionals on one space.  Nothing here is cached on the
+    space: the edge indices alone are N int32 arrays of n^{N+1} entries.
+    """
+
+    def __init__(self, ps: PathSpace, budget: int) -> None:
+        self.n = ps.n_states
+        self.paths = all_paths(ps, budget)
+        self.weights = transition_products(ps, self.paths)
+        self.measure = path_measure(ps, self.paths)
+        self.edges = [_edge_index(self.paths, i, self.n) for i in range(ps.horizon)]
+
+    def transform(self, levels: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return _edge_sum(_transform_tables(levels, m), self.edges.__getitem__, len(self.paths), complex)
+
+    def square(self, levels: np.ndarray) -> np.ndarray:
+        return np.sqrt(_edge_sum(_square_tables(levels), self.edges.__getitem__, len(self.paths), float))
+
+    def maximal(self, levels: np.ndarray) -> np.ndarray:
+        return _maximal(np.abs(levels), self.paths)
+
+    def lp_norm(self, avals: np.ndarray, p: float) -> float:
+        return _exact_lp(self.measure, avals, p)
+
+    def conditioned(self, values: np.ndarray) -> np.ndarray:
+        return _exact_hat(self.paths, self.weights, values, self.n)

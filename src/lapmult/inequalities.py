@@ -20,11 +20,9 @@ import numpy as np
 from .dilation import (
     DEFAULT_PATH_BUDGET,
     PathSpace,
-    hat_expectation,
-    martingale_transform,
-    path_lp_norm,
-    reverse_martingale,
-    square_and_maximal,
+    _ExactPaths,
+    _levels,
+    _multiplier_row,
 )
 from .multiplier import (
     SampledMultiplier,
@@ -35,7 +33,7 @@ from .multiplier import (
     symbol_of_step,
 )
 from .semigroup import MarkovKernel, ReversibleGenerator
-from .space import Field, WeightedSpace, llogl_norm, lp_norm
+from .space import Field, WeightedSpace, _luxemburg_rows, lp_norm
 from .spectral import decompose, operator_matrix
 
 __all__ = [
@@ -218,8 +216,17 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return values.real**2 + values.imag**2
 
 
-def _power_on_support(a2: np.ndarray, exponent: float) -> np.ndarray:
-    """``a2**exponent`` where ``a2 > 0`` and 0 elsewhere (the dual map's zero support)."""
+def _power_on_support(a2: np.ndarray, exponent: float) -> np.ndarray | None:
+    """``a2**exponent`` where ``a2 > 0`` and 0 elsewhere (the dual map's zero support).
+
+    None stands for all ones (exponent 0 on a full support).  Exponent 1 gives
+    ``a2`` itself, which is already 0 off the support.  Only a support with
+    exact zeros takes the masked power.
+    """
+    if exponent == 1.0:
+        return a2
+    if a2.all():
+        return None if exponent == 0.0 else np.power(a2, exponent)
     return np.power(a2, exponent, out=np.zeros_like(a2), where=a2 > 0.0)
 
 
@@ -258,7 +265,7 @@ def opnorm_lower_estimate(
     fields = np.concatenate([complex_probes, np.abs(complex_probes)], axis=0).T
     q = p / (p - 1.0)
     # the adjoint of T in L^2(w) is D^-1 T^H D with D = diag(w)
-    adjoint = t.conj().T * w[None, :] / w[:, None]
+    adjoint = np.ascontiguousarray(t.conj().T * w[None, :] / w[:, None])
     den = (w @ _abs2(fields) ** (0.5 * p)) ** (1.0 / p)
 
     # one power per dual map: s = |Tf|^(p-2) gives the dual s Tf and |Tf|^p = s |Tf|^2;
@@ -268,21 +275,27 @@ def opnorm_lower_estimate(
         images = t @ fields
         a2 = _abs2(images)
         s = _power_on_support(a2, 0.5 * (p - 2.0))
-        num = (w @ (s * a2)) ** (1.0 / p)
+        num = (w @ (a2 if s is None else s * a2)) ** (1.0 / p)
         live = den > 0.0
         if np.any(live):
             best = max(best, float((num[live] / den[live]).max()))
         if step == ascent_steps:
             break
-        pullback = adjoint @ (s * images)
+        if s is not None:
+            images *= s
+        pullback = adjoint @ images
         g2 = _abs2(pullback)
         b = _power_on_support(g2, 0.5 * (q - 2.0))
-        norms = (w @ (b * g2)) ** (1.0 / p)
+        norms = (w @ (g2 if b is None else b * g2)) ** (1.0 / p)
         # dividing by a power of two is exact, so the new field's norm is the mantissa
         mantissa, exponent = np.frexp(norms)
+        pullback *= np.ldexp(1.0 if b is None else b, -exponent)
         moved = norms > 0.0
-        fields = np.where(moved, np.ldexp(b, -exponent) * pullback, fields)
-        den = np.where(moved, mantissa, den)
+        if moved.all():
+            fields, den = pullback, mantissa
+        else:
+            fields = np.where(moved, pullback, fields)
+            den = np.where(moved, mantissa, den)
     return NormEstimate(best, "lower_bound", "probe-ascent", fields.shape[1])
 
 
@@ -370,38 +383,48 @@ class TransformPnormResult:
         return self.report.passed and self.contraction_ok
 
 
+def _unit_sup(ps: PathSpace, m_values: Sequence[complex]) -> np.ndarray:
+    """The multiplier values scaled to sup 1 (left as they are when all zero)."""
+    m = _multiplier_row(m_values, ps.horizon)
+    sup = float(np.abs(m).max()) if m.size else 0.0
+    return m / sup if sup > 0.0 else m
+
+
 def transform_pnorm_check(
     ps: PathSpace,
     m_values: Sequence[complex],
     f: Field,
-    p: float,
+    p_grid: Sequence[float],
     contraction_tol: float = 1e-10,
     budget: int = DEFAULT_PATH_BUDGET,
-) -> TransformPnormResult:
-    """Exact path-space check of ||sum M_i (f_{i+1} - f_i)||_p <= (p* - 1) ||f||_p.
+) -> tuple[TransformPnormResult, ...]:
+    """Exact path-space check of ||sum M_i (f_{i+1} - f_i)||_p <= (p* - 1) ||f||_p at each p.
 
     Multiplier values are normalized to sup 1 first (the bound is homogeneous).
     The conditioning step is verified alongside: ||E[S | x_0]||_p never exceeds
-    ||S||_p beyond ``contraction_tol`` relative slack.
+    ||S||_p beyond ``contraction_tol`` relative slack.  The transform's path
+    values and its conditional expectation do not depend on p, so they are
+    computed once for the whole grid.
     """
-    m = np.asarray(m_values, dtype=complex).ravel()
-    sup = float(np.abs(m).max()) if m.size else 0.0
-    if sup > 0.0:
-        m = m / sup
-    functional = martingale_transform(ps, m, f)
-    lhs = path_lp_norm(ps, functional, p, budget=budget)
+    exact = _ExactPaths(ps, budget)
+    values = exact.transform(_levels(ps, f), _unit_sup(ps, m_values))
+    moduli = np.abs(values)
     law = ps.kernel.space.normalized()
-    rhs = lp_norm(Field(law, f.values), p)
-    report = make_report(
-        f"transform-pnorm p={p:g}", lhs, rhs, reference_constant(p), "reference-constant"
-    )
-    conditioned = hat_expectation(ps, functional, budget=budget)
-    c_lhs = lp_norm(Field(law, conditioned.values), p)
-    if lhs > 0.0:
-        excess = max(0.0, (c_lhs - lhs) / lhs)
-    else:
-        excess = 0.0 if c_lhs == 0.0 else math.inf
-    return TransformPnormResult(report, excess, excess <= contraction_tol)
+    field = Field(law, f.values)
+    conditioned = Field(law, exact.conditioned(values))
+    results = []
+    for p in p_grid:
+        lhs = exact.lp_norm(moduli, p)
+        report = make_report(
+            f"transform-pnorm p={p:g}", lhs, lp_norm(field, p), reference_constant(p), "reference-constant"
+        )
+        c_lhs = lp_norm(conditioned, p)
+        if lhs > 0.0:
+            excess = max(0.0, (c_lhs - lhs) / lhs)
+        else:
+            excess = 0.0 if c_lhs == 0.0 else math.inf
+        results.append(TransformPnormResult(report, excess, excess <= contraction_tol))
+    return tuple(results)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,42 +447,41 @@ class LloglChainResult:
 
 def llogl_chain_check(
     ps: PathSpace,
-    m_values: Sequence[complex],
-    f: Field,
-) -> LloglChainResult:
-    """Record the L^1 comparison chain on a unit-mass space, report-only thresholds.
+    batch: Sequence[tuple[Sequence[complex], Field]],
+) -> tuple[LloglChainResult, ...]:
+    """Record the L^1 comparison chain for each (multipliers, field) pair on a unit-mass space.
 
     Steps: E|S| vs E[(sum |df_i|^2)^{1/2}] (Davis' theorem), that square
     function vs E[sup_i |f_i|], the maximal function vs ||f||_{L log L} (the
     corollary of Doob's inequality), and end-to-end ||E[S | x_0]||_1 vs
     sup|M| ||f||_{L log L}.  Multiplier values are normalized to sup 1; the
-    empirical ratios stand in for the unspecified universal constant.
+    empirical ratios stand in for the unspecified universal constant, so every
+    threshold is report-only.  The pairs share the space's path table,
+    weights and edge indices, and their L log L norms share one bisection.
     """
     space = ps.kernel.space
     if abs(space.total_mass - 1.0) > 1e-9:
         raise ValueError("the L log L chain needs a unit-mass space")
-    m = np.asarray(m_values, dtype=complex).ravel()
-    sup = float(np.abs(m).max()) if m.size else 0.0
-    if sup > 0.0:
-        m = m / sup
-    family = reverse_martingale(ps, f)
-    square_fn, maximal_fn = square_and_maximal(ps, family)
-    transform = martingale_transform(ps, m, f)
-
-    e_transform = path_lp_norm(ps, transform, 1.0)
-    e_square = path_lp_norm(ps, square_fn, 1.0)
-    e_maximal = path_lp_norm(ps, maximal_fn, 1.0)
-    llogl = llogl_norm(f)
-    conditioned = hat_expectation(ps, transform)
-    end_lhs = lp_norm(conditioned, 1.0)
+    exact = _ExactPaths(ps, DEFAULT_PATH_BUDGET)
+    pairs = [(_unit_sup(ps, m_values), _levels(ps, f)) for m_values, f in batch]
+    moduli = np.abs([levels[0] for _, levels in pairs]).reshape(len(pairs), space.n)
+    llogls = _luxemburg_rows(moduli, space.weights)
 
     inf = math.inf
-    return LloglChainResult(
-        make_report("davis-step", e_transform, e_square, inf, "report-only"),
-        make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
-        make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
-        make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
-    )
+    results = []
+    for (m, levels), llogl in zip(pairs, llogls.tolist()):
+        transform = exact.transform(levels, m)
+        e_transform = exact.lp_norm(np.abs(transform), 1.0)
+        e_square = exact.lp_norm(exact.square(levels), 1.0)
+        e_maximal = exact.lp_norm(exact.maximal(levels), 1.0)
+        end_lhs = lp_norm(Field(space, exact.conditioned(transform)), 1.0)
+        results.append(LloglChainResult(
+            make_report("davis-step", e_transform, e_square, inf, "report-only"),
+            make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
+            make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
+            make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
+        ))
+    return tuple(results)
 
 
 @dataclass(frozen=True, eq=False)

@@ -119,13 +119,37 @@ def weighted_inner(f: Field, g: Field) -> complex:
     return complex(np.sum(f.values * np.conj(g.values) * f.space.weights))
 
 
-def _orlicz_integral(a: np.ndarray, w: np.ndarray, k: float) -> float:
-    s = a / k
-    return float((s * np.log(np.e + s)) @ w)
-
-
 # Relative width at which the Luxemburg bisection stops.
 _LUXEMBURG_REL_TOL = 1e-10
+
+
+def _orlicz_integrals(a: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_i Phi(a_ri / k_r) w_i for each row r: the elementwise work in one pass, one dot per row."""
+    s = a / k[:, None]
+    phi = s * np.log(np.e + s)
+    return np.array([row @ w for row in phi])
+
+
+def _luxemburg_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Luxemburg norm of each row of moduli ``a``, each row bisected as on its own.
+
+    Every row takes the same sequence of brackets it would take alone; rows
+    whose bracket has closed drop out of the elementwise passes.
+    """
+    lo = np.array([row @ w for row in a])
+    hi = lo.copy()
+    rows = np.flatnonzero(lo != 0.0)
+    while rows.size:
+        rows = rows[_orlicz_integrals(a[rows], w, hi[rows]) > 1.0]
+        hi[rows] *= 2.0
+    rows = np.flatnonzero((hi - lo) > _LUXEMBURG_REL_TOL * hi)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        above = _orlicz_integrals(a[rows], w, mid) > 1.0
+        lo[rows[above]] = mid[above]
+        hi[rows[~above]] = mid[~above]
+        rows = rows[(hi[rows] - lo[rows]) > _LUXEMBURG_REL_TOL * hi[rows]]
+    return 0.5 * (lo + hi)
 
 
 def llogl_norm(f: Field) -> float:
@@ -135,19 +159,4 @@ def llogl_norm(f: Field) -> float:
     Since Phi(s) >= s the L^1 norm is a valid lower bracket, and the target
     integral is strictly decreasing in k, so bisection converges.
     """
-    a = np.abs(f.values)
-    w = f.space.weights
-    l1 = float(a @ w)
-    if l1 == 0.0:
-        return 0.0
-    lo = l1
-    hi = l1
-    while _orlicz_integral(a, w, hi) > 1.0:
-        hi *= 2.0
-    while (hi - lo) > _LUXEMBURG_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _orlicz_integral(a, w, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_luxemburg_rows(np.abs(f.values)[None, :], f.space.weights)[0])

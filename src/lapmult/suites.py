@@ -331,6 +331,7 @@ def suite_transform_pnorm(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """Exact path-space transform bounds with random sign multipliers."""
+    grid = [float(p) for p in p_grid]
     worst: dict[str, InequalityReport] = {}
     contraction_ok = True
     worst_excess = 0.0
@@ -339,10 +340,7 @@ def suite_transform_pnorm(
     ):
         rng = np.random.default_rng([seed, i, 3])
         signs = rng.choice([-1.0, 1.0], ps.horizon)
-        for p in p_grid:
-            result = transform_pnorm_check(
-                ps, signs, probe, float(p), contraction_tol, budget
-            )
+        for result in transform_pnorm_check(ps, signs, probe, grid, contraction_tol, budget):
             report = result.report
             prev = worst.get(report.name)
             if prev is None or report.ratio > prev.ratio:
@@ -352,7 +350,7 @@ def suite_transform_pnorm(
     reports = tuple(worst[name] for name in sorted(worst))
     summary = {
         "instances": instances,
-        "p_grid": [float(p) for p in p_grid],
+        "p_grid": grid,
         "contraction_ok": contraction_ok,
         "worst_contraction_excess": worst_excess,
         "contraction_tol": contraction_tol,
@@ -411,11 +409,12 @@ def suite_llogl_chain(
         space, gen = random_reversible_generator([seed, i, 1], n, unit_mass=True)
         kernel = heat_operator(gen, epsilon / 2.0)
         ps = PathSpace(kernel, horizon)
+        batch = []
         for j in range(fields):
             rng = np.random.default_rng([seed, i, j, 2])
             probe = Field(space, _random_complex(rng, n))
-            signs = rng.choice([-1.0, 1.0], horizon)
-            chain_result = llogl_chain_check(ps, signs, probe)
+            batch.append((rng.choice([-1.0, 1.0], horizon), probe))
+        for chain_result in llogl_chain_check(ps, batch):
             all_finite = all_finite and chain_result.all_finite
             for report in chain_result.reports:
                 if i < chains:

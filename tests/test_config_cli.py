@@ -347,6 +347,29 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
         assert not out_dir.exists()
 
+    def test_llogl_chain_over_budget_exits_without_report(self, tmp_path, capsys):
+        # n = 4 and horizon 10 give 4^11 paths, past the default enumeration budget
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [
+                {
+                    "check": "llogl_chain",
+                    "seed": 606,
+                    "chains": 1,
+                    "fields": 2,
+                    "n": 4,
+                    "horizon": 10,
+                    "dilation": {"epsilon": 0.8, "mode": "exact"},
+                    "stability_doubling": False,
+                }
+            ],
+        }
+        cfg_path = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
+        assert "enumeration budget exceeded" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_env_var_controls_default_out_dir(self, tmp_path, monkeypatch, capsys):
         cfg_path = write_config(tmp_path, MINIMAL)
         target = tmp_path / "from-env"

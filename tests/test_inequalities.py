@@ -5,26 +5,38 @@ import numpy as np
 import pytest
 
 from lapmult import (
+    DEFAULT_PATH_BUDGET,
+    EnumerationBudgetError,
     Field,
+    NormEstimate,
     SampledMultiplier,
     StepMultiplier,
     WeightedSpace,
     approximation_limit_check,
     constant_field,
+    all_paths,
     decompose,
     heat_operator,
     llogl_chain_check,
+    llogl_norm,
     lp_norm,
+    martingale_transform,
     multiplier_operator,
     multiplier_pnorm_check,
     opnorm_exact,
     opnorm_lower_estimate,
+    path_measure,
     random_reversible_generator,
     reference_constant,
+    reverse_martingale,
+    square_and_maximal,
     transform_pnorm_check,
+    transition_products,
+    zero_field,
 )
 from lapmult.dilation import PathSpace
-from lapmult.inequalities import make_report
+from lapmult.inequalities import LloglChainResult, TransformPnormResult, make_report
+from lapmult.space import _luxemburg_rows
 
 from conftest import random_field
 
@@ -188,6 +200,69 @@ def reference_lower_estimate(op, space, p, probes, ascent_steps, seed):
 ORACLE_P = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
 
 
+# The one-power-per-dual-map ascent with every pass it had before the
+# shortcuts (masked powers throughout, powers and products at exponents 0 and
+# 1, casting multiplies, np.where on every step, a transposed adjoint), kept
+# verbatim: the library must return the same value bit for bit.
+def _untrimmed_abs2(values):
+    return values.real**2 + values.imag**2
+
+
+def _untrimmed_power_on_support(a2, exponent):
+    return np.power(a2, exponent, out=np.zeros_like(a2), where=a2 > 0.0)
+
+
+def untrimmed_lower_estimate(op, space, p, probes=64, ascent_steps=20, seed=0):
+    if not (1.0 < p < math.inf):
+        raise ValueError("p must lie strictly between 1 and inf")
+    if probes < 1 or ascent_steps < 0:
+        raise ValueError("need probes >= 1 and ascent_steps >= 0")
+    t = np.asarray(op, dtype=complex)
+    n = space.n
+    if t.shape != (n, n):
+        raise ValueError(f"operator must be {n}x{n}")
+    w = space.weights
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((probes, 2, n))
+    complex_probes = z[:, 0, :] + 1j * z[:, 1, :]
+    fields = np.concatenate([complex_probes, np.abs(complex_probes)], axis=0).T
+    q = p / (p - 1.0)
+    adjoint = t.conj().T * w[None, :] / w[:, None]
+    den = (w @ _untrimmed_abs2(fields) ** (0.5 * p)) ** (1.0 / p)
+
+    best = 0.0
+    for step in range(ascent_steps + 1):
+        images = t @ fields
+        a2 = _untrimmed_abs2(images)
+        s = _untrimmed_power_on_support(a2, 0.5 * (p - 2.0))
+        num = (w @ (s * a2)) ** (1.0 / p)
+        live = den > 0.0
+        if np.any(live):
+            best = max(best, float((num[live] / den[live]).max()))
+        if step == ascent_steps:
+            break
+        pullback = adjoint @ (s * images)
+        g2 = _untrimmed_abs2(pullback)
+        b = _untrimmed_power_on_support(g2, 0.5 * (q - 2.0))
+        norms = (w @ (b * g2)) ** (1.0 / p)
+        mantissa, exponent = np.frexp(norms)
+        moved = norms > 0.0
+        fields = np.where(moved, np.ldexp(b, -exponent) * pullback, fields)
+        den = np.where(moved, mantissa, den)
+    return NormEstimate(best, "lower_bound", "probe-ascent", fields.shape[1])
+
+
+# p = 2 skips both powers (exponent 0), p = 4 the image power (exponent 1)
+EXACT_P = (1.25, 1.5, 2.0, 3.0, 4.0)
+
+
+def random_operator(seed, n, order):
+    rng = np.random.default_rng([seed, n])
+    space = WeightedSpace(rng.uniform(0.05, 4.0, n))
+    op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return space, (np.asfortranarray(op) if order == "F" else np.ascontiguousarray(op))
+
+
 class TestAscentOracle:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -224,6 +299,39 @@ class TestAscentOracle:
                 assert math.isfinite(got) and got > 0.0
                 want = reference_lower_estimate(op, space, p, 6, 8, 1)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), p
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_equal_to_untrimmed_ascent(self, n, order):
+        for seed in range(3):
+            space, op = random_operator(seed, n, order)
+            assert op.flags[f"{order}_CONTIGUOUS"]
+            for p in EXACT_P:
+                want = untrimmed_lower_estimate(op, space, p, 10, 12, seed)
+                got = opnorm_lower_estimate(op, space, p, probes=10, ascent_steps=12, seed=seed)
+                assert got.value == want.value, (seed, p)
+                assert got.probes_used == want.probes_used
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exact_zero_row_and_column_take_the_masked_branch(self, order):
+        space, op = random_operator(5, 5, order)
+        op[1, :] = 0.0  # exact zeros in every image
+        op[:, 3] = 0.0  # exact zeros in every pullback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in EXACT_P:
+                want = untrimmed_lower_estimate(op, space, p, 6, 9, 2).value
+                got = opnorm_lower_estimate(op, space, p, probes=6, ascent_steps=9, seed=2).value
+                assert math.isfinite(got) and got > 0.0
+                assert got == want, p
+
+    def test_single_probe_without_ascent(self):
+        for order in ("C", "F"):
+            space, op = random_operator(7, 6, order)
+            for p in EXACT_P:
+                want = untrimmed_lower_estimate(op, space, p, probes=1, ascent_steps=0, seed=3)
+                got = opnorm_lower_estimate(op, space, p, probes=1, ascent_steps=0, seed=3)
+                assert got.value == want.value and got.probes_used == want.probes_used == 2
 
 
 class TestMultiplierPnormCheck:
@@ -268,7 +376,7 @@ class TestMultiplierPnormCheck:
 class TestTransformPnormCheck:
     def test_zero_multipliers(self):
         space, gen, ps = unit_mass_path_space()
-        result = transform_pnorm_check(ps, np.zeros(ps.horizon), random_field(space, 0), 2.0)
+        (result,) = transform_pnorm_check(ps, np.zeros(ps.horizon), random_field(space, 0), [2.0])
         assert result.report.lhs == 0.0
         assert result.passed
 
@@ -276,7 +384,7 @@ class TestTransformPnormCheck:
         # S = f_N - f_0 forces ||S||_p <= 2 ||f||_p by triangle + contraction
         space, gen, ps = unit_mass_path_space(n=3, horizon=4)
         f = random_field(space, 1)
-        result = transform_pnorm_check(ps, np.ones(ps.horizon), f, 3.0)
+        (result,) = transform_pnorm_check(ps, np.ones(ps.horizon), f, [3.0])
         nu = ps.initial_law
         fnorm = float((nu @ np.abs(f.values) ** 3) ** (1 / 3))
         assert result.report.lhs <= 2.0 * fnorm * (1 + 1e-12)
@@ -286,7 +394,7 @@ class TestTransformPnormCheck:
         space, gen, ps = unit_mass_path_space(seed=7, n=4, horizon=5)
         rng = np.random.default_rng(5)
         signs = rng.choice([-1.0, 1.0], ps.horizon)
-        result = transform_pnorm_check(ps, signs, random_field(space, 2), 3.0)
+        (result,) = transform_pnorm_check(ps, signs, random_field(space, 2), [3.0])
         assert result.report.threshold == 2.0
         assert result.report.ratio <= 2.0
         assert result.contraction_excess <= 1e-10
@@ -295,15 +403,15 @@ class TestTransformPnormCheck:
         space, gen, ps = unit_mass_path_space(n=3, horizon=3)
         f = random_field(space, 3)
         signs = np.array([1.0, -1.0, 1.0])
-        r1 = transform_pnorm_check(ps, signs, f, 2.5).report.ratio
-        r2 = transform_pnorm_check(ps, signs, 7.5 * f, 2.5).report.ratio
+        r1 = transform_pnorm_check(ps, signs, f, [2.5])[0].report.ratio
+        r2 = transform_pnorm_check(ps, signs, 7.5 * f, [2.5])[0].report.ratio
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 class TestLloglChainCheck:
     def test_constant_field(self):
         space, gen, ps = unit_mass_path_space()
-        result = llogl_chain_check(ps, np.ones(ps.horizon), constant_field(space, 2.0))
+        (result,) = llogl_chain_check(ps, [(np.ones(ps.horizon), constant_field(space, 2.0))])
         assert result.all_finite
         assert result.davis_step.lhs == pytest.approx(0.0, abs=1e-12)
         assert result.square_vs_maximal.ratio == pytest.approx(0.0, abs=1e-12)
@@ -312,7 +420,7 @@ class TestLloglChainCheck:
         space, gen = random_reversible_generator(3, 4)  # total mass well away from 1
         ps = PathSpace(heat_operator(gen, 0.4), 3)
         with pytest.raises(ValueError):
-            llogl_chain_check(ps, np.ones(3), random_field(space, 0))
+            llogl_chain_check(ps, [(np.ones(3), random_field(space, 0))])
 
     def test_square_function_pathwise_sanity(self):
         # every increment is at most 2 sup_i |f_i|, so the square function is
@@ -331,11 +439,216 @@ class TestLloglChainCheck:
     def test_random_instance_all_finite(self):
         space, gen, ps = unit_mass_path_space(seed=12, n=4, horizon=4)
         rng = np.random.default_rng(8)
-        result = llogl_chain_check(ps, rng.choice([-1.0, 1.0], 4), random_field(space, 5))
+        (result,) = llogl_chain_check(ps, [(rng.choice([-1.0, 1.0], 4), random_field(space, 5))])
         assert result.all_finite
         for report in result.reports:
             assert report.provenance == "report-only"
             assert math.isinf(report.threshold)
+
+
+# The single-field L log L chain, the single-p transform check, and the exact
+# reductions and scalar Luxemburg bisection they used, kept verbatim as
+# references: the batched checks must give the same reports bit for bit.
+def single_path_lp_norm(ps, functional, p, budget=DEFAULT_PATH_BUDGET):
+    paths = all_paths(ps, budget)
+    weights = path_measure(ps, paths)
+    avals = np.abs(np.asarray(functional.evaluator(paths)))
+    if not np.all(np.isfinite(avals)):
+        raise ValueError("path functional returned non-finite values")
+    if math.isinf(p):
+        return float(avals[weights > 0.0].max(initial=0.0))
+    return float((weights @ avals**p) ** (1.0 / p))
+
+
+def single_hat_expectation(ps, functional, budget=DEFAULT_PATH_BUDGET):
+    space = ps.kernel.space
+    paths = all_paths(ps, budget)
+    weights = transition_products(ps, paths)
+    svals = np.asarray(functional.evaluator(paths), dtype=complex)
+    if not np.all(np.isfinite(svals)):
+        raise ValueError("path functional returned non-finite values")
+    contrib = weights * svals
+    out = np.bincount(paths[:, 0], weights=contrib.real, minlength=space.n).astype(complex)
+    out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=space.n)
+    return Field(space, out)
+
+
+def _single_orlicz_integral(a, w, k):
+    s = a / k
+    return float((s * np.log(np.e + s)) @ w)
+
+
+def single_llogl_norm(f):
+    a = np.abs(f.values)
+    w = f.space.weights
+    l1 = float(a @ w)
+    if l1 == 0.0:
+        return 0.0
+    lo = l1
+    hi = l1
+    while _single_orlicz_integral(a, w, hi) > 1.0:
+        hi *= 2.0
+    while (hi - lo) > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if _single_orlicz_integral(a, w, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def single_transform_pnorm_check(ps, m_values, f, p, contraction_tol=1e-10, budget=DEFAULT_PATH_BUDGET):
+    m = np.asarray(m_values, dtype=complex).ravel()
+    sup = float(np.abs(m).max()) if m.size else 0.0
+    if sup > 0.0:
+        m = m / sup
+    functional = martingale_transform(ps, m, f)
+    lhs = single_path_lp_norm(ps, functional, p, budget=budget)
+    law = ps.kernel.space.normalized()
+    rhs = lp_norm(Field(law, f.values), p)
+    report = make_report(
+        f"transform-pnorm p={p:g}", lhs, rhs, reference_constant(p), "reference-constant"
+    )
+    conditioned = single_hat_expectation(ps, functional, budget=budget)
+    c_lhs = lp_norm(Field(law, conditioned.values), p)
+    if lhs > 0.0:
+        excess = max(0.0, (c_lhs - lhs) / lhs)
+    else:
+        excess = 0.0 if c_lhs == 0.0 else math.inf
+    return TransformPnormResult(report, excess, excess <= contraction_tol)
+
+
+def single_llogl_chain_check(ps, m_values, f):
+    space = ps.kernel.space
+    if abs(space.total_mass - 1.0) > 1e-9:
+        raise ValueError("the L log L chain needs a unit-mass space")
+    m = np.asarray(m_values, dtype=complex).ravel()
+    sup = float(np.abs(m).max()) if m.size else 0.0
+    if sup > 0.0:
+        m = m / sup
+    family = reverse_martingale(ps, f)
+    square_fn, maximal_fn = square_and_maximal(ps, family)
+    transform = martingale_transform(ps, m, f)
+
+    e_transform = single_path_lp_norm(ps, transform, 1.0)
+    e_square = single_path_lp_norm(ps, square_fn, 1.0)
+    e_maximal = single_path_lp_norm(ps, maximal_fn, 1.0)
+    llogl = single_llogl_norm(f)
+    conditioned = single_hat_expectation(ps, transform)
+    end_lhs = lp_norm(conditioned, 1.0)
+
+    inf = math.inf
+    return LloglChainResult(
+        make_report("davis-step", e_transform, e_square, inf, "report-only"),
+        make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
+        make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
+        make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
+    )
+
+
+def oracle_batch(space, horizon, seed):
+    """Signs with random complex fields, plus the edge cases each chain step must survive."""
+    rng = np.random.default_rng([seed, space.n, horizon, 9])
+    batch = [(rng.choice([-1.0, 1.0], horizon), random_field(space, 100 * seed + j)) for j in range(4)]
+    batch += [
+        (rng.choice([-1.0, 1.0], horizon), random_field(space, seed, real=True)),
+        (np.ones(horizon), constant_field(space, 1.5 - 0.5j)),  # zero increments
+        (np.zeros(horizon), random_field(space, seed + 1)),  # all-zero multiplier row
+        (rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon), random_field(space, seed + 2)),
+        (rng.choice([-1.0, 1.0], horizon), zero_field(space)),
+    ]
+    return batch
+
+
+ORACLE_SHAPES = [(n, horizon) for n in (2, 3, 5) for horizon in (1, 3, 5)]
+
+
+class TestBatchedChecksOracle:
+    @pytest.mark.parametrize("n,horizon", ORACLE_SHAPES)
+    def test_llogl_chain_equals_single_field_checks(self, n, horizon):
+        for seed in range(3):
+            space, _, ps = unit_mass_path_space(seed=seed + 20, n=n, horizon=horizon)
+            batch = oracle_batch(space, horizon, seed)
+            results = llogl_chain_check(ps, batch)
+            assert len(results) == len(batch)
+            for (m_values, f), got in zip(batch, results):
+                want = single_llogl_chain_check(ps, m_values, f)
+                assert [r.to_dict() for r in got.reports] == [r.to_dict() for r in want.reports]
+
+    @pytest.mark.parametrize("n,horizon", ORACLE_SHAPES)
+    def test_transform_pnorm_equals_single_p_checks(self, n, horizon):
+        grid = (1.25, 1.5, 2.0, 3.0, 4.0, 7.5)
+        for seed in range(3):
+            # a space of total mass far from one, as the suite's families have
+            space, gen = random_reversible_generator(seed + 40, n)
+            ps = PathSpace(heat_operator(gen, 0.4), horizon)
+            for m_values, f in oracle_batch(space, horizon, seed):
+                results = transform_pnorm_check(ps, m_values, f, grid)
+                assert len(results) == len(grid)
+                for p, got in zip(grid, results):
+                    want = single_transform_pnorm_check(ps, m_values, f, p)
+                    assert got.report.to_dict() == want.report.to_dict()
+                    assert got.contraction_excess == want.contraction_excess
+                    assert got.contraction_ok == want.contraction_ok
+
+    def test_unit_mass_required_before_any_work(self):
+        space, gen = random_reversible_generator(3, 4)
+        ps = PathSpace(heat_operator(gen, 0.4), 3)
+        with pytest.raises(ValueError, match="unit-mass"):
+            llogl_chain_check(ps, [(np.ones(3), random_field(space, 0))])
+        with pytest.raises(ValueError, match="unit-mass"):
+            single_llogl_chain_check(ps, np.ones(3), random_field(space, 0))
+        assert "_table" not in vars(ps)
+
+    def test_empty_batch(self):
+        _, _, ps = unit_mass_path_space(n=3, horizon=2)
+        assert llogl_chain_check(ps, []) == ()
+        assert transform_pnorm_check(ps, np.ones(2), random_field(ps.kernel.space, 0), []) == ()
+
+
+class TestLuxemburgOracle:
+    def test_rows_equal_scalar_bisection(self):
+        for case in range(400):
+            rng = np.random.default_rng([case, 5])
+            n = int(rng.integers(1, 9))
+            space = WeightedSpace(rng.uniform(0.01, 3.0, n))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            fields = [Field(space, scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+                      for _ in range(int(rng.integers(1, 6)))]
+            if case % 7 == 0:
+                fields.append(zero_field(space))
+            moduli = np.abs([f.values for f in fields])
+            got = _luxemburg_rows(moduli, space.weights).tolist()
+            assert got == [single_llogl_norm(f) for f in fields]
+            assert [llogl_norm(f) for f in fields] == got
+
+
+class TestBatchedCheckBudget:
+    def test_llogl_chain_budget_raised_before_any_field_is_read(self):
+        # 4^11 paths exceed the default budget; the batch must not even be iterated
+        _, _, ps = unit_mass_path_space(n=4, horizon=10)
+        assert ps.path_count > DEFAULT_PATH_BUDGET
+
+        def untouchable():
+            raise AssertionError("per-field work before the budget check")
+            yield
+
+        with pytest.raises(EnumerationBudgetError):
+            llogl_chain_check(ps, untouchable())
+        assert "_table" not in vars(ps)
+
+    def test_transform_pnorm_budget_raised_before_any_field_is_read(self):
+        space, _, ps = unit_mass_path_space(n=3, horizon=4)
+        wrong_length = np.ones(ps.horizon + 1)  # would be rejected by per-field work
+        with pytest.raises(EnumerationBudgetError):
+            transform_pnorm_check(ps, wrong_length, random_field(space, 0), [2.0], budget=ps.path_count - 1)
+        assert "_table" not in vars(ps)
+
+    def test_batched_checks_cache_nothing_but_the_table(self):
+        space, _, ps = unit_mass_path_space(n=3, horizon=4)
+        transform_pnorm_check(ps, np.ones(ps.horizon), random_field(space, 1), [1.5, 3.0])
+        llogl_chain_check(ps, [(np.ones(ps.horizon), random_field(space, 2))])
+        assert set(vars(ps)) - {"kernel", "horizon"} == {"_table"}
 
 
 class TestApproximationLimit:
