@@ -220,9 +220,7 @@ class Check:
         kwargs = _fields(entry, kinds, required, name)
         del kwargs["check"]
         for key, value in kwargs.pop("dilation", {}).items():
-            kwarg = self.dilation[key]
-            _require(kwarg not in kwargs, f"{name}: give {kwarg!r} or 'dilation.{key}', not both")
-            kwargs[kwarg] = value
+            kwargs[self.dilation[key]] = value
         if "field" in self.params:
             _require(("field" in kwargs) != ("field_seed" in kwargs),
                      f"{name}: give exactly one of 'field' (literal values) or 'field_seed'")
@@ -234,14 +232,14 @@ class Check:
 
 _FAMILY = {"seed": _SEED, "instances": _COUNT, "max_n": _at_least(2)}
 _STEP_FAMILY = {**_FAMILY, "max_pieces": _COUNT}
-_PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT, "budget": _COUNT}
+_PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT}
 _ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_least(0),
            "probe_seed": _SEED}
 _PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_COUNT),
            "field": _list_of(_scalar), "field_seed": _SEED}
 _FAMILY_REQUIRED = ("seed", "instances")
 _PROBED_REQUIRED = ("chain", "multiplier", "piece_counts")
-_PATH_DILATION = {"epsilon": "epsilon", "horizon": "max_horizon"}
+_PATH_DILATION = {"epsilon": "epsilon"}
 
 CHECKS: dict[str, Check] = {
     "markov_conditions": Check(
@@ -264,7 +262,7 @@ CHECKS: dict[str, Check] = {
         {**_STEP_FAMILY, **_ASCENT}, (*_FAMILY_REQUIRED, *_ASCENT)),
     "transform_pnorm": Check(
         suites.suite_transform_pnorm,
-        {**_PATH_FAMILY, "p_grid": _ASCENT["p_grid"], "contraction_tol": _positive},
+        {**_PATH_FAMILY, "p_grid": _ASCENT["p_grid"]},
         (*_FAMILY_REQUIRED, "p_grid"), _PATH_DILATION),
     "step_convergence": Check(
         suites.suite_step_convergence, {**_PROBED, "rel_tol": _positive}, _PROBED_REQUIRED),
@@ -272,7 +270,7 @@ CHECKS: dict[str, Check] = {
         suites.suite_llogl_chain,
         {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
          "stability_doubling": _boolean, "stability_rel": _positive},
-        ("seed", "chains", "fields"), {"epsilon": "epsilon", "horizon": "horizon"}),
+        ("seed", "chains", "fields"), _PATH_DILATION),
     "imaginary_powers": Check(
         suites.suite_imaginary_powers,
         {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _at_least(5)},

@@ -44,7 +44,7 @@ DEFAULT_PATH_BUDGET = 1_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exact path enumeration would exceed the configured budget."""
+    """Exact path enumeration would exceed ``DEFAULT_PATH_BUDGET`` paths."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,27 +111,30 @@ class PathFunctional:
 
 @dataclass(frozen=True, eq=False)
 class ReverseMartingaleFamily:
-    """Level fields g_k = Q^k f; the path value at level k is g_k(x_k)."""
+    """Level fields g_k = Q^k f as the rows of a read-only (N+1) x n complex array.
+
+    The path value at level k is ``levels[k][x_k]``.
+    """
 
     path_space: PathSpace
-    levels: tuple[Field, ...]
-
-    def level_matrix(self) -> np.ndarray:
-        return np.vstack([lv.values for lv in self.levels])
+    levels: np.ndarray
 
 
-def all_paths(ps: PathSpace, budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
+def all_paths(ps: PathSpace) -> np.ndarray:
     """All state paths as a read-only int32 array of shape (n^{N+1}, N+1).
 
-    The array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
+    Paths are listed in lexicographic order with x_0 varying slowest, so the
+    paths from each start state form one contiguous block of n^N rows.  The
+    array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
 
-    The budget is checked on every call; the table itself is built on the
-    first call that passes it and the same array is returned thereafter.
+    ``DEFAULT_PATH_BUDGET`` is read and checked on every call; the table itself
+    is built on the first call within it and the same array is returned
+    thereafter.
     """
     count = ps.path_count
-    if count > budget:
+    if count > DEFAULT_PATH_BUDGET:
         raise EnumerationBudgetError(
-            f"{count} paths exceed the enumeration budget of {budget}"
+            f"{count} paths exceed the enumeration budget of {DEFAULT_PATH_BUDGET}"
         )
     return ps._table[0]
 
@@ -181,14 +184,15 @@ def _levels(ps: PathSpace, f: Field) -> np.ndarray:
 def reverse_martingale(ps: PathSpace, f: Field) -> ReverseMartingaleFamily:
     """Level fields g_k = Q^k f for k = 0..N, so g_0 = f and g_{k+1} = Q g_k."""
     rows = _levels(ps, f)
-    return ReverseMartingaleFamily(ps, (f,) + tuple(Field(f.space, g) for g in rows[1:]))
+    rows.flags.writeable = False
+    return ReverseMartingaleFamily(ps, rows)
 
 
 def level_functional(family: ReverseMartingaleFamily, k: int) -> PathFunctional:
     """The level-k martingale value f_k(omega) = g_k(x_k) as a path functional."""
     if not 0 <= k <= family.path_space.horizon:
         raise ValueError("level outside the horizon")
-    g = family.levels[k].values
+    g = family.levels[k]
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
         return g[paths[:, k]]
@@ -249,15 +253,20 @@ def _sampled_strata(
         yield x, counts[x], values
 
 
-def _exact_hat(paths: np.ndarray, weights: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """E[S | x_0] from every path, its weight given its start, and S on it."""
+def _exact_hat(weights: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """E[S | x_0] from each table path's weight given its start and S on it.
+
+    The table lists each start state's paths as one contiguous block, and a
+    running sum along the block adds them in table order, as an accumulation
+    from zero would; ``+ 0.0`` gives such an accumulation's +0.0 where every
+    term is -0.0.
+    """
     svals = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(svals)):
         raise ValueError("path functional returned non-finite values")
-    contrib = weights * svals
-    out = np.bincount(paths[:, 0], weights=contrib.real, minlength=n).astype(complex)
-    out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=n)
-    return out
+    blocks = (weights * svals).reshape(n, -1)
+    np.cumsum(blocks, axis=1, out=blocks)
+    return blocks[:, -1] + 0.0
 
 
 def _exact_lp(measure: np.ndarray, avals: np.ndarray, p: float) -> float:
@@ -276,7 +285,6 @@ def hat_expectation(
     *,
     seed: int | None = None,
     samples: int | None = None,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> Field | MonteCarloField:
     """The conditional expectation x -> E[S | pi_0 = x].
 
@@ -286,9 +294,9 @@ def hat_expectation(
     """
     space = ps.kernel.space
     if mode == "exact":
-        paths = all_paths(ps, budget)
+        paths = all_paths(ps)
         weights = transition_products(ps, paths)
-        return Field(space, _exact_hat(paths, weights, functional.evaluator(paths), space.n))
+        return Field(space, _exact_hat(weights, functional.evaluator(paths), space.n))
     if mode == "mc":
         means = np.empty(space.n, dtype=complex)
         stderr = np.empty(space.n)
@@ -308,7 +316,6 @@ def path_lp_norm(
     *,
     seed: int | None = None,
     samples: int | None = None,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> float | tuple[float, float]:
     """||S||_{L^p(P)} over the path measure, exactly or by stratified Monte Carlo.
 
@@ -318,7 +325,7 @@ def path_lp_norm(
     if p < 1.0:
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
-        paths = all_paths(ps, budget)
+        paths = all_paths(ps)
         measure = path_measure(ps, paths)
         return _exact_lp(measure, np.abs(np.asarray(functional.evaluator(paths))), p)
     if mode == "mc":
@@ -341,46 +348,48 @@ def path_lp_norm(
 
 
 @dataclass(frozen=True, eq=False)
-class DilationIdentityReport:
-    """Deviations of the enumerated E[f_k | x_0] from Q^{2k} f and from the heat operator."""
+class IdentityReport:
+    """Largest deviations of enumerated conditional expectations from two closed forms.
 
-    deviation_kernel_power: float
-    deviation_heat: float | None
+    One form uses kernel powers; the other, present only when the kernel's
+    generator is given, goes through the semigroup.
+    """
+
+    deviation_kernel_powers: float
+    deviation_semigroup: float | None
     tol: float
 
     @property
     def passed(self) -> bool:
-        devs = [self.deviation_kernel_power]
-        if self.deviation_heat is not None:
-            devs.append(self.deviation_heat)
+        devs = [self.deviation_kernel_powers]
+        if self.deviation_semigroup is not None:
+            devs.append(self.deviation_semigroup)
         return max(devs) <= self.tol
 
 
 def dilation_identity_check(
     ps: PathSpace,
     f: Field,
-    k: int,
     generator: ReversibleGenerator | None = None,
     tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
-) -> DilationIdentityReport:
-    """Check E[f_k | x_0] = Q^{2k} f by exact enumeration.
+) -> IdentityReport:
+    """Check E[f_k | x_0] = Q^{2k} f by exact enumeration at every level k = 0..N.
 
     When the kernel was built as Q = T^{eps/2} from ``generator`` (so the
     kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the
     heat operator at time 2k*step is compared independently.
     """
-    if not 0 <= k <= ps.horizon:
-        raise ValueError("level outside the horizon")
     family = reverse_martingale(ps, f)
-    conditioned = hat_expectation(ps, level_functional(family, k), budget=budget)
-    q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
-    dev_power = float(np.abs(conditioned.values - q2k).max())
-    dev_heat = None
-    if generator is not None:
-        heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
-        dev_heat = float(np.abs(conditioned.values - heated).max())
-    return DilationIdentityReport(dev_power, dev_heat, tol)
+    dev_power = 0.0
+    dev_heat = None if generator is None else 0.0
+    for k in range(ps.horizon + 1):
+        conditioned = hat_expectation(ps, level_functional(family, k)).values
+        q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
+        dev_power = max(dev_power, float(np.abs(conditioned - q2k).max()))
+        if generator is not None:
+            heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
+            dev_heat = max(dev_heat, float(np.abs(conditioned - heated).max()))
+    return IdentityReport(dev_power, dev_heat, tol)
 
 
 def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
@@ -437,30 +446,13 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
     return PathFunctional(evaluator)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformIdentityReport:
-    """Deviations of E[transform | x_0] from its two closed forms."""
-
-    deviation_kernel_powers: float
-    deviation_telescoping: float | None
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        devs = [self.deviation_kernel_powers]
-        if self.deviation_telescoping is not None:
-            devs.append(self.deviation_telescoping)
-        return max(devs) <= self.tol
-
-
 def transform_expectation_identity(
     ps: PathSpace,
     m_values: Sequence[complex],
     f: Field,
     generator: ReversibleGenerator | None = None,
     tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
-) -> TransformIdentityReport:
+) -> IdentityReport:
     """Check E[sum_i M_i (f_{i+1} - f_i) | x_0] = sum_i M_i (Q^{2(i+1)} - Q^{2i}) f.
 
     With Q = T^{eps/2} and breakpoints t_i = i*eps this also equals the
@@ -469,7 +461,7 @@ def transform_expectation_identity(
     """
     m = np.asarray(m_values, dtype=complex).ravel()
     functional = martingale_transform(ps, m, f)
-    conditioned = hat_expectation(ps, functional, budget=budget)
+    conditioned = hat_expectation(ps, functional)
 
     q = ps.kernel.entries
     q2 = q @ q
@@ -487,7 +479,7 @@ def transform_expectation_identity(
         breakpoints = eps * np.arange(ps.horizon + 1)
         telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)
         dev_tel = float(np.abs(conditioned.values - telescoped.values).max())
-    return TransformIdentityReport(dev_powers, dev_tel, tol)
+    return IdentityReport(dev_powers, dev_tel, tol)
 
 
 def square_and_maximal(
@@ -498,7 +490,7 @@ def square_and_maximal(
     A transform with signs M_i = +-1 has the same square function, so the
     L log L chain needs only the raw increments.
     """
-    levels = family.level_matrix()
+    levels = family.levels
     n = ps.n_states
     squares = _square_tables(levels)
     moduli = np.abs(levels)
@@ -520,9 +512,9 @@ class _ExactPaths:
     space: the edge indices alone are N int32 arrays of n^{N+1} entries.
     """
 
-    def __init__(self, ps: PathSpace, budget: int) -> None:
+    def __init__(self, ps: PathSpace) -> None:
         self.n = ps.n_states
-        self.paths = all_paths(ps, budget)
+        self.paths = all_paths(ps)
         self.weights = transition_products(ps, self.paths)
         self.measure = path_measure(ps, self.paths)
         self.edges = [_edge_index(self.paths, i, self.n) for i in range(ps.horizon)]
@@ -540,4 +532,4 @@ class _ExactPaths:
         return _exact_lp(self.measure, avals, p)
 
     def conditioned(self, values: np.ndarray) -> np.ndarray:
-        return _exact_hat(self.paths, self.weights, values, self.n)
+        return _exact_hat(self.weights, values, self.n)

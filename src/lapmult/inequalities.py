@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dilation import (
-    DEFAULT_PATH_BUDGET,
     PathSpace,
     _ExactPaths,
     _levels,
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 _PASS_SLACK = 1e-9
+
+# Relative slack by which ||E[S | x_0]||_p may exceed ||S||_p: roundoff only.
+_CONTRACTION_TOL = 1e-10
 
 _INTERPOLATION_NOTE = (
     "contraction for intermediate 1 < p < inf follows from the "
@@ -395,18 +397,16 @@ def transform_pnorm_check(
     m_values: Sequence[complex],
     f: Field,
     p_grid: Sequence[float],
-    contraction_tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> tuple[TransformPnormResult, ...]:
     """Exact path-space check of ||sum M_i (f_{i+1} - f_i)||_p <= (p* - 1) ||f||_p at each p.
 
     Multiplier values are normalized to sup 1 first (the bound is homogeneous).
     The conditioning step is verified alongside: ||E[S | x_0]||_p never exceeds
-    ||S||_p beyond ``contraction_tol`` relative slack.  The transform's path
+    ||S||_p beyond ``_CONTRACTION_TOL`` relative slack.  The transform's path
     values and its conditional expectation do not depend on p, so they are
     computed once for the whole grid.
     """
-    exact = _ExactPaths(ps, budget)
+    exact = _ExactPaths(ps)
     values = exact.transform(_levels(ps, f), _unit_sup(ps, m_values))
     moduli = np.abs(values)
     law = ps.kernel.space.normalized()
@@ -423,7 +423,7 @@ def transform_pnorm_check(
             excess = max(0.0, (c_lhs - lhs) / lhs)
         else:
             excess = 0.0 if c_lhs == 0.0 else math.inf
-        results.append(TransformPnormResult(report, excess, excess <= contraction_tol))
+        results.append(TransformPnormResult(report, excess, excess <= _CONTRACTION_TOL))
     return tuple(results)
 
 
@@ -462,7 +462,7 @@ def llogl_chain_check(
     space = ps.kernel.space
     if abs(space.total_mass - 1.0) > 1e-9:
         raise ValueError("the L log L chain needs a unit-mass space")
-    exact = _ExactPaths(ps, DEFAULT_PATH_BUDGET)
+    exact = _ExactPaths(ps)
     pairs = [(_unit_sup(ps, m_values), _levels(ps, f)) for m_values, f in batch]
     moduli = np.abs([levels[0] for _, levels in pairs]).reshape(len(pairs), space.n)
     llogls = _luxemburg_rows(moduli, space.weights)

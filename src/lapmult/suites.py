@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dilation import (
-    DEFAULT_PATH_BUDGET,
     PathSpace,
     dilation_identity_check,
     hat_expectation,
@@ -23,6 +22,7 @@ from .dilation import (
     transform_expectation_identity,
 )
 from .inequalities import (
+    _CONTRACTION_TOL,
     _PASS_SLACK,
     InequalityReport,
     _pnorm_growth_fit,
@@ -205,18 +205,16 @@ def suite_dilation_identity(
     max_horizon: int = 6,
     epsilon: float = 0.8,
     tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """E[f_k | x_0] = Q^{2k} f = T^{k eps} f for every level k, by exact enumeration."""
     worst_power = 0.0
     worst_heat = 0.0
     levels = 0
     for gen, ps, probe in dilation_instance_family(seed, instances, max_n, max_horizon, epsilon):
-        for k in range(ps.horizon + 1):
-            report = dilation_identity_check(ps, probe, k, generator=gen, tol=tol, budget=budget)
-            worst_power = max(worst_power, report.deviation_kernel_power)
-            worst_heat = max(worst_heat, report.deviation_heat)
-            levels += 1
+        report = dilation_identity_check(ps, probe, generator=gen, tol=tol)
+        worst_power = max(worst_power, report.deviation_kernel_powers)
+        worst_heat = max(worst_heat, report.deviation_semigroup)
+        levels += ps.horizon + 1
     summary = {
         "instances": instances,
         "levels_checked": levels,
@@ -234,7 +232,6 @@ def suite_transform_identity(
     max_horizon: int = 6,
     epsilon: float = 0.8,
     tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """E[sum M_i (f_{i+1}-f_i) | x_0] against kernel powers and the telescoped operator."""
     worst_power = 0.0
@@ -244,11 +241,9 @@ def suite_transform_identity(
     ):
         rng = np.random.default_rng([seed, i, 2])
         m_values = _random_complex(rng, ps.horizon)
-        report = transform_expectation_identity(
-            ps, m_values, probe, generator=gen, tol=tol, budget=budget
-        )
+        report = transform_expectation_identity(ps, m_values, probe, generator=gen, tol=tol)
         worst_power = max(worst_power, report.deviation_kernel_powers)
-        worst_tel = max(worst_tel, report.deviation_telescoping)
+        worst_tel = max(worst_tel, report.deviation_semigroup)
     summary = {
         "instances": instances,
         "max_deviation_kernel_powers": worst_power,
@@ -327,8 +322,6 @@ def suite_transform_pnorm(
     max_n: int = 6,
     max_horizon: int = 6,
     epsilon: float = 0.8,
-    contraction_tol: float = 1e-10,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> SuiteResult:
     """Exact path-space transform bounds with random sign multipliers."""
     grid = [float(p) for p in p_grid]
@@ -340,7 +333,7 @@ def suite_transform_pnorm(
     ):
         rng = np.random.default_rng([seed, i, 3])
         signs = rng.choice([-1.0, 1.0], ps.horizon)
-        for result in transform_pnorm_check(ps, signs, probe, grid, contraction_tol, budget):
+        for result in transform_pnorm_check(ps, signs, probe, grid):
             report = result.report
             prev = worst.get(report.name)
             if prev is None or report.ratio > prev.ratio:
@@ -353,7 +346,7 @@ def suite_transform_pnorm(
         "p_grid": grid,
         "contraction_ok": contraction_ok,
         "worst_contraction_excess": worst_excess,
-        "contraction_tol": contraction_tol,
+        "contraction_tol": _CONTRACTION_TOL,
     }
     passed = contraction_ok and all(r.passed for r in reports)
     return SuiteResult("transform_pnorm", passed, summary, reports)

@@ -110,7 +110,6 @@ def test_criterion_6_transform_bound_and_contraction():
         max_horizon=DILATION_FAMILY["max_horizon"],
         epsilon=DILATION_FAMILY["epsilon"],
         p_grid=P_GRID,
-        contraction_tol=1e-10,
     )
     worst = max(r.ratio / r.threshold for r in result.inequalities)
     announce(6, result.passed,

@@ -328,6 +328,7 @@ class TestCli:
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG_ERROR
 
     def test_budget_exceeded_exit_code(self, tmp_path):
+        # the one instance has n = 7 and horizon 7: 7^8 paths, past the enumeration budget
         payload = {
             "schema": "lapmult-config-1",
             "suites": [
@@ -335,10 +336,9 @@ class TestCli:
                     "check": "dilation_identity",
                     "seed": 1,
                     "instances": 1,
-                    "max_n": 6,
-                    "max_horizon": 6,
+                    "max_n": 12,
+                    "max_horizon": 12,
                     "dilation": {"epsilon": 0.8, "mode": "exact"},
-                    "budget": 10,
                 }
             ],
         }

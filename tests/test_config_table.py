@@ -78,6 +78,12 @@ def test_table_matches_runner_signature(name):
 
 
 @pytest.mark.parametrize("name", list(CHECKS))
+def test_each_parameter_has_one_spelling(name):
+    check = CHECKS[name]
+    assert not set(check.dilation.values()) & set(check.params)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
 def test_unknown_key_rejected(name):
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         parse_config(config_of(name, **VALID[name], bogus=1))
@@ -132,16 +138,30 @@ MISREAD = {
 }
 
 
-@pytest.mark.parametrize("label", list(MISREAD))
+# Keys that are no longer accepted: the path budget and the contraction slack
+# are constants, and four checks take the horizon only at the top level.
+DROPPED = {
+    **{f"budget-on-{name.replace('_', '-')}": (name, {**VALID[name], "budget": 10**6})
+       for name in ("dilation_identity", "transform_identity", "transform_pnorm")},
+    "contraction-tol-on-transform-pnorm": (
+        "transform_pnorm", {**VALID["transform_pnorm"], "contraction_tol": 1e-10}),
+    **{f"nested-horizon-on-{name.replace('_', '-')}": (
+        name, {**VALID[name], "dilation": {**EXACT, "horizon": 3}})
+       for name in ("dilation_identity", "transform_identity", "transform_pnorm", "llogl_chain")},
+}
+REJECTED = {**MISREAD, **DROPPED}
+
+
+@pytest.mark.parametrize("label", list(REJECTED))
 def test_misread_config_is_rejected(label):
-    check, entry = MISREAD[label]
+    check, entry = REJECTED[label]
     with pytest.raises(ConfigError):
         parse_config(config_of(check, **entry))
 
 
-@pytest.mark.parametrize("label", list(MISREAD))
+@pytest.mark.parametrize("label", list(REJECTED))
 def test_misread_config_exits_2_without_output(label, tmp_path):
-    check, entry = MISREAD[label]
+    check, entry = REJECTED[label]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_of(check, **entry)), encoding="utf-8")
     out_dir = tmp_path / "out"
@@ -150,14 +170,14 @@ def test_misread_config_exits_2_without_output(label, tmp_path):
 
 
 def test_each_horizon_spelling_is_accepted_alone():
-    base = {"seed": 1, "chains": 1, "fields": 1}
-    top = kwargs_of("llogl_chain", **base, horizon=3, dilation=EXACT)
-    nested = kwargs_of("llogl_chain", **base, dilation={**EXACT, "horizon": 3})
-    assert top["horizon"] == nested["horizon"] == 3
-    base = {"seed": 1, "instances": 2}
-    top = kwargs_of("transform_identity", **base, max_horizon=3, dilation=EXACT)
-    nested = kwargs_of("transform_identity", **base, dilation={**EXACT, "horizon": 3})
-    assert top["max_horizon"] == nested["max_horizon"] == 3
+    assert kwargs_of("llogl_chain", **VALID["llogl_chain"], horizon=3)["horizon"] == 3
+    for name in ("dilation_identity", "transform_identity", "transform_pnorm"):
+        assert kwargs_of(name, **VALID[name], max_horizon=3)["max_horizon"] == 3
+    for name in ("dilation_identity", "transform_identity", "transform_pnorm", "llogl_chain"):
+        with pytest.raises(ConfigError, match="unknown key 'horizon'"):
+            parse_config(config_of(name, **{**VALID[name], "dilation": {**EXACT, "horizon": 3}}))
+    mc = VALID["mc_crosscheck"]
+    assert kwargs_of("mc_crosscheck", **{**mc, "dilation": {**mc["dilation"], "horizon": 3}})["horizon"] == 3
 
 
 @pytest.mark.parametrize("dilation", [
@@ -175,7 +195,7 @@ def test_mc_crosscheck_needs_mc_mode(dilation):
     ("step_identity", "max_n", 1),
     ("step_identity", "max_pieces", 0),
     ("dilation_identity", "max_horizon", 0),
-    ("dilation_identity", "budget", 0),
+    ("mc_crosscheck", "n", 0),
     ("multiplier_pnorm", "probes", 0),
     ("multiplier_pnorm", "ascent_steps", -1),
     ("multiplier_pnorm", "p_grid", [1.0]),

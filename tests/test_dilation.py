@@ -28,7 +28,8 @@ from lapmult import (
     transform_expectation_identity,
     transition_products,
 )
-from lapmult.dilation import PathFunctional, _sample_stratum, _stratum_counts
+from lapmult import dilation
+from lapmult.dilation import PathFunctional, _exact_hat, _sample_stratum, _stratum_counts
 
 from conftest import random_field
 
@@ -61,10 +62,11 @@ def brute_force_conditional(ps, evaluate_path):
 
 
 class TestPathSpace:
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         _, _, ps = make_path_space(n=4, horizon=5)
+        monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", 100)
         with pytest.raises(EnumerationBudgetError):
-            all_paths(ps, budget=100)
+            all_paths(ps)
 
     def test_path_measure_is_probability(self):
         _, _, ps = make_path_space()
@@ -85,25 +87,44 @@ class TestPathSpace:
             PathSpace(kernel, -1)
 
 
+def seed_level_fields(ps, f):
+    """The level fields as first kept, one Field per level: g_0 = f, g_{k+1} = Q g_k."""
+    q = ps.kernel.entries
+    levels = [f]
+    for _ in range(ps.horizon):
+        levels.append(Field(f.space, q @ levels[-1].values))
+    return tuple(levels)
+
+
 class TestReverseMartingale:
     def test_level_zero_is_f(self):
         space, _, ps = make_path_space()
         f = random_field(space, 0)
         family = reverse_martingale(ps, f)
-        assert np.array_equal(family.levels[0].values, f.values)
+        assert np.array_equal(family.levels[0], f.values)
 
     def test_two_state_flip_closed_form(self):
         # one kernel step sends (1, -1) to (1-2q)(1, -1)
         q = 0.3
         space, ps = two_state_flip_space(q, horizon=1)
         family = reverse_martingale(ps, Field(space, [1.0, -1.0]))
-        assert np.abs(family.levels[1].values - (1 - 2 * q) * np.array([1, -1])).max() < 1e-14
+        assert np.abs(family.levels[1] - (1 - 2 * q) * np.array([1, -1])).max() < 1e-14
 
     def test_constant_fixed_by_conservation(self):
         space, _, ps = make_path_space()
         family = reverse_martingale(ps, constant_field(space, 2.0 + 1.0j))
         for level in family.levels:
-            assert np.abs(level.values - (2.0 + 1.0j)).max() < 1e-12
+            assert np.abs(level - (2.0 + 1.0j)).max() < 1e-12
+
+    @pytest.mark.parametrize("n,horizon", [(1, 0), (2, 1), (5, 4)])
+    def test_levels_are_one_read_only_array(self, n, horizon):
+        space, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
+        f = random_field(space, n)
+        levels = reverse_martingale(ps, f).levels
+        assert levels.shape == (horizon + 1, n) and levels.dtype == complex
+        assert not levels.flags.writeable
+        assert np.array_equal(levels[0], f.values)
+        assert np.array_equal(levels, np.vstack([lv.values for lv in seed_level_fields(ps, f)]))
 
     def test_martingale_property_two_routes(self):
         # route 1: algebra (Q g_k = g_{k+1}); route 2: path enumeration of the
@@ -113,12 +134,12 @@ class TestReverseMartingale:
         family = reverse_martingale(ps, f)
         q = ps.kernel.entries
         for k in range(ps.horizon):
-            assert np.abs(q @ family.levels[k].values - family.levels[k + 1].values).max() < 1e-12
+            assert np.abs(q @ family.levels[k] - family.levels[k + 1]).max() < 1e-12
 
         paths = all_paths(ps)
         weights = path_measure(ps, paths)
         k = 1
-        values_k = family.levels[k].values[paths[:, k]]
+        values_k = family.levels[k][paths[:, k]]
         suffix_code = paths[:, k + 1]
         for extra in range(k + 2, ps.horizon + 1):
             suffix_code = suffix_code * ps.n_states + paths[:, extra]
@@ -133,7 +154,7 @@ class TestReverseMartingale:
         for idx, code in enumerate(suffix_code):
             representative.setdefault(int(code), idx)
         for code, idx in representative.items():
-            expected = family.levels[k + 1].values[paths[idx, k + 1]]
+            expected = family.levels[k + 1][paths[idx, k + 1]]
             assert conditional[code] == pytest.approx(expected, abs=1e-12)
 
 
@@ -162,7 +183,7 @@ class TestHatExpectation:
         functional = martingale_transform(ps, m_values, f)
         fast = hat_expectation(ps, functional)
         family = reverse_martingale(ps, f)
-        levels = [lv.values for lv in family.levels]
+        levels = family.levels
 
         def evaluate_path(path):
             return sum(
@@ -192,9 +213,9 @@ class TestDilationIdentity:
     def test_level_zero_is_identity(self):
         space, gen, ps = make_path_space()
         f = random_field(space, 6)
-        report = dilation_identity_check(ps, f, 0, generator=gen)
-        assert report.passed
-        assert report.deviation_kernel_power < 1e-13
+        out = hat_expectation(ps, level_functional(reverse_martingale(ps, f), 0))
+        assert np.abs(out.values - f.values).max() < 1e-13
+        assert dilation_identity_check(ps, f, generator=gen).passed
 
     def test_two_state_hand_enumeration(self):
         # k = 1, horizon 1: E[g_1(x_1) | x_0] enumerates 4 paths by hand
@@ -211,19 +232,55 @@ class TestDilationIdentity:
         family = reverse_martingale(ps, f)
         out = hat_expectation(ps, level_functional(family, 1))
         assert np.abs(out.values - by_hand).max() < 1e-14
-        report = dilation_identity_check(ps, f, 1)
+        report = dilation_identity_check(ps, f)
         assert report.passed
 
     def test_seed7_full_depth(self):
         space, gen, ps = make_path_space(seed=7, n=4, horizon=3)
         f = random_field(space, 7)
-        report = dilation_identity_check(ps, f, 3, generator=gen, tol=1e-12)
+        report = dilation_identity_check(ps, f, generator=gen, tol=1e-12)
         assert report.passed
 
     def test_level_out_of_range(self):
-        space, gen, ps = make_path_space()
-        with pytest.raises(ValueError):
-            dilation_identity_check(ps, random_field(space, 0), ps.horizon + 1)
+        # a negative level must not index the level array from the end
+        space, _, ps = make_path_space()
+        family = reverse_martingale(ps, random_field(space, 0))
+        for k in (-1, ps.horizon + 1):
+            with pytest.raises(ValueError):
+                level_functional(family, k)
+
+
+def seed_dilation_identity_check(ps, f, k, generator=None):
+    """The per-level check as first written; returns (kernel-power, heat) deviations."""
+    if not 0 <= k <= ps.horizon:
+        raise ValueError("level outside the horizon")
+    family = reverse_martingale(ps, f)
+    conditioned = hat_expectation(ps, level_functional(family, k))
+    q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
+    dev_power = float(np.abs(conditioned.values - q2k).max())
+    dev_heat = None
+    if generator is not None:
+        heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
+        dev_heat = float(np.abs(conditioned.values - heated).max())
+    return dev_power, dev_heat
+
+
+class TestIdentityOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    @pytest.mark.parametrize("with_generator", [False, True])
+    def test_all_levels_equal_max_of_per_level_checks(self, n, horizon, with_generator):
+        for seed in range(3):
+            space, gen, ps = make_path_space(seed=seed, n=n, horizon=horizon)
+            f = random_field(space, seed + 30)
+            generator = gen if with_generator else None
+            per_level = [seed_dilation_identity_check(ps, f, k, generator) for k in range(horizon + 1)]
+            report = dilation_identity_check(ps, f, generator=generator)
+            assert report.deviation_kernel_powers == max(power for power, _ in per_level)
+            if with_generator:
+                assert report.deviation_semigroup == max(heat for _, heat in per_level)
+            else:
+                assert report.deviation_semigroup is None
 
 
 class TestMartingaleTransform:
@@ -238,8 +295,8 @@ class TestMartingaleTransform:
         functional = martingale_transform(ps, np.ones(ps.horizon), f)
         family = reverse_martingale(ps, f)
         paths = all_paths(ps)
-        first = family.levels[0].values[paths[:, 0]]
-        last = family.levels[-1].values[paths[:, -1]]
+        first = family.levels[0][paths[:, 0]]
+        last = family.levels[-1][paths[:, -1]]
         assert np.abs(functional.evaluator(paths) - (last - first)).max() < 1e-12
 
     def test_two_state_hand_values(self):
@@ -282,7 +339,7 @@ class TestTransformIdentity:
         report = transform_expectation_identity(ps, m_values, random_field(space, 11),
                                                 generator=gen, tol=1e-10)
         assert report.passed
-        assert report.deviation_telescoping is not None
+        assert report.deviation_semigroup is not None
 
 
 class TestPathNorms:
@@ -404,12 +461,14 @@ class TestPathTableCache:
         with pytest.raises(ValueError):
             paths[0, 0] = 1
 
-    def test_budget_checked_after_table_is_built(self):
+    def test_budget_checked_after_table_is_built(self, monkeypatch):
         _, _, ps = make_path_space(n=3, horizon=3)
         all_paths(ps)
+        monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", ps.path_count - 1)
         with pytest.raises(EnumerationBudgetError):
-            all_paths(ps, budget=ps.path_count - 1)
-        assert all_paths(ps, budget=ps.path_count).shape == (ps.path_count, ps.horizon + 1)
+            all_paths(ps)
+        monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", ps.path_count)
+        assert all_paths(ps).shape == (ps.path_count, ps.horizon + 1)
 
     def test_cached_weights_are_read_only_step_products(self):
         _, _, ps = make_path_space(n=4, horizon=3)
@@ -439,11 +498,47 @@ class TestPathTableCache:
         assert all(paths[:, k].flags.c_contiguous for k in range(steps))
         assert np.array_equal(transition_products(ps, paths), per_step_products(ps, paths))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    def test_block_sums_equal_bincount(self, n, horizon):
+        _, _, ps = make_path_space(seed=n * horizon + 3, n=n, horizon=horizon)
+        paths = all_paths(ps)
+        count = len(paths)
+        rng = np.random.default_rng([n, horizon])
+        table_weights = transition_products(ps, paths)
+        signed_weights = rng.standard_normal(count) * (rng.random(count) < 0.7)
+        signed_weights[rng.random(count) < 0.3] = -0.0
+        random_values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        values = [
+            random_values,
+            np.where(rng.random(count) < 0.5, random_values, complex(-0.0, -0.0)),
+            np.full(count, complex(-0.0, -0.0)),
+            np.zeros(count, dtype=complex),
+            rng.standard_normal(count),
+        ]
+        for weights in (table_weights, signed_weights, -np.abs(signed_weights)):
+            for svals in values:
+                got = _exact_hat(weights, svals, n)
+                want = seed_exact_hat(paths, weights, svals, n)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_products_before_any_table_build_nothing(self):
         _, _, ps = make_path_space(n=3, horizon=2)
         sample = mc_sampled_paths(ps)[0]
         assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
         assert "_table" not in vars(ps)
+
+
+def seed_exact_hat(paths, weights, values, n):
+    # the per-state accumulation as first written, by bincount over the start column
+    svals = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(svals)):
+        raise ValueError("path functional returned non-finite values")
+    contrib = weights * svals
+    out = np.bincount(paths[:, 0], weights=contrib.real, minlength=n).astype(complex)
+    out += 1j * np.bincount(paths[:, 0], weights=contrib.imag, minlength=n)
+    return out
 
 
 def seed_sample_stratum(ps, rng, count, start):
@@ -521,7 +616,7 @@ class TestSamplerStream:
 
 def seed_transform(ps, m_values, f):
     m = np.asarray(m_values, dtype=complex).ravel()
-    levels = reverse_martingale(ps, f).level_matrix()
+    levels = reverse_martingale(ps, f).levels
 
     def evaluator(paths):
         out = np.zeros(len(paths), dtype=complex)
@@ -533,7 +628,7 @@ def seed_transform(ps, m_values, f):
 
 
 def seed_square_and_maximal(ps, family):
-    levels = family.level_matrix()
+    levels = family.levels
     n_steps = ps.horizon
 
     def square_eval(paths):

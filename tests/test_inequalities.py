@@ -34,6 +34,7 @@ from lapmult import (
     transition_products,
     zero_field,
 )
+from lapmult import dilation
 from lapmult.dilation import PathSpace
 from lapmult.inequalities import LloglChainResult, TransformPnormResult, make_report
 from lapmult.space import _luxemburg_rows
@@ -449,8 +450,8 @@ class TestLloglChainCheck:
 # The single-field L log L chain, the single-p transform check, and the exact
 # reductions and scalar Luxemburg bisection they used, kept verbatim as
 # references: the batched checks must give the same reports bit for bit.
-def single_path_lp_norm(ps, functional, p, budget=DEFAULT_PATH_BUDGET):
-    paths = all_paths(ps, budget)
+def single_path_lp_norm(ps, functional, p):
+    paths = all_paths(ps)
     weights = path_measure(ps, paths)
     avals = np.abs(np.asarray(functional.evaluator(paths)))
     if not np.all(np.isfinite(avals)):
@@ -460,9 +461,9 @@ def single_path_lp_norm(ps, functional, p, budget=DEFAULT_PATH_BUDGET):
     return float((weights @ avals**p) ** (1.0 / p))
 
 
-def single_hat_expectation(ps, functional, budget=DEFAULT_PATH_BUDGET):
+def single_hat_expectation(ps, functional):
     space = ps.kernel.space
-    paths = all_paths(ps, budget)
+    paths = all_paths(ps)
     weights = transition_products(ps, paths)
     svals = np.asarray(functional.evaluator(paths), dtype=complex)
     if not np.all(np.isfinite(svals)):
@@ -497,19 +498,19 @@ def single_llogl_norm(f):
     return 0.5 * (lo + hi)
 
 
-def single_transform_pnorm_check(ps, m_values, f, p, contraction_tol=1e-10, budget=DEFAULT_PATH_BUDGET):
+def single_transform_pnorm_check(ps, m_values, f, p, contraction_tol=1e-10):
     m = np.asarray(m_values, dtype=complex).ravel()
     sup = float(np.abs(m).max()) if m.size else 0.0
     if sup > 0.0:
         m = m / sup
     functional = martingale_transform(ps, m, f)
-    lhs = single_path_lp_norm(ps, functional, p, budget=budget)
+    lhs = single_path_lp_norm(ps, functional, p)
     law = ps.kernel.space.normalized()
     rhs = lp_norm(Field(law, f.values), p)
     report = make_report(
         f"transform-pnorm p={p:g}", lhs, rhs, reference_constant(p), "reference-constant"
     )
-    conditioned = single_hat_expectation(ps, functional, budget=budget)
+    conditioned = single_hat_expectation(ps, functional)
     c_lhs = lp_norm(Field(law, conditioned.values), p)
     if lhs > 0.0:
         excess = max(0.0, (c_lhs - lhs) / lhs)
@@ -637,11 +638,12 @@ class TestBatchedCheckBudget:
             llogl_chain_check(ps, untouchable())
         assert "_table" not in vars(ps)
 
-    def test_transform_pnorm_budget_raised_before_any_field_is_read(self):
+    def test_transform_pnorm_budget_raised_before_any_field_is_read(self, monkeypatch):
         space, _, ps = unit_mass_path_space(n=3, horizon=4)
         wrong_length = np.ones(ps.horizon + 1)  # would be rejected by per-field work
+        monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", ps.path_count - 1)
         with pytest.raises(EnumerationBudgetError):
-            transform_pnorm_check(ps, wrong_length, random_field(space, 0), [2.0], budget=ps.path_count - 1)
+            transform_pnorm_check(ps, wrong_length, random_field(space, 0), [2.0])
         assert "_table" not in vars(ps)
 
     def test_batched_checks_cache_nothing_but_the_table(self):
