@@ -290,7 +290,8 @@ def hat_expectation(
 
     Exact mode enumerates every path; Monte Carlo stratifies on the initial
     state (allocation proportional to nu, at least two samples each) and
-    reports a per-state standard error alongside the estimate.
+    reports a per-state standard error, from the sample variance (ddof 1),
+    alongside the estimate.
     """
     space = ps.kernel.space
     if mode == "exact":
@@ -303,7 +304,7 @@ def hat_expectation(
         for x, count, values in _sampled_strata(ps, functional, seed, samples):
             svals = np.asarray(values, dtype=complex)
             means[x] = svals.mean()
-            stderr[x] = math.sqrt(float(np.var(svals)) / count)
+            stderr[x] = math.sqrt(float(np.var(svals, ddof=1)) / count)
         return MonteCarloField(Field(space, means), stderr)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -320,7 +321,8 @@ def path_lp_norm(
     """||S||_{L^p(P)} over the path measure, exactly or by stratified Monte Carlo.
 
     Monte Carlo mode returns (estimate, standard error) with the error of the
-    p-th-moment estimate propagated through the 1/p power; it requires finite p.
+    p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
+    power; it requires finite p.
     """
     if p < 1.0:
         raise ValueError("p must satisfy p >= 1")
@@ -337,7 +339,7 @@ def path_lp_norm(
         for x, count, values in _sampled_strata(ps, functional, seed, samples):
             avals = np.abs(values) ** p
             moment += nu[x] * float(avals.mean())
-            variance += nu[x] ** 2 * float(np.var(avals)) / count
+            variance += nu[x] ** 2 * float(np.var(avals, ddof=1)) / count
         estimate = moment ** (1.0 / p)
         if moment > 0.0:
             stderr = (1.0 / p) * moment ** (1.0 / p - 1.0) * math.sqrt(variance)

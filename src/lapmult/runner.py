@@ -24,7 +24,7 @@ from .suites import SuiteResult
 
 __all__ = ["RunOutcome", "run_config", "report_json", "inequalities_csv"]
 
-REPORT_SCHEMA = "lapmult-report-1"
+REPORT_SCHEMA = "lapmult-report-2"
 
 # Derived from config.CHECKS.  A module-level dict of plain functions, so that
 # instrumentation can rebind an entry without touching the check table.

@@ -517,6 +517,20 @@ _ROUNDOFF = 64 * float(np.finfo(float).eps)
 _SIGMA = 4.0
 
 
+def _dev_over_se(mc, exact, stderr) -> np.ndarray:
+    """|mc - exact| in standard errors widened by the roundoff allowance.
+
+    The allowance ``_ROUNDOFF`` relative to the larger modulus counts as
+    ``_ROUNDOFF * scale / _SIGMA`` extra standard error, so a comparison
+    passes exactly when its ratio is at most ``_SIGMA``.  The ratio is 0 where
+    the deviation is 0, even where the standard error and the scale are 0.
+    """
+    mc, exact = np.asarray(mc), np.asarray(exact)
+    dev = np.abs(mc - exact)
+    allowance = stderr + _ROUNDOFF * np.maximum(np.abs(exact), np.abs(mc)) / _SIGMA
+    return np.divide(dev, allowance, out=np.zeros_like(dev), where=dev > 0.0)
+
+
 def suite_mc_crosscheck(
     seed: int,
     samples: int,
@@ -540,20 +554,18 @@ def suite_mc_crosscheck(
 
     exact_field = hat_expectation(ps, functional)
     mc = hat_expectation(ps, functional, mode="mc", seed=mc_seed, samples=samples)
-    field_dev = np.abs(mc.field.values - exact_field.values)
-    field_scale = np.maximum(np.abs(exact_field.values), np.abs(mc.field.values))
-    field_ok = bool(np.all(field_dev <= _SIGMA * mc.stderr + _ROUNDOFF * field_scale))
+    field_ratio = float(_dev_over_se(mc.field.values, exact_field.values, mc.stderr).max())
 
     exact_norm = path_lp_norm(ps, functional, 2.0)
     mc_norm, mc_se = path_lp_norm(ps, functional, 2.0, mode="mc", seed=mc_seed, samples=samples)
-    norm_ok = abs(mc_norm - exact_norm) <= _SIGMA * mc_se + _ROUNDOFF * max(exact_norm, mc_norm)
+    norm_ratio = float(_dev_over_se(mc_norm, exact_norm, mc_se))
 
     summary = {
         "samples": samples,
         "sigma": _SIGMA,
-        "max_field_dev_over_se": float((field_dev / np.maximum(mc.stderr, 1e-300)).max()),
-        "norm_dev_over_se": abs(mc_norm - exact_norm) / max(mc_se, 1e-300),
+        "max_field_dev_over_se": field_ratio,
+        "norm_dev_over_se": norm_ratio,
         "exact_norm": exact_norm,
         "mc_norm": mc_norm,
     }
-    return SuiteResult("mc_crosscheck", field_ok and norm_ok, summary)
+    return SuiteResult("mc_crosscheck", field_ratio <= _SIGMA and norm_ratio <= _SIGMA, summary)

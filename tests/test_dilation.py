@@ -209,6 +209,40 @@ class TestHatExpectation:
             hat_expectation(ps, functional, mode="mc")
 
 
+class TestMonteCarloStandardError:
+    # two samples u, v have sample variance (u - v)^2 / 2, so a two-sample
+    # stratum's standard error of the mean is |u - v| / 2
+    @staticmethod
+    def _recorded(ps, functional):
+        drawn = []
+
+        def evaluator(paths):
+            values = functional.evaluator(paths)
+            drawn.append(values)
+            return values
+
+        return PathFunctional(evaluator), drawn
+
+    def test_two_sample_strata(self):
+        space, _, ps = make_path_space(n=4, horizon=3)
+        assert list(_stratum_counts(ps, 1)) == [2, 2, 2, 2]
+        functional = martingale_transform(ps, np.array([1.0, -0.5j, 2.0]), random_field(space, 2))
+
+        recording, drawn = self._recorded(ps, functional)
+        mc = hat_expectation(ps, recording, mode="mc", seed=4, samples=1)
+        for x, (u, v) in enumerate(drawn):
+            assert u != v
+            assert mc.stderr[x] == pytest.approx(abs(u - v) / 2.0, rel=1e-12)
+
+        recording, drawn = self._recorded(ps, functional)
+        _, stderr = path_lp_norm(ps, recording, 2.0, mode="mc", seed=4, samples=1)
+        nu = ps.initial_law
+        moduli = [(abs(u) ** 2, abs(v) ** 2) for u, v in drawn]
+        moment = sum(nu[x] * (u + v) / 2.0 for x, (u, v) in enumerate(moduli))
+        variance = sum(nu[x] ** 2 * (u - v) ** 2 / 4.0 for x, (u, v) in enumerate(moduli))
+        assert stderr == pytest.approx(0.5 * moment ** -0.5 * math.sqrt(variance), rel=1e-12)
+
+
 class TestDilationIdentity:
     def test_level_zero_is_identity(self):
         space, gen, ps = make_path_space()

@@ -34,7 +34,7 @@ from lapmult import (
     transition_products,
     zero_field,
 )
-from lapmult import dilation
+from lapmult import dilation, inequalities
 from lapmult.dilation import PathSpace
 from lapmult.inequalities import LloglChainResult, TransformPnormResult, make_report
 from lapmult.space import _luxemburg_rows
@@ -372,6 +372,33 @@ class TestMultiplierPnormCheck:
                                         [1.25, 1.5, 2.0], probes=64, ascent_steps=10, seed=2)
         assert result.fit_slope is not None
         assert result.fit_intercept is not None
+
+    @staticmethod
+    def _p2_instance():
+        space, gen = random_reversible_generator(9, 7)
+        step = StepMultiplier([0.0, 0.4, 1.3], [1.0 - 0.5j, -0.8])
+        return gen, step, multiplier_operator(gen, step)
+
+    def test_p2_row_is_the_exact_norm(self):
+        gen, step, (op, sup) = self._p2_instance()
+        result = multiplier_pnorm_check(gen, step, [1.5, 2.0], probes=16, ascent_steps=4, seed=3)
+        p2 = result.reports[1]
+        assert p2.lhs == opnorm_exact(op, gen.space, 2.0).value
+        assert p2.ratio == p2.lhs / sup
+        assert p2.lhs >= opnorm_lower_estimate(op, gen.space, 2.0, probes=16, ascent_steps=4, seed=3).value
+
+    def test_p2_row_runs_no_ascent(self, monkeypatch):
+        gen, step, _ = self._p2_instance()
+        ascent_ps = []
+        ascent = inequalities.opnorm_lower_estimate
+
+        def counting(op, space, p, *args):
+            ascent_ps.append(p)
+            return ascent(op, space, p, *args)
+
+        monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
+        multiplier_pnorm_check(gen, step, [1.25, 2.0, 3.0, 2], probes=8, ascent_steps=2, seed=0)
+        assert ascent_ps == [1.25, 3.0]
 
 
 class TestTransformPnormCheck:

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from lapmult.suites import (
     suite_markov_conditions,
     suite_mc_crosscheck,
 )
+from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
 from lapmult import random_reversible_generator
 
 
@@ -76,3 +78,22 @@ def test_mc_crosscheck_passes_on_roundoff_alone(seed):
     result = suite_mc_crosscheck(seed, samples=1000, mc_seed=23, n=1, horizon=4)
     assert result.summary["mc_norm"] != result.summary["exact_norm"]
     assert result.passed
+    assert result.summary["max_field_dev_over_se"] <= result.summary["sigma"]
+    assert result.summary["norm_dev_over_se"] <= result.summary["sigma"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 4])
+def test_mc_crosscheck_ratios_agree_with_the_pass_flag(seed, n):
+    # eight samples fail on these seeds with four states and pass with one,
+    # so both outcomes occur
+    result = suite_mc_crosscheck(seed, samples=8, mc_seed=23, n=n, horizon=4)
+    ratios = (result.summary["max_field_dev_over_se"], result.summary["norm_dev_over_se"])
+    assert result.passed == all(r <= result.summary["sigma"] for r in ratios)
+    assert all(math.isfinite(r) and r >= 0.0 for r in ratios)
+
+
+def test_dev_over_se_is_zero_where_the_deviation_is():
+    ratios = _dev_over_se(np.array([0.0, 1.5, 2.0]), np.array([0.0, 1.5, 1.0]), np.zeros(3))
+    assert ratios[0] == ratios[1] == 0.0
+    assert ratios[2] == 1.0 / (_ROUNDOFF * 2.0 / _SIGMA)
