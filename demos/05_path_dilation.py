@@ -10,6 +10,7 @@ and conditioned martingale transforms recover the multiplier operators.
 import numpy as np
 
 from lapmult import (
+    ExactPaths,
     Field,
     PathSpace,
     dilation_identity_check,
@@ -19,7 +20,6 @@ from lapmult import (
     path_lp_norm,
     random_reversible_generator,
     reverse_martingale,
-    square_and_maximal,
     transform_expectation_identity,
 )
 
@@ -51,10 +51,10 @@ exact = path_lp_norm(ps, transform, 2.0)
 estimate, stderr = path_lp_norm(ps, transform, 2.0, mode="mc", seed=11, samples=20000)
 print(f"||S||_2 exact {exact:.6f}, MC {estimate:.6f} +- {stderr:.6f}")
 
-# the square and maximal functions behind the L^1 theory
-family = reverse_martingale(ps, f)
-square_fn, maximal_fn = square_and_maximal(ps, family)
-print(f"E[square fn] = {path_lp_norm(ps, square_fn, 1.0):.6f}, "
-      f"E[maximal fn] = {path_lp_norm(ps, maximal_fn, 1.0):.6f}")
+# the square and maximal functions behind the L^1 theory, on every enumerated path
+enumerated = ExactPaths(ps)
+levels = reverse_martingale(ps, f)
+print(f"E[square fn] = {enumerated.lp_norm(enumerated.square(levels), 1.0):.6f}, "
+      f"E[maximal fn] = {enumerated.lp_norm(enumerated.maximal(levels), 1.0):.6f}")
 conditioned = hat_expectation(ps, transform)
 print("conditioned transform values:", np.array_str(conditioned.values, precision=4))

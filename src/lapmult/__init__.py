@@ -10,19 +10,17 @@ handed.
 from .dilation import (
     DEFAULT_PATH_BUDGET,
     EnumerationBudgetError,
+    ExactPaths,
     MonteCarloField,
     PathFunctional,
     PathSpace,
-    ReverseMartingaleFamily,
     all_paths,
     dilation_identity_check,
     hat_expectation,
-    level_functional,
     martingale_transform,
     path_lp_norm,
     path_measure,
     reverse_martingale,
-    square_and_maximal,
     transform_expectation_identity,
     transition_products,
 )

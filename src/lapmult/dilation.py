@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .space import Field, same_space
 __all__ = [
     "PathSpace",
     "PathFunctional",
-    "ReverseMartingaleFamily",
+    "ExactPaths",
     "MonteCarloField",
     "EnumerationBudgetError",
     "DEFAULT_PATH_BUDGET",
@@ -31,13 +31,11 @@ __all__ = [
     "path_measure",
     "transition_products",
     "reverse_martingale",
-    "level_functional",
     "hat_expectation",
     "path_lp_norm",
     "dilation_identity_check",
     "martingale_transform",
     "transform_expectation_identity",
-    "square_and_maximal",
 ]
 
 DEFAULT_PATH_BUDGET = 1_000_000
@@ -76,13 +74,14 @@ class PathSpace:
         """Every path and its weight conditional on its start, built once, read-only.
 
         The kernel entries are frozen, so the table can never go stale; callers
-        check the enumeration budget before touching it.
+        check the enumeration budget before touching it.  It lives as long as
+        the space, so code that holds many path spaces holds all their tables.
         """
         steps = self.horizon + 1
         paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
         weights = _step_products(self, paths)
-        paths.flags.writeable = False
-        weights.flags.writeable = False
+        paths.setflags(write=False)
+        weights.setflags(write=False)
         return paths, weights
 
     @functools.cached_property
@@ -94,7 +93,7 @@ class PathSpace:
         row sums, so no draw exceeds it and it is left out.
         """
         cols = np.cumsum(self.kernel.entries, axis=1)[:, :-1].T.copy()
-        cols.flags.writeable = False
+        cols.setflags(write=False)
         return cols
 
 
@@ -107,17 +106,6 @@ class PathFunctional:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True, eq=False)
-class ReverseMartingaleFamily:
-    """Level fields g_k = Q^k f as the rows of a read-only (N+1) x n complex array.
-
-    The path value at level k is ``levels[k][x_k]``.
-    """
-
-    path_space: PathSpace
-    levels: np.ndarray
 
 
 def all_paths(ps: PathSpace) -> np.ndarray:
@@ -169,8 +157,12 @@ def path_measure(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
     return ps.initial_law[paths[:, 0]] * transition_products(ps, paths)
 
 
-def _levels(ps: PathSpace, f: Field) -> np.ndarray:
-    """The level fields g_0 = f, g_{k+1} = Q g_k as the rows of one array."""
+def reverse_martingale(ps: PathSpace, f: Field) -> np.ndarray:
+    """Level fields g_0 = f, g_{k+1} = Q g_k for k = 0..N as the rows of one read-only array.
+
+    The (N+1) x n complex array makes f_k(omega) = ``levels[k][x_k]`` a reverse
+    martingale.
+    """
     if not same_space(ps.kernel.space, f.space):
         raise ValueError("field lives on a different space than the kernel")
     q = ps.kernel.entries
@@ -178,26 +170,126 @@ def _levels(ps: PathSpace, f: Field) -> np.ndarray:
     levels[0] = f.values
     for k in range(ps.horizon):
         levels[k + 1] = q @ levels[k]
+    levels.setflags(write=False)
     return levels
 
 
-def reverse_martingale(ps: PathSpace, f: Field) -> ReverseMartingaleFamily:
-    """Level fields g_k = Q^k f for k = 0..N, so g_0 = f and g_{k+1} = Q g_k."""
-    rows = _levels(ps, f)
-    rows.flags.writeable = False
-    return ReverseMartingaleFamily(ps, rows)
+def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
+    """Per step i, the flattened n x n table of g_{i+1}[y] - g_i[x] at index x*n + y."""
+    return [(levels[i + 1][None, :] - levels[i][:, None]).ravel() for i in range(len(levels) - 1)]
 
 
-def level_functional(family: ReverseMartingaleFamily, k: int) -> PathFunctional:
-    """The level-k martingale value f_k(omega) = g_k(x_k) as a path functional."""
-    if not 0 <= k <= family.path_space.horizon:
-        raise ValueError("level outside the horizon")
-    g = family.levels[k]
+def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    return [mi * increment for mi, increment in zip(m, _increment_tables(levels))]
 
-    def evaluator(paths: np.ndarray) -> np.ndarray:
-        return g[paths[:, k]]
 
-    return PathFunctional(evaluator)
+def _edge_sum(tables: list[np.ndarray], edges: Iterable[np.ndarray], count: int, dtype) -> np.ndarray:
+    """sum_i table_i[edge_i] on each of ``count`` paths, given step i's edge indices edge_i.
+
+    A generator of edge indices holds one step's indices at a time.
+    """
+    out = np.zeros(count, dtype=dtype)
+    for table, edge in zip(tables, edges):
+        out += table.take(edge)
+    return out
+
+
+def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
+    m = np.asarray(m_values, dtype=complex).ravel()
+    if m.size != horizon:
+        raise ValueError(f"need exactly {horizon} multiplier values, got {m.size}")
+    return m
+
+
+class ExactPaths:
+    """Every path of one path space and the exact reductions over them.
+
+    This is the one exact route: exact-mode ``hat_expectation`` and
+    ``path_lp_norm``, both identity checks and the batched transform and
+    L log L checks all go through it.  The constructor fetches the path table,
+    so the enumeration budget is checked before anything else is built.  The
+    conditional weights, the path measure and the per-step edge indices
+    x_i n + x_{i+1} are each built on first use and kept by this object, never
+    by the space: at 4^9 paths the edge indices alone are 8.4 MB of int32.
+
+    Every reduction gives the same bits as a per-path evaluation.  The table
+    lists each start state's paths as one contiguous block, so E[S | x_0] is a
+    running sum along each block, which adds the paths in the order a
+    per-state accumulation would.  The transform and the square function
+    gather, per step i, an n x n edge table of M_i (g_{i+1}[y] - g_i[x]) (for
+    the square function, the squared modulus of the raw increment) at each
+    path's edge index, and the maximal function gathers |g_k| per state, so
+    each value goes through the same operations in the same order.  An L^p
+    norm stays one dot product per functional: a gemv, an ``einsum`` or a
+    ``sum`` over a (functionals x paths) block changes last bits.
+    """
+
+    def __init__(self, ps: PathSpace) -> None:
+        self.ps = ps
+        self.paths = all_paths(ps)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Each path's weight conditional on its start."""
+        return transition_products(self.ps, self.paths)
+
+    @functools.cached_property
+    def measure(self) -> np.ndarray:
+        """Each path's probability P(omega)."""
+        return path_measure(self.ps, self.paths)
+
+    @functools.cached_property
+    def edges(self) -> list[np.ndarray]:
+        """Per step i, each path's edge index x_i n + x_{i+1}."""
+        return [_edge_index(self.paths, i, self.ps.n_states) for i in range(self.ps.horizon)]
+
+    def level(self, levels: np.ndarray, k: int) -> np.ndarray:
+        """The level-k martingale value f_k(omega) = g_k(x_k) on every path."""
+        if not 0 <= k <= self.ps.horizon:
+            raise ValueError("level outside the horizon")
+        return levels[k][self.paths[:, k]]
+
+    def transform(self, levels: np.ndarray, m_values: Sequence[complex]) -> np.ndarray:
+        """S = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)) on every path."""
+        m = _multiplier_row(m_values, self.ps.horizon)
+        return _edge_sum(_transform_tables(levels, m), self.edges, len(self.paths), complex)
+
+    def square(self, levels: np.ndarray) -> np.ndarray:
+        """The square function (sum_i |g_{i+1}(x_{i+1}) - g_i(x_i)|^2)^{1/2} on every path.
+
+        A transform with signs M_i = +-1 has the same square function, so the
+        L log L chain needs only the raw increments.
+        """
+        squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
+        return np.sqrt(_edge_sum(squares, self.edges, len(self.paths), float))
+
+    def maximal(self, levels: np.ndarray) -> np.ndarray:
+        """The maximal function max_k |g_k(x_k)| on every path."""
+        moduli = np.abs(levels)
+        best = moduli[0].take(self.paths[:, 0])
+        for k in range(1, len(moduli)):
+            np.maximum(best, moduli[k].take(self.paths[:, k]), out=best)
+        return best
+
+    def conditioned(self, values: np.ndarray) -> np.ndarray:
+        """E[S | x_0] from S on every path.
+
+        ``+ 0.0`` gives a per-state accumulation's +0.0 where every term is -0.0.
+        """
+        svals = np.asarray(values, dtype=complex)
+        if not np.all(np.isfinite(svals)):
+            raise ValueError("path functional returned non-finite values")
+        blocks = (self.weights * svals).reshape(self.ps.n_states, -1)
+        np.cumsum(blocks, axis=1, out=blocks)
+        return blocks[:, -1] + 0.0
+
+    def lp_norm(self, avals: np.ndarray, p: float) -> float:
+        """||S||_{L^p(P)} from the moduli |S| on every path."""
+        if not np.all(np.isfinite(avals)):
+            raise ValueError("path functional returned non-finite values")
+        if math.isinf(p):
+            return float(avals[self.measure > 0.0].max(initial=0.0))
+        return float((self.measure @ avals**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,31 +345,6 @@ def _sampled_strata(
         yield x, counts[x], values
 
 
-def _exact_hat(weights: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """E[S | x_0] from each table path's weight given its start and S on it.
-
-    The table lists each start state's paths as one contiguous block, and a
-    running sum along the block adds them in table order, as an accumulation
-    from zero would; ``+ 0.0`` gives such an accumulation's +0.0 where every
-    term is -0.0.
-    """
-    svals = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(svals)):
-        raise ValueError("path functional returned non-finite values")
-    blocks = (weights * svals).reshape(n, -1)
-    np.cumsum(blocks, axis=1, out=blocks)
-    return blocks[:, -1] + 0.0
-
-
-def _exact_lp(measure: np.ndarray, avals: np.ndarray, p: float) -> float:
-    """||S||_{L^p(P)} from the path measure and the moduli |S| on every path."""
-    if not np.all(np.isfinite(avals)):
-        raise ValueError("path functional returned non-finite values")
-    if math.isinf(p):
-        return float(avals[measure > 0.0].max(initial=0.0))
-    return float((measure @ avals**p) ** (1.0 / p))
-
-
 def hat_expectation(
     ps: PathSpace,
     functional: PathFunctional,
@@ -295,9 +362,8 @@ def hat_expectation(
     """
     space = ps.kernel.space
     if mode == "exact":
-        paths = all_paths(ps)
-        weights = transition_products(ps, paths)
-        return Field(space, _exact_hat(weights, functional.evaluator(paths), space.n))
+        exact = ExactPaths(ps)
+        return Field(space, exact.conditioned(functional.evaluator(exact.paths)))
     if mode == "mc":
         means = np.empty(space.n, dtype=complex)
         stderr = np.empty(space.n)
@@ -327,9 +393,8 @@ def path_lp_norm(
     if p < 1.0:
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
-        paths = all_paths(ps)
-        measure = path_measure(ps, paths)
-        return _exact_lp(measure, np.abs(np.asarray(functional.evaluator(paths))), p)
+        exact = ExactPaths(ps)
+        return exact.lp_norm(np.abs(np.asarray(functional.evaluator(exact.paths))), p)
     if mode == "mc":
         if math.isinf(p):
             raise ValueError("Monte Carlo mode supports finite p only")
@@ -381,11 +446,12 @@ def dilation_identity_check(
     kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the
     heat operator at time 2k*step is compared independently.
     """
-    family = reverse_martingale(ps, f)
+    exact = ExactPaths(ps)
+    levels = reverse_martingale(ps, f)
     dev_power = 0.0
     dev_heat = None if generator is None else 0.0
     for k in range(ps.horizon + 1):
-        conditioned = hat_expectation(ps, level_functional(family, k)).values
+        conditioned = exact.conditioned(exact.level(levels, k))
         q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
         dev_power = max(dev_power, float(np.abs(conditioned - q2k).max()))
         if generator is not None:
@@ -394,56 +460,15 @@ def dilation_identity_check(
     return IdentityReport(dev_power, dev_heat, tol)
 
 
-def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
-    """Per step i, the flattened n x n table of g_{i+1}[y] - g_i[x] at index x*n + y."""
-    return [(levels[i + 1][None, :] - levels[i][:, None]).ravel() for i in range(len(levels) - 1)]
-
-
-def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
-    return [mi * increment for mi, increment in zip(m, _increment_tables(levels))]
-
-
-def _square_tables(levels: np.ndarray) -> list[np.ndarray]:
-    return [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
-
-
-def _edge_sum(
-    tables: list[np.ndarray], edge: Callable[[int], np.ndarray], count: int, dtype
-) -> np.ndarray:
-    """sum_i table_i[edge(i)] on each of ``count`` paths.
-
-    ``edge(i)`` gives step i's edge indices; each is dropped once it is
-    gathered, so an evaluator that builds them on demand holds one at a time.
-    """
-    out = np.zeros(count, dtype=dtype)
-    for i, table in enumerate(tables):
-        out += table.take(edge(i))
-    return out
-
-
-def _maximal(moduli: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """max_k |g_k(x_k)| on each path."""
-    best = moduli[0].take(paths[:, 0])
-    for k in range(1, len(moduli)):
-        np.maximum(best, moduli[k].take(paths[:, k]), out=best)
-    return best
-
-
-def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
-    m = np.asarray(m_values, dtype=complex).ravel()
-    if m.size != horizon:
-        raise ValueError(f"need exactly {horizon} multiplier values, got {m.size}")
-    return m
-
-
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
     """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform."""
     m = _multiplier_row(m_values, ps.horizon)
     n = ps.n_states
-    tables = _transform_tables(_levels(ps, f), m)
+    tables = _transform_tables(reverse_martingale(ps, f), m)
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
-        return _edge_sum(tables, lambda i: _edge_index(paths, i, n), len(paths), complex)
+        edges = (_edge_index(paths, i, n) for i in range(ps.horizon))
+        return _edge_sum(tables, edges, len(paths), complex)
 
     return PathFunctional(evaluator)
 
@@ -461,9 +486,9 @@ def transform_expectation_identity(
     telescoping multiplier operator, which closes the loop with the step-symbol
     closed form.
     """
+    exact = ExactPaths(ps)
     m = np.asarray(m_values, dtype=complex).ravel()
-    functional = martingale_transform(ps, m, f)
-    conditioned = hat_expectation(ps, functional)
+    conditioned = exact.conditioned(exact.transform(reverse_martingale(ps, f), m))
 
     q = ps.kernel.entries
     q2 = q @ q
@@ -473,65 +498,12 @@ def transform_expectation_identity(
         nxt = power @ q2
         rhs += m[i] * ((nxt - power) @ f.values)
         power = nxt
-    dev_powers = float(np.abs(conditioned.values - rhs).max())
+    dev_powers = float(np.abs(conditioned - rhs).max())
 
     dev_tel = None
     if generator is not None:
         eps = 2.0 * ps.kernel.step
         breakpoints = eps * np.arange(ps.horizon + 1)
         telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)
-        dev_tel = float(np.abs(conditioned.values - telescoped.values).max())
+        dev_tel = float(np.abs(conditioned - telescoped.values).max())
     return IdentityReport(dev_powers, dev_tel, tol)
-
-
-def square_and_maximal(
-    ps: PathSpace, family: ReverseMartingaleFamily
-) -> tuple[PathFunctional, PathFunctional]:
-    """The square function of the martingale increments and the maximal function of the levels.
-
-    A transform with signs M_i = +-1 has the same square function, so the
-    L log L chain needs only the raw increments.
-    """
-    levels = family.levels
-    n = ps.n_states
-    squares = _square_tables(levels)
-    moduli = np.abs(levels)
-
-    def square_eval(paths: np.ndarray) -> np.ndarray:
-        return np.sqrt(_edge_sum(squares, lambda i: _edge_index(paths, i, n), len(paths), float))
-
-    def maximal_eval(paths: np.ndarray) -> np.ndarray:
-        return _maximal(moduli, paths)
-
-    return PathFunctional(square_eval), PathFunctional(maximal_eval)
-
-
-class _ExactPaths:
-    """What every exact functional on one path space shares, built once per call.
-
-    The table, conditional weights, path measure and per-step edge indices of
-    a batch of functionals on one space.  Nothing here is cached on the
-    space: the edge indices alone are N int32 arrays of n^{N+1} entries.
-    """
-
-    def __init__(self, ps: PathSpace) -> None:
-        self.n = ps.n_states
-        self.paths = all_paths(ps)
-        self.weights = transition_products(ps, self.paths)
-        self.measure = path_measure(ps, self.paths)
-        self.edges = [_edge_index(self.paths, i, self.n) for i in range(ps.horizon)]
-
-    def transform(self, levels: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return _edge_sum(_transform_tables(levels, m), self.edges.__getitem__, len(self.paths), complex)
-
-    def square(self, levels: np.ndarray) -> np.ndarray:
-        return np.sqrt(_edge_sum(_square_tables(levels), self.edges.__getitem__, len(self.paths), float))
-
-    def maximal(self, levels: np.ndarray) -> np.ndarray:
-        return _maximal(np.abs(levels), self.paths)
-
-    def lp_norm(self, avals: np.ndarray, p: float) -> float:
-        return _exact_lp(self.measure, avals, p)
-
-    def conditioned(self, values: np.ndarray) -> np.ndarray:
-        return _exact_hat(self.weights, values, self.n)

@@ -19,12 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dilation import (
-    PathSpace,
-    _ExactPaths,
-    _levels,
-    _multiplier_row,
-)
+from .dilation import ExactPaths, PathSpace, reverse_martingale
 from .multiplier import (
     SampledMultiplier,
     StepMultiplier,
@@ -34,7 +29,7 @@ from .multiplier import (
     symbol_of_step,
 )
 from .semigroup import MarkovKernel, ReversibleGenerator
-from .space import Field, WeightedSpace, _luxemburg_rows, lp_norm
+from .space import Field, WeightedSpace, lp_norm, luxemburg_rows
 from .spectral import decompose, operator_matrix
 
 __all__ = [
@@ -56,10 +51,10 @@ __all__ = [
     "ApproximationLimitResult",
 ]
 
-_PASS_SLACK = 1e-9
+PASS_SLACK = 1e-9
 
 # Relative slack by which ||E[S | x_0]||_p may exceed ||S||_p: roundoff only.
-_CONTRACTION_TOL = 1e-10
+CONTRACTION_TOL = 1e-10
 
 _INTERPOLATION_NOTE = (
     "contraction for intermediate 1 < p < inf follows from the "
@@ -116,7 +111,7 @@ def make_report(name: str, lhs: float, rhs: float, threshold: float, provenance:
     if math.isinf(threshold):
         passed = math.isfinite(lhs)
     else:
-        passed = lhs <= threshold * rhs * (1.0 + _PASS_SLACK)
+        passed = lhs <= threshold * rhs * (1.0 + PASS_SLACK)
     return InequalityReport(name, lhs, rhs, ratio, threshold, provenance, passed)
 
 
@@ -361,7 +356,7 @@ class MultiplierPnormResult:
         return all(r.passed for r in self.reports)
 
 
-def _pnorm_growth_fit(
+def pnorm_growth_fit(
     per_p_ratios: Iterable[tuple[float, float]],
 ) -> tuple[float | None, float | None]:
     """Least-squares line of ratio against 1/(p - 1) over the points with p <= 2.
@@ -405,7 +400,7 @@ def multiplier_pnorm_check(
             threshold, provenance = reference_constant(p), "reference-constant"
         report = make_report(f"multiplier-pnorm p={p:g}", estimate.value, sup, threshold, provenance)
         reports.append(report)
-    slope, intercept = _pnorm_growth_fit((float(p), r.ratio) for p, r in zip(p_grid, reports))
+    slope, intercept = pnorm_growth_fit((float(p), r.ratio) for p, r in zip(p_grid, reports))
     return MultiplierPnormResult(tuple(reports), slope, intercept)
 
 
@@ -422,9 +417,9 @@ class TransformPnormResult:
         return self.report.passed and self.contraction_ok
 
 
-def _unit_sup(ps: PathSpace, m_values: Sequence[complex]) -> np.ndarray:
+def _unit_sup(m_values: Sequence[complex]) -> np.ndarray:
     """The multiplier values scaled to sup 1 (left as they are when all zero)."""
-    m = _multiplier_row(m_values, ps.horizon)
+    m = np.asarray(m_values, dtype=complex).ravel()
     sup = float(np.abs(m).max()) if m.size else 0.0
     return m / sup if sup > 0.0 else m
 
@@ -439,12 +434,12 @@ def transform_pnorm_check(
 
     Multiplier values are normalized to sup 1 first (the bound is homogeneous).
     The conditioning step is verified alongside: ||E[S | x_0]||_p never exceeds
-    ||S||_p beyond ``_CONTRACTION_TOL`` relative slack.  The transform's path
+    ||S||_p beyond ``CONTRACTION_TOL`` relative slack.  The transform's path
     values and its conditional expectation do not depend on p, so they are
     computed once for the whole grid.
     """
-    exact = _ExactPaths(ps)
-    values = exact.transform(_levels(ps, f), _unit_sup(ps, m_values))
+    exact = ExactPaths(ps)
+    values = exact.transform(reverse_martingale(ps, f), _unit_sup(m_values))
     moduli = np.abs(values)
     law = ps.kernel.space.normalized()
     field = Field(law, f.values)
@@ -460,7 +455,7 @@ def transform_pnorm_check(
             excess = max(0.0, (c_lhs - lhs) / lhs)
         else:
             excess = 0.0 if c_lhs == 0.0 else math.inf
-        results.append(TransformPnormResult(report, excess, excess <= _CONTRACTION_TOL))
+        results.append(TransformPnormResult(report, excess, excess <= CONTRACTION_TOL))
     return tuple(results)
 
 
@@ -499,10 +494,10 @@ def llogl_chain_check(
     space = ps.kernel.space
     if abs(space.total_mass - 1.0) > 1e-9:
         raise ValueError("the L log L chain needs a unit-mass space")
-    exact = _ExactPaths(ps)
-    pairs = [(_unit_sup(ps, m_values), _levels(ps, f)) for m_values, f in batch]
+    exact = ExactPaths(ps)
+    pairs = [(_unit_sup(m_values), reverse_martingale(ps, f)) for m_values, f in batch]
     moduli = np.abs([levels[0] for _, levels in pairs]).reshape(len(pairs), space.n)
-    llogls = _luxemburg_rows(moduli, space.weights)
+    llogls = luxemburg_rows(moduli, space.weights)
 
     inf = math.inf
     results = []

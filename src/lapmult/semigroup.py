@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import WeightedSpace, _frozen
+from .space import WeightedSpace
 from .spectral import decompose, operator_matrix
 
 __all__ = [
@@ -53,7 +53,8 @@ class ReversibleGenerator:
         defect = np.abs(w[:, None] * a - (w[:, None] * a).T).max()
         if defect > tol * max(1.0, float(w.max())):
             raise ValueError("generator violates detailed balance")
-        object.__setattr__(self, "entries", _frozen(a))
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
 
     def to_dict(self) -> dict:
         """Dense row-major serialization with the weight vector."""
@@ -86,7 +87,8 @@ class MarkovKernel:
             raise ValueError("kernel entries must be finite")
         if not (self.step >= 0.0 and math.isfinite(self.step)):
             raise ValueError("kernel step must be a finite nonnegative real")
-        object.__setattr__(self, "entries", _frozen(q))
+        q.setflags(write=False)
+        object.__setattr__(self, "entries", q)
 
     def to_dict(self) -> dict:
         """Dense row-major serialization with the weight vector."""

@@ -18,11 +18,6 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedSpace:
     """Finite state set {0, ..., n-1} carrying strictly positive point masses dx_i."""
@@ -35,7 +30,8 @@ class WeightedSpace:
             raise ValueError("weights must form a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", _frozen(w))
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -71,7 +67,8 @@ class Field:
             raise ValueError(f"expected {self.space.n} values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _frozen(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     def __add__(self, other: "Field") -> "Field":
         if not same_space(self.space, other.space):
@@ -130,7 +127,7 @@ def _orlicz_integrals(a: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray
     return np.array([row @ w for row in phi])
 
 
-def _luxemburg_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def luxemburg_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Luxemburg norm of each row of moduli ``a``, each row bisected as on its own.
 
     Every row takes the same sequence of brackets it would take alone; rows
@@ -159,4 +156,4 @@ def llogl_norm(f: Field) -> float:
     Since Phi(s) >= s the L^1 norm is a valid lower bracket, and the target
     integral is strictly decreasing in k, so bisection converges.
     """
-    return float(_luxemburg_rows(np.abs(f.values)[None, :], f.space.weights)[0])
+    return float(luxemburg_rows(np.abs(f.values)[None, :], f.space.weights)[0])

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import Field, WeightedSpace, _frozen, same_space
+from .space import Field, WeightedSpace, same_space
 
 __all__ = [
     "SpectralDecomposition",
@@ -40,8 +40,10 @@ class SpectralDecomposition:
         n = self.space.n
         if lam.shape != (n,) or u.shape != (n, n):
             raise ValueError("decomposition arrays have wrong shape")
-        object.__setattr__(self, "eigenvalues", _frozen(lam))
-        object.__setattr__(self, "eigenfields", _frozen(u))
+        lam.setflags(write=False)
+        u.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenfields", u)
 
     def eigenfield(self, k: int) -> Field:
         return Field(self.space, self.eigenfields[:, k])

@@ -22,16 +22,16 @@ from .dilation import (
     transform_expectation_identity,
 )
 from .inequalities import (
-    _CONTRACTION_TOL,
-    _PASS_SLACK,
+    CONTRACTION_TOL,
+    PASS_SLACK,
     InequalityReport,
-    _pnorm_growth_fit,
     approximation_limit_check,
     llogl_chain_check,
     make_report,
     multiplier_operator,
     multiplier_pnorm_check,
     opnorm_exact,
+    pnorm_growth_fit,
     transform_pnorm_check,
     verify_markov_conditions,
 )
@@ -193,7 +193,7 @@ def suite_l2_bound(
         "instances": instances,
         "violations": violations,
         "worst_ratio": worst_ratio,
-        "slack": _PASS_SLACK,
+        "slack": PASS_SLACK,
     }
     return SuiteResult("l2_bound", violations == 0, summary)
 
@@ -301,7 +301,7 @@ def suite_multiplier_pnorm_family(
             if prev is None or report.ratio > prev.ratio:
                 worst[p] = report
     reports = tuple(worst[p] for p in grid)
-    slope, intercept = _pnorm_growth_fit((p, r.ratio) for p, r in worst.items())
+    slope, intercept = pnorm_growth_fit((p, r.ratio) for p, r in worst.items())
     summary = {
         "instances": instances,
         "p_grid": [float(p) for p in p_grid],
@@ -325,7 +325,7 @@ def suite_transform_pnorm(
 ) -> SuiteResult:
     """Exact path-space transform bounds with random sign multipliers."""
     grid = [float(p) for p in p_grid]
-    worst: dict[str, InequalityReport] = {}
+    worst: dict[float, InequalityReport] = {}
     contraction_ok = True
     worst_excess = 0.0
     for i, (_, ps, probe) in enumerate(
@@ -333,20 +333,20 @@ def suite_transform_pnorm(
     ):
         rng = np.random.default_rng([seed, i, 3])
         signs = rng.choice([-1.0, 1.0], ps.horizon)
-        for result in transform_pnorm_check(ps, signs, probe, grid):
+        for p, result in zip(grid, transform_pnorm_check(ps, signs, probe, grid)):
             report = result.report
-            prev = worst.get(report.name)
+            prev = worst.get(p)
             if prev is None or report.ratio > prev.ratio:
-                worst[report.name] = report
+                worst[p] = report
             contraction_ok = contraction_ok and result.contraction_ok
             worst_excess = max(worst_excess, result.contraction_excess)
-    reports = tuple(worst[name] for name in sorted(worst))
+    reports = tuple(worst[p] for p in grid)
     summary = {
         "instances": instances,
         "p_grid": grid,
         "contraction_ok": contraction_ok,
         "worst_contraction_excess": worst_excess,
-        "contraction_tol": _CONTRACTION_TOL,
+        "contraction_tol": CONTRACTION_TOL,
     }
     passed = contraction_ok and all(r.passed for r in reports)
     return SuiteResult("transform_pnorm", passed, summary, reports)

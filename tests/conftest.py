@@ -19,3 +19,23 @@ def random_field(space, seed, real=False):
     if not real:
         values = values + 1j * rng.standard_normal(space.n)
     return Field(space, values)
+
+
+def seed_square_and_maximal(ps, levels):
+    """The square and maximal function evaluators as first written, one gather per level and step."""
+    n_steps = ps.horizon
+
+    def square_eval(paths):
+        acc = np.zeros(len(paths))
+        for i in range(n_steps):
+            inc = levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]]
+            acc += np.abs(inc) ** 2
+        return np.sqrt(acc)
+
+    def maximal_eval(paths):
+        best = np.abs(levels[0][paths[:, 0]])
+        for k in range(1, n_steps + 1):
+            best = np.maximum(best, np.abs(levels[k][paths[:, k]]))
+        return best
+
+    return square_eval, maximal_eval

@@ -8,6 +8,7 @@ import pytest
 
 from lapmult import (
     EnumerationBudgetError,
+    ExactPaths,
     Field,
     MarkovKernel,
     PathSpace,
@@ -17,21 +18,19 @@ from lapmult import (
     dilation_identity_check,
     hat_expectation,
     heat_operator,
-    level_functional,
     lp_norm,
     martingale_transform,
     path_lp_norm,
     path_measure,
     random_reversible_generator,
     reverse_martingale,
-    square_and_maximal,
     transform_expectation_identity,
     transition_products,
 )
 from lapmult import dilation
-from lapmult.dilation import PathFunctional, _exact_hat, _sample_stratum, _stratum_counts
+from lapmult.dilation import PathFunctional, _sample_stratum, _stratum_counts
 
-from conftest import random_field
+from conftest import random_field, seed_square_and_maximal
 
 
 def make_path_space(seed=7, n=4, horizon=5, epsilon=0.8):
@@ -67,6 +66,8 @@ class TestPathSpace:
         monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", 100)
         with pytest.raises(EnumerationBudgetError):
             all_paths(ps)
+        with pytest.raises(EnumerationBudgetError):
+            ExactPaths(ps)
 
     def test_path_measure_is_probability(self):
         _, _, ps = make_path_space()
@@ -100,27 +101,27 @@ class TestReverseMartingale:
     def test_level_zero_is_f(self):
         space, _, ps = make_path_space()
         f = random_field(space, 0)
-        family = reverse_martingale(ps, f)
-        assert np.array_equal(family.levels[0], f.values)
+        levels = reverse_martingale(ps, f)
+        assert np.array_equal(levels[0], f.values)
 
     def test_two_state_flip_closed_form(self):
         # one kernel step sends (1, -1) to (1-2q)(1, -1)
         q = 0.3
         space, ps = two_state_flip_space(q, horizon=1)
-        family = reverse_martingale(ps, Field(space, [1.0, -1.0]))
-        assert np.abs(family.levels[1] - (1 - 2 * q) * np.array([1, -1])).max() < 1e-14
+        levels = reverse_martingale(ps, Field(space, [1.0, -1.0]))
+        assert np.abs(levels[1] - (1 - 2 * q) * np.array([1, -1])).max() < 1e-14
 
     def test_constant_fixed_by_conservation(self):
         space, _, ps = make_path_space()
-        family = reverse_martingale(ps, constant_field(space, 2.0 + 1.0j))
-        for level in family.levels:
+        levels = reverse_martingale(ps, constant_field(space, 2.0 + 1.0j))
+        for level in levels:
             assert np.abs(level - (2.0 + 1.0j)).max() < 1e-12
 
     @pytest.mark.parametrize("n,horizon", [(1, 0), (2, 1), (5, 4)])
     def test_levels_are_one_read_only_array(self, n, horizon):
         space, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
         f = random_field(space, n)
-        levels = reverse_martingale(ps, f).levels
+        levels = reverse_martingale(ps, f)
         assert levels.shape == (horizon + 1, n) and levels.dtype == complex
         assert not levels.flags.writeable
         assert np.array_equal(levels[0], f.values)
@@ -131,15 +132,15 @@ class TestReverseMartingale:
         # conditional expectation given the suffix sigma-algebra
         space, _, ps = make_path_space(n=3, horizon=3)
         f = random_field(space, 1)
-        family = reverse_martingale(ps, f)
+        levels = reverse_martingale(ps, f)
         q = ps.kernel.entries
         for k in range(ps.horizon):
-            assert np.abs(q @ family.levels[k] - family.levels[k + 1]).max() < 1e-12
+            assert np.abs(q @ levels[k] - levels[k + 1]).max() < 1e-12
 
         paths = all_paths(ps)
         weights = path_measure(ps, paths)
         k = 1
-        values_k = family.levels[k][paths[:, k]]
+        values_k = levels[k][paths[:, k]]
         suffix_code = paths[:, k + 1]
         for extra in range(k + 2, ps.horizon + 1):
             suffix_code = suffix_code * ps.n_states + paths[:, extra]
@@ -154,7 +155,7 @@ class TestReverseMartingale:
         for idx, code in enumerate(suffix_code):
             representative.setdefault(int(code), idx)
         for code, idx in representative.items():
-            expected = family.levels[k + 1][paths[idx, k + 1]]
+            expected = levels[k + 1][paths[idx, k + 1]]
             assert conditional[code] == pytest.approx(expected, abs=1e-12)
 
 
@@ -166,15 +167,16 @@ class TestHatExpectation:
         out = hat_expectation(ps, functional)
         assert np.abs(out.values - f.values).max() < 1e-12
 
-    def test_level_functional_gives_kernel_power(self):
+    def test_exact_level_gives_kernel_power(self):
         space, _, ps = make_path_space(n=4, horizon=4)
         f = random_field(space, 3)
-        family = reverse_martingale(ps, f)
+        levels = reverse_martingale(ps, f)
+        exact = ExactPaths(ps)
         q = ps.kernel.entries
         for k in range(ps.horizon + 1):
-            out = hat_expectation(ps, level_functional(family, k))
+            out = exact.conditioned(exact.level(levels, k))
             expected = np.linalg.matrix_power(q, 2 * k) @ f.values
-            assert np.abs(out.values - expected).max() < 1e-11
+            assert np.abs(out - expected).max() < 1e-11
 
     def test_against_pure_python_enumeration(self):
         space, _, ps = make_path_space(n=3, horizon=2)
@@ -182,8 +184,8 @@ class TestHatExpectation:
         m_values = np.array([0.5 - 1.0j, -1.2])
         functional = martingale_transform(ps, m_values, f)
         fast = hat_expectation(ps, functional)
-        family = reverse_martingale(ps, f)
-        levels = family.levels
+        levels = reverse_martingale(ps, f)
+        exact = ExactPaths(ps)
 
         def evaluate_path(path):
             return sum(
@@ -193,6 +195,10 @@ class TestHatExpectation:
 
         slow = brute_force_conditional(ps, evaluate_path)
         assert np.abs(fast.values - slow).max() < 1e-13
+        assert np.abs(exact.conditioned(exact.transform(levels, m_values)) - slow).max() < 1e-13
+        for k in range(ps.horizon + 1):
+            by_loops = brute_force_conditional(ps, lambda path: levels[k][path[k]])
+            assert np.abs(exact.conditioned(exact.level(levels, k)) - by_loops).max() < 1e-13
 
     def test_mc_agrees_with_exact(self):
         space, _, ps = make_path_space(n=4, horizon=4)
@@ -247,8 +253,9 @@ class TestDilationIdentity:
     def test_level_zero_is_identity(self):
         space, gen, ps = make_path_space()
         f = random_field(space, 6)
-        out = hat_expectation(ps, level_functional(reverse_martingale(ps, f), 0))
-        assert np.abs(out.values - f.values).max() < 1e-13
+        exact = ExactPaths(ps)
+        out = exact.conditioned(exact.level(reverse_martingale(ps, f), 0))
+        assert np.abs(out - f.values).max() < 1e-13
         assert dilation_identity_check(ps, f, generator=gen).passed
 
     def test_two_state_hand_enumeration(self):
@@ -263,9 +270,9 @@ class TestDilationIdentity:
                 q * g1[0] + (1 - q) * g1[1],
             ]
         )
-        family = reverse_martingale(ps, f)
-        out = hat_expectation(ps, level_functional(family, 1))
-        assert np.abs(out.values - by_hand).max() < 1e-14
+        exact = ExactPaths(ps)
+        out = exact.conditioned(exact.level(reverse_martingale(ps, f), 1))
+        assert np.abs(out - by_hand).max() < 1e-14
         report = dilation_identity_check(ps, f)
         assert report.passed
 
@@ -278,18 +285,19 @@ class TestDilationIdentity:
     def test_level_out_of_range(self):
         # a negative level must not index the level array from the end
         space, _, ps = make_path_space()
-        family = reverse_martingale(ps, random_field(space, 0))
+        levels = reverse_martingale(ps, random_field(space, 0))
+        exact = ExactPaths(ps)
         for k in (-1, ps.horizon + 1):
             with pytest.raises(ValueError):
-                level_functional(family, k)
+                exact.level(levels, k)
 
 
 def seed_dilation_identity_check(ps, f, k, generator=None):
     """The per-level check as first written; returns (kernel-power, heat) deviations."""
     if not 0 <= k <= ps.horizon:
         raise ValueError("level outside the horizon")
-    family = reverse_martingale(ps, f)
-    conditioned = hat_expectation(ps, level_functional(family, k))
+    g = reverse_martingale(ps, f)[k]
+    conditioned = hat_expectation(ps, PathFunctional(lambda paths: g[paths[:, k]]))
     q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
     dev_power = float(np.abs(conditioned.values - q2k).max())
     dev_heat = None
@@ -327,10 +335,10 @@ class TestMartingaleTransform:
         space, _, ps = make_path_space(n=3, horizon=4)
         f = random_field(space, 9)
         functional = martingale_transform(ps, np.ones(ps.horizon), f)
-        family = reverse_martingale(ps, f)
+        levels = reverse_martingale(ps, f)
         paths = all_paths(ps)
-        first = family.levels[0][paths[:, 0]]
-        last = family.levels[-1][paths[:, -1]]
+        first = levels[0][paths[:, 0]]
+        last = levels[-1][paths[:, -1]]
         assert np.abs(functional.evaluator(paths) - (last - first)).max() < 1e-12
 
     def test_two_state_hand_values(self):
@@ -346,8 +354,11 @@ class TestMartingaleTransform:
 
     def test_length_mismatch_rejected(self):
         space, _, ps = make_path_space()
+        f = random_field(space, 0)
         with pytest.raises(ValueError):
-            martingale_transform(ps, np.ones(ps.horizon + 1), random_field(space, 0))
+            martingale_transform(ps, np.ones(ps.horizon + 1), f)
+        with pytest.raises(ValueError):
+            ExactPaths(ps).transform(reverse_martingale(ps, f), np.ones(ps.horizon + 1))
 
 
 class TestTransformIdentity:
@@ -430,36 +441,55 @@ def test_non_finite_path_values_rejected(reduce, bad, mode):
 class TestSquareAndMaximal:
     def test_constant_field(self):
         space, _, ps = make_path_space()
-        family = reverse_martingale(ps, constant_field(space, 3.0))
-        square_fn, maximal_fn = square_and_maximal(ps, family)
-        paths = all_paths(ps)
-        assert np.abs(square_fn.evaluator(paths)).max() < 1e-12
-        assert np.abs(maximal_fn.evaluator(paths) - 3.0).max() < 1e-12
+        levels = reverse_martingale(ps, constant_field(space, 3.0))
+        exact = ExactPaths(ps)
+        assert np.abs(exact.square(levels)).max() < 1e-12
+        assert np.abs(exact.maximal(levels) - 3.0).max() < 1e-12
 
     def test_two_state_hand_evaluation(self):
         q = 0.2
         space, ps = two_state_flip_space(q, horizon=1)
         f = Field(space, [1.0, -1.0])
-        family = reverse_martingale(ps, f)
-        square_fn, maximal_fn = square_and_maximal(ps, family)
-        paths = all_paths(ps)
+        levels = reverse_martingale(ps, f)
+        exact = ExactPaths(ps)
+        paths = exact.paths
         g1 = (1 - 2 * q) * np.array([1.0, -1.0])
         sq_expected = np.abs(g1[paths[:, 1]] - f.values[paths[:, 0]])
         mx_expected = np.maximum(np.abs(f.values[paths[:, 0]]), np.abs(g1[paths[:, 1]]))
-        assert np.abs(square_fn.evaluator(paths) - sq_expected).max() < 1e-14
-        assert np.abs(maximal_fn.evaluator(paths) - mx_expected).max() < 1e-14
+        assert np.abs(exact.square(levels) - sq_expected).max() < 1e-14
+        assert np.abs(exact.maximal(levels) - mx_expected).max() < 1e-14
 
     def test_cauchy_schwarz_pathwise(self):
         # with all M_i = 1: |S| <= sqrt(N) * square function on every path
         space, _, ps = make_path_space(n=3, horizon=4)
         f = random_field(space, 14)
-        family = reverse_martingale(ps, f)
-        square_fn, _ = square_and_maximal(ps, family)
+        exact = ExactPaths(ps)
         transform = martingale_transform(ps, np.ones(ps.horizon), f)
-        paths = all_paths(ps)
-        lhs = np.abs(transform.evaluator(paths))
-        rhs = math.sqrt(ps.horizon) * square_fn.evaluator(paths)
+        lhs = np.abs(transform.evaluator(exact.paths))
+        rhs = math.sqrt(ps.horizon) * exact.square(reverse_martingale(ps, f))
         assert np.all(lhs <= rhs + 1e-12)
+
+
+class TestExactPaths:
+    def test_reductions_build_only_what_they_read(self, monkeypatch):
+        # an exact hat_expectation needs the conditional weights alone, an
+        # exact path_lp_norm the path measure alone; neither needs edge indices
+        built = []
+
+        class Recording(ExactPaths):
+            def __init__(self, ps):
+                super().__init__(ps)
+                built.append(self)
+
+        monkeypatch.setattr(dilation, "ExactPaths", Recording)
+        space, _, ps = make_path_space(n=3, horizon=3)
+        functional = martingale_transform(ps, np.ones(ps.horizon), random_field(space, 15))
+        hat_expectation(ps, functional)
+        path_lp_norm(ps, functional, 2.0)
+        hat, norm = built
+        assert {"weights", "measure", "edges"} & set(vars(hat)) == {"weights"}
+        assert hat.weights is transition_products(ps, all_paths(ps))
+        assert {"weights", "measure", "edges"} & set(vars(norm)) == {"measure"}
 
 
 def mc_sampled_paths(ps, seed=5, samples=300):
@@ -536,10 +566,11 @@ class TestPathTableCache:
     @pytest.mark.parametrize("horizon", [0, 1, 4])
     def test_block_sums_equal_bincount(self, n, horizon):
         _, _, ps = make_path_space(seed=n * horizon + 3, n=n, horizon=horizon)
-        paths = all_paths(ps)
+        exact = ExactPaths(ps)
+        paths = exact.paths
         count = len(paths)
         rng = np.random.default_rng([n, horizon])
-        table_weights = transition_products(ps, paths)
+        table_weights = exact.weights
         signed_weights = rng.standard_normal(count) * (rng.random(count) < 0.7)
         signed_weights[rng.random(count) < 0.3] = -0.0
         random_values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
@@ -551,8 +582,9 @@ class TestPathTableCache:
             rng.standard_normal(count),
         ]
         for weights in (table_weights, signed_weights, -np.abs(signed_weights)):
+            exact.weights = weights
             for svals in values:
-                got = _exact_hat(weights, svals, n)
+                got = exact.conditioned(svals)
                 want = seed_exact_hat(paths, weights, svals, n)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
@@ -645,12 +677,13 @@ class TestSamplerStream:
         assert [len(paths) for paths in mc_sampled_paths(ps, samples=samples)] == list(counts)
 
 
-# The path functionals as first written, one gather per level and step; the
-# table-gather evaluators must agree with them bit for bit.
+# The path functionals as first written, one gather per level and step (the
+# square and maximal functions are in conftest); the table-gather evaluators
+# must agree with them bit for bit.
 
 def seed_transform(ps, m_values, f):
     m = np.asarray(m_values, dtype=complex).ravel()
-    levels = reverse_martingale(ps, f).levels
+    levels = reverse_martingale(ps, f)
 
     def evaluator(paths):
         out = np.zeros(len(paths), dtype=complex)
@@ -659,26 +692,6 @@ def seed_transform(ps, m_values, f):
         return out
 
     return evaluator
-
-
-def seed_square_and_maximal(ps, family):
-    levels = family.levels
-    n_steps = ps.horizon
-
-    def square_eval(paths):
-        acc = np.zeros(len(paths))
-        for i in range(n_steps):
-            inc = levels[i + 1][paths[:, i + 1]] - levels[i][paths[:, i]]
-            acc += np.abs(inc) ** 2
-        return np.sqrt(acc)
-
-    def maximal_eval(paths):
-        best = np.abs(levels[0][paths[:, 0]])
-        for k in range(1, n_steps + 1):
-            best = np.maximum(best, np.abs(levels[k][paths[:, k]]))
-        return best
-
-    return square_eval, maximal_eval
 
 
 class TestEvaluatorOracle:
@@ -690,15 +703,20 @@ class TestEvaluatorOracle:
         f = random_field(space, n + horizon, real=real_field)
         rng = np.random.default_rng(n * horizon)
         m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
-        family = reverse_martingale(ps, f)
+        levels = reverse_martingale(ps, f)
+        transform = seed_transform(ps, m_values, f)
+        square, maximal = seed_square_and_maximal(ps, levels)
+        exact = ExactPaths(ps)
         pairs = [
-            (martingale_transform(ps, m_values, f).evaluator, seed_transform(ps, m_values, f)),
-            *zip((fn.evaluator for fn in square_and_maximal(ps, family)),
-                 seed_square_and_maximal(ps, family)),
+            (exact.transform(levels, m_values), transform(exact.paths)),
+            (exact.square(levels), square(exact.paths)),
+            (exact.maximal(levels), maximal(exact.paths)),
+            *((exact.level(levels, k), levels[k][exact.paths[:, k]]) for k in range(horizon + 1)),
         ]
-        tables = [all_paths(ps), *mc_sampled_paths(ps, seed=horizon, samples=200)]
-        for paths in tables:
-            for new, old in pairs:
-                got, want = new(paths), old(paths)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+        # Monte Carlo evaluates the transform alone, on the sampled paths
+        sampled = martingale_transform(ps, m_values, f).evaluator
+        for paths in [exact.paths, *mc_sampled_paths(ps, seed=horizon, samples=200)]:
+            pairs.append((sampled(paths), transform(paths)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

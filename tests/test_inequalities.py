@@ -7,6 +7,7 @@ import pytest
 from lapmult import (
     DEFAULT_PATH_BUDGET,
     EnumerationBudgetError,
+    ExactPaths,
     Field,
     NormEstimate,
     SampledMultiplier,
@@ -29,17 +30,16 @@ from lapmult import (
     random_reversible_generator,
     reference_constant,
     reverse_martingale,
-    square_and_maximal,
     transform_pnorm_check,
     transition_products,
     zero_field,
 )
 from lapmult import dilation, inequalities
-from lapmult.dilation import PathSpace
+from lapmult.dilation import PathFunctional, PathSpace
 from lapmult.inequalities import LloglChainResult, TransformPnormResult, make_report
-from lapmult.space import _luxemburg_rows
+from lapmult.space import luxemburg_rows
 
-from conftest import random_field
+from conftest import random_field, seed_square_and_maximal
 
 
 def unit_mass_path_space(seed=7, n=4, horizon=5, epsilon=0.8):
@@ -453,15 +453,11 @@ class TestLloglChainCheck:
     def test_square_function_pathwise_sanity(self):
         # every increment is at most 2 sup_i |f_i|, so the square function is
         # bounded by 2 sqrt(N) times the maximal function on every path
-        from lapmult import all_paths, reverse_martingale, square_and_maximal
-
         space, gen, ps = unit_mass_path_space(n=3, horizon=4)
-        f = random_field(space, 4)
-        family = reverse_martingale(ps, f)
-        square_fn, maximal_fn = square_and_maximal(ps, family)
-        paths = all_paths(ps)
-        lhs = square_fn.evaluator(paths)
-        rhs = 2.0 * math.sqrt(ps.horizon) * maximal_fn.evaluator(paths)
+        levels = reverse_martingale(ps, random_field(space, 4))
+        exact = ExactPaths(ps)
+        lhs = exact.square(levels)
+        rhs = 2.0 * math.sqrt(ps.horizon) * exact.maximal(levels)
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_random_instance_all_finite(self):
@@ -476,7 +472,9 @@ class TestLloglChainCheck:
 
 # The single-field L log L chain, the single-p transform check, and the exact
 # reductions and scalar Luxemburg bisection they used, kept verbatim as
-# references: the batched checks must give the same reports bit for bit.
+# references (the square and maximal functions are the seed evaluators in
+# conftest): the batched checks through ExactPaths must give the same reports
+# bit for bit.
 def single_path_lp_norm(ps, functional, p):
     paths = all_paths(ps)
     weights = path_measure(ps, paths)
@@ -554,8 +552,7 @@ def single_llogl_chain_check(ps, m_values, f):
     sup = float(np.abs(m).max()) if m.size else 0.0
     if sup > 0.0:
         m = m / sup
-    family = reverse_martingale(ps, f)
-    square_fn, maximal_fn = square_and_maximal(ps, family)
+    square_fn, maximal_fn = map(PathFunctional, seed_square_and_maximal(ps, reverse_martingale(ps, f)))
     transform = martingale_transform(ps, m, f)
 
     e_transform = single_path_lp_norm(ps, transform, 1.0)
@@ -646,7 +643,7 @@ class TestLuxemburgOracle:
             if case % 7 == 0:
                 fields.append(zero_field(space))
             moduli = np.abs([f.values for f in fields])
-            got = _luxemburg_rows(moduli, space.weights).tolist()
+            got = luxemburg_rows(moduli, space.weights).tolist()
             assert got == [single_llogl_norm(f) for f in fields]
             assert [llogl_norm(f) for f in fields] == got
 

@@ -3,6 +3,7 @@
 The order is space -> spectral -> semigroup -> multiplier -> dilation ->
 inequalities -> suites -> config/runner -> cli; a module may import its own
 rank or below, and only at module level, never deferred inside a function.
+No module takes another module's private (underscore) name.
 """
 
 import ast
@@ -77,3 +78,27 @@ def test_import_leaves_scipy_special_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "[]"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_name_crosses_modules():
+    # `from .x import _y`, or `x._y` after `from . import x`
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module:
+                    crossings += [f"{path.stem}.py:{node.lineno} imports {node.module}.{a.name}"
+                                  for a in node.names if _private(a.name)]
+                else:
+                    modules.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                crossings.append(f"{path.stem}.py:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert not crossings, crossings

@@ -11,6 +11,7 @@ from lapmult.suites import (
     suite_llogl_chain,
     suite_markov_conditions,
     suite_mc_crosscheck,
+    suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
 from lapmult import random_reversible_generator
@@ -48,6 +49,20 @@ def test_step_family_respects_bounds():
         assert 2 <= gen.space.n <= 9
         assert 1 <= step.values.size <= 4
         assert probe.values.size == gen.space.n
+
+
+def test_transform_pnorm_rows_follow_the_grid():
+    # one row per grid entry, in grid order, each the family's worst at its p;
+    # ordering by row name would put p=12 before p=2 and merge a repeated p
+    def rows(grid):
+        result = suite_transform_pnorm(4, 3, grid, max_n=4, max_horizon=3)
+        assert result.passed
+        return [r.to_dict() for r in result.inequalities]
+
+    got = rows([2, 12, 1.5, 2])
+    assert [r["name"] for r in got] == [f"transform-pnorm p={p}" for p in ("2", "12", "1.5", "2")]
+    assert got[3] == got[0]
+    assert got[:3] == rows([2]) + rows([12]) + rows([1.5])
 
 
 def test_markov_conditions_suite_serializes_kernel():
