@@ -32,18 +32,18 @@ print(f"{ps.n_states} states, horizon {ps.horizon}: {ps.path_count} paths")
 rng = np.random.default_rng(3)
 f = Field(space, rng.standard_normal(4) + 1j * rng.standard_normal(4))
 
-# every level k = 0..N at once; the report keeps the largest deviations
-report = dilation_identity_check(ps, f, generator=gen)
+# every level k = 0..N at once; the check returns the largest deviations
+dev_power, dev_heat = dilation_identity_check(ps, f, generator=gen)
 print("dilation identity deviations, max over k:",
-      f"{report.deviation_kernel_powers:.2e} (E[f_k|x0] vs Q^(2k) f),",
-      f"{report.deviation_semigroup:.2e} (vs T^(k eps) f)")
+      f"{dev_power:.2e} (E[f_k|x0] vs Q^(2k) f),",
+      f"{dev_heat:.2e} (vs T^(k eps) f)")
 
 # a martingale transform and its conditioned closed form
 m_values = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-identity = transform_expectation_identity(ps, m_values, f, generator=gen)
+dev_power, dev_tel = transform_expectation_identity(ps, m_values, f, generator=gen)
 print("transform identity deviations:",
-      f"{identity.deviation_kernel_powers:.2e} (kernel powers),",
-      f"{identity.deviation_semigroup:.2e} (telescoped operator)")
+      f"{dev_power:.2e} (kernel powers),",
+      f"{dev_tel:.2e} (telescoped operator)")
 
 # path-space L^p norms, exactly and by stratified Monte Carlo
 transform = martingale_transform(ps, m_values, f)

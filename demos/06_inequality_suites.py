@@ -23,6 +23,7 @@ from lapmult import (
     reference_constant,
     transform_pnorm_check,
 )
+from lapmult.inequalities import pnorm_growth_fit
 
 space, gen = random_reversible_generator(seed=7, n=6)
 rng = np.random.default_rng(4)
@@ -34,15 +35,16 @@ op, sup = multiplier_operator(gen, step)
 
 exact2 = opnorm_exact(op, space, 2.0)
 lower2 = opnorm_lower_estimate(op, space, 2.0, probes=200, ascent_steps=30, seed=1)
-print(f"||T_m||_2 exact {exact2.value:.8f}, probe lower bound {lower2.value:.8f}")
+print(f"||T_m||_2 exact {exact2:.8f}, probe lower bound {lower2:.8f}")
 
-result = multiplier_pnorm_check(gen, step, [1.25, 1.5, 2.0, 3.0, 4.0],
-                                probes=400, ascent_steps=30, seed=9)
-for report in result.reports:
+grid = [1.25, 1.5, 2.0, 3.0, 4.0]
+rows = multiplier_pnorm_check(gen, step, grid, probes=400, ascent_steps=30, seed=9)
+for report in rows:
     print(f"  {report.name}: ratio {report.ratio:.4f} <= {report.threshold:g} "
           f"[{report.provenance}] -> {'ok' if report.passed else 'VIOLATION'}")
-print(f"growth of ratios in 1/(p-1): slope {result.fit_slope:.4f}, "
-      f"intercept {result.fit_intercept:.4f} (report-only)")
+slope, intercept = pnorm_growth_fit((p, r.ratio) for p, r in zip(grid, rows))
+print(f"growth of ratios in 1/(p-1): slope {slope:.4f}, "
+      f"intercept {intercept:.4f} (report-only)")
 
 # path-space transform bound plus the conditioning contraction: one call
 # evaluates the transform once and checks it at every p of the grid
@@ -50,9 +52,9 @@ nspace, ngen = random_reversible_generator(seed=7, n=4, unit_mass=True)
 ps = PathSpace(heat_operator(ngen, 0.4), horizon=5)
 f = Field(nspace, rng.standard_normal(4))
 signs = rng.choice([-1.0, 1.0], 5)
-for p, bound in zip((1.5, 3.0), transform_pnorm_check(ps, signs, f, (1.5, 3.0))):
-    print(f"transform bound at p={p:g}: ratio {bound.report.ratio:.4f} <= "
-          f"{reference_constant(p):g}, contraction excess {bound.contraction_excess:.1e}")
+for p, (row, excess) in zip((1.5, 3.0), transform_pnorm_check(ps, signs, f, (1.5, 3.0))):
+    print(f"transform bound at p={p:g}: ratio {row.ratio:.4f} <= "
+          f"{reference_constant(p):g}, contraction excess {excess:.1e}")
 
 # the L^1 chain through square and maximal functions down to L log L, for a
 # batch of (signs, field) pairs sharing one path space
@@ -60,6 +62,6 @@ g = Field(nspace, rng.standard_normal(4) + 1j * rng.standard_normal(4))
 batch = [(signs, f), (rng.choice([-1.0, 1.0], 5), g)]
 for label, chain in zip(("real f", "complex g"), llogl_chain_check(ps, batch)):
     print(f"L log L chain for {label}:")
-    for report in chain.reports:
+    for report in chain:
         print(f"  {report.name}: {report.lhs:.5f} vs {report.rhs:.5f} "
               f"(ratio {report.ratio:.4f}, report-only)")

@@ -11,7 +11,6 @@ from .dilation import (
     DEFAULT_PATH_BUDGET,
     EnumerationBudgetError,
     ExactPaths,
-    MonteCarloField,
     PathFunctional,
     PathSpace,
     all_paths,
@@ -27,7 +26,6 @@ from .dilation import (
 from .inequalities import (
     ConditionReport,
     InequalityReport,
-    NormEstimate,
     approximation_limit_check,
     llogl_chain_check,
     multiplier_operator,

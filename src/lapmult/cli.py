@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -22,8 +21,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_BUDGET = 3
-
-OUTPUT_DIR_ENV = "LAPMULT_OUT"
 
 
 def _preset_files():
@@ -65,7 +62,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except EnumerationBudgetError as exc:
         print(f"enumeration budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "lapmult-out"))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_json(outcome), encoding="utf-8")
     (out_dir / "inequalities.csv").write_text(inequalities_csv(outcome), encoding="utf-8")
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run an experiment config (path or preset name)")
     run_parser.add_argument("config", help="path to a JSON config, or a bundled preset name")
-    run_parser.add_argument("--out", help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./lapmult-out)")
+    run_parser.add_argument("--out", default="lapmult-out", help="output directory (default: ./lapmult-out)")
     run_parser.add_argument("--threads", type=_positive_int, default=1, help="suite-level worker threads (at least 1)")
     run_parser.set_defaults(func=_cmd_run)
 

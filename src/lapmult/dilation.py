@@ -24,7 +24,6 @@ __all__ = [
     "PathSpace",
     "PathFunctional",
     "ExactPaths",
-    "MonteCarloField",
     "EnumerationBudgetError",
     "DEFAULT_PATH_BUDGET",
     "all_paths",
@@ -292,14 +291,6 @@ class ExactPaths:
         return float((self.measure @ avals**p) ** (1.0 / p))
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloField:
-    """A sampled estimate of a field with per-state standard errors."""
-
-    field: Field
-    stderr: np.ndarray
-
-
 def _stratum_counts(ps: PathSpace, samples: int) -> np.ndarray:
     """Samples per start state, proportional to nu.
 
@@ -352,13 +343,13 @@ def hat_expectation(
     *,
     seed: int | None = None,
     samples: int | None = None,
-) -> Field | MonteCarloField:
+) -> Field | tuple[Field, np.ndarray]:
     """The conditional expectation x -> E[S | pi_0 = x].
 
     Exact mode enumerates every path; Monte Carlo stratifies on the initial
     state (allocation proportional to nu, at least two samples each) and
-    reports a per-state standard error, from the sample variance (ddof 1),
-    alongside the estimate.
+    returns (estimate, per-state standard errors), the errors from the sample
+    variances (ddof 1).
     """
     space = ps.kernel.space
     if mode == "exact":
@@ -371,7 +362,7 @@ def hat_expectation(
             svals = np.asarray(values, dtype=complex)
             means[x] = svals.mean()
             stderr[x] = math.sqrt(float(np.var(svals, ddof=1)) / count)
-        return MonteCarloField(Field(space, means), stderr)
+        return Field(space, means), stderr
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -414,37 +405,18 @@ def path_lp_norm(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityReport:
-    """Largest deviations of enumerated conditional expectations from two closed forms.
-
-    One form uses kernel powers; the other, present only when the kernel's
-    generator is given, goes through the semigroup.
-    """
-
-    deviation_kernel_powers: float
-    deviation_semigroup: float | None
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        devs = [self.deviation_kernel_powers]
-        if self.deviation_semigroup is not None:
-            devs.append(self.deviation_semigroup)
-        return max(devs) <= self.tol
-
-
 def dilation_identity_check(
     ps: PathSpace,
     f: Field,
     generator: ReversibleGenerator | None = None,
-    tol: float = 1e-10,
-) -> IdentityReport:
+) -> tuple[float, float | None]:
     """Check E[f_k | x_0] = Q^{2k} f by exact enumeration at every level k = 0..N.
 
     When the kernel was built as Q = T^{eps/2} from ``generator`` (so the
     kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the
-    heat operator at time 2k*step is compared independently.
+    heat operator at time 2k*step is compared independently.  Returns the
+    largest deviation from the kernel powers and from the semigroup (None
+    without ``generator``) over all levels.
     """
     exact = ExactPaths(ps)
     levels = reverse_martingale(ps, f)
@@ -457,7 +429,7 @@ def dilation_identity_check(
         if generator is not None:
             heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
             dev_heat = max(dev_heat, float(np.abs(conditioned - heated).max()))
-    return IdentityReport(dev_power, dev_heat, tol)
+    return dev_power, dev_heat
 
 
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
@@ -478,13 +450,13 @@ def transform_expectation_identity(
     m_values: Sequence[complex],
     f: Field,
     generator: ReversibleGenerator | None = None,
-    tol: float = 1e-10,
-) -> IdentityReport:
+) -> tuple[float, float | None]:
     """Check E[sum_i M_i (f_{i+1} - f_i) | x_0] = sum_i M_i (Q^{2(i+1)} - Q^{2i}) f.
 
     With Q = T^{eps/2} and breakpoints t_i = i*eps this also equals the
     telescoping multiplier operator, which closes the loop with the step-symbol
-    closed form.
+    closed form.  Returns the largest deviation from the kernel-power form and
+    from the telescoped operator (None without ``generator``).
     """
     exact = ExactPaths(ps)
     m = np.asarray(m_values, dtype=complex).ravel()
@@ -506,4 +478,4 @@ def transform_expectation_identity(
         breakpoints = eps * np.arange(ps.horizon + 1)
         telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)
         dev_tel = float(np.abs(conditioned - telescoped.values).max())
-    return IdentityReport(dev_powers, dev_tel, tol)
+    return dev_powers, dev_tel

@@ -33,7 +33,6 @@ from .space import Field, WeightedSpace, lp_norm, luxemburg_rows
 from .spectral import decompose, operator_matrix
 
 __all__ = [
-    "NormEstimate",
     "InequalityReport",
     "reference_constant",
     "opnorm_exact",
@@ -42,13 +41,9 @@ __all__ = [
     "opnorm_lower_estimate",
     "multiplier_operator",
     "multiplier_pnorm_check",
-    "MultiplierPnormResult",
     "transform_pnorm_check",
-    "TransformPnormResult",
     "llogl_chain_check",
-    "LloglChainResult",
     "approximation_limit_check",
-    "ApproximationLimitResult",
 ]
 
 PASS_SLACK = 1e-9
@@ -60,16 +55,6 @@ _INTERPOLATION_NOTE = (
     "contraction for intermediate 1 < p < inf follows from the "
     "p in {1, inf} endpoints by interpolation; it is not re-verified per p"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class NormEstimate:
-    """An operator norm value with its kind (exact or lower_bound) and method tag."""
-
-    value: float
-    kind: str
-    method: str
-    probes_used: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +107,7 @@ def reference_constant(p: float) -> float:
     return max(p, p / (p - 1.0)) - 1.0
 
 
-def opnorm_exact(op: np.ndarray, space: WeightedSpace, p: float) -> NormEstimate:
+def opnorm_exact(op: np.ndarray, space: WeightedSpace, p: float) -> float:
     """Exact weighted operator norm at p in {1, 2, inf}.
 
     p = inf is the maximal absolute row sum, p = 1 its weighted dual
@@ -135,19 +120,14 @@ def opnorm_exact(op: np.ndarray, space: WeightedSpace, p: float) -> NormEstimate
         raise ValueError(f"operator must be {n}x{n}")
     w = space.weights
     if math.isinf(p) and p > 0:
-        value = float(np.abs(t).sum(axis=1).max())
-        method = "max-row-sum"
-    elif p == 1.0:
-        value = float(((w @ np.abs(t)) / w).max())
-        method = "weighted-column-sum"
-    elif p == 2.0:
+        return float(np.abs(t).sum(axis=1).max())
+    if p == 1.0:
+        return float(((w @ np.abs(t)) / w).max())
+    if p == 2.0:
         s = np.sqrt(w)
         conjugated = t * s[:, None] / s[None, :]
-        value = float(np.linalg.svd(conjugated, compute_uv=False)[0])
-        method = "weighted-svd"
-    else:
-        raise ValueError("exact norms are available only at p in {1, 2, inf}")
-    return NormEstimate(value, "exact", method, 0)
+        return float(np.linalg.svd(conjugated, compute_uv=False)[0])
+    raise ValueError("exact norms are available only at p in {1, 2, inf}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +178,8 @@ def verify_markov_conditions(kernel: MarkovKernel, tol: float = 1e-10) -> Condit
     positivity = max(0.0, -float(q.min()))
     conservation = float(np.abs(q.sum(axis=1) - 1.0).max())
     symmetry = float(np.abs(w[:, None] * q - w[None, :] * q.T).max())
-    contr_1 = max(0.0, opnorm_exact(q, kernel.space, 1.0).value - 1.0)
-    contr_inf = max(0.0, opnorm_exact(q, kernel.space, math.inf).value - 1.0)
+    contr_1 = max(0.0, opnorm_exact(q, kernel.space, 1.0) - 1.0)
+    contr_inf = max(0.0, opnorm_exact(q, kernel.space, math.inf) - 1.0)
     return ConditionReport(
         positivity_violation=positivity,
         conservation_violation=conservation,
@@ -217,20 +197,17 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_power(a2: np.ndarray, exponent: float) -> tuple[np.ndarray | None, np.ndarray]:
+def _dual_power(a2: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """The dual map's power ``s = a2**exponent`` and the moduli ``s * a2``.
 
-    ``s`` is 0 where ``a2`` is (the dual map's zero support), and None stands
-    for all ones (exponent 0 on a full support).  Exponent 1 gives ``a2``
-    itself, which is already 0 off the support.  Only a support with exact
-    zeros takes the masked power.  The product is formed in ``a2``'s buffer
-    unless ``s`` is ``a2``.
+    ``s`` is 0 where ``a2`` is (the dual map's zero support).  Exponent 1
+    gives ``a2`` itself, which is already 0 off the support.  Only a support
+    with exact zeros takes the masked power.  The product is formed in
+    ``a2``'s buffer unless ``s`` is ``a2``.
     """
     if exponent == 1.0:
         return a2, a2 * a2
     if a2.all():
-        if exponent == 0.0:
-            return None, a2
         s = np.power(a2, exponent)
     else:
         s = np.power(a2, exponent, out=np.zeros_like(a2), where=a2 > 0.0)
@@ -245,7 +222,7 @@ def opnorm_lower_estimate(
     probes: int = 64,
     ascent_steps: int = 20,
     seed: int = 0,
-) -> NormEstimate:
+) -> float:
     """Certified lower bound on the weighted p-norm for 1 < p < inf.
 
     Seeded complex Gaussian probes (plus their modulus variants) are all
@@ -263,9 +240,8 @@ def opnorm_lower_estimate(
     the mantissa of the computed norm.  The loop skips every pass that cannot
     change a bit:
 
-    - the power is skipped at exponent 0 (both maps at p = 2) and is |z|^2
-      itself at exponent 1 (s at p = 4, b at p = 4/3); only a |z|^2 with an
-      exact zero takes the masked power;
+    - the power is |z|^2 itself at exponent 1 (s at p = 4, b at p = 4/3);
+      only a |z|^2 with an exact zero takes the masked power;
     - the moduli s |z|^2, the power-of-two scale and the dual map s Tf are
       formed in place, over values that no later pass reads;
     - ``np.where`` runs only on a step where some column's norm is 0;
@@ -313,13 +289,12 @@ def opnorm_lower_estimate(
             best = max(best, float((num[live] / den[live]).max()))
         if step == ascent_steps:
             break
-        if s is not None:
-            images *= s
+        images *= s
         pullback = adjoint @ images
         b, moduli = _dual_power(_abs2(pullback), pullback_exponent)
         norms = (w @ moduli) ** inv_p
         mantissa, exponent = np.frexp(norms)
-        pullback *= np.ldexp(1.0, -exponent) if b is None else np.ldexp(b, -exponent, out=b)
+        pullback *= np.ldexp(b, -exponent, out=b)
         moved = norms > 0.0
         if moved.all():
             fields, den, live = pullback, mantissa, None
@@ -327,7 +302,7 @@ def opnorm_lower_estimate(
             fields = np.where(moved, pullback, fields)
             den = np.where(moved, mantissa, den)
             live = den > 0.0
-    return NormEstimate(best, "lower_bound", "probe-ascent", fields.shape[1])
+    return best
 
 
 def multiplier_operator(
@@ -341,19 +316,6 @@ def multiplier_operator(
     else:
         raise TypeError("multiplier must be a StepMultiplier or SampledMultiplier")
     return operator_matrix(decompose(generator), symbol.evaluator), sup
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierPnormResult:
-    """Per-p reports for ||T_m||_p <= c_p sup|M| plus the growth fit of ratios in 1/(p-1)."""
-
-    reports: tuple[InequalityReport, ...]
-    fit_slope: float | None
-    fit_intercept: float | None
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
 
 
 def pnorm_growth_fit(
@@ -378,14 +340,13 @@ def multiplier_pnorm_check(
     probes: int = 200,
     ascent_steps: int = 20,
     seed: int = 0,
-) -> MultiplierPnormResult:
-    """Check the p-norms of T_m against c_p sup|M| over a grid of p in (1, inf).
+) -> tuple[InequalityReport, ...]:
+    """One row ||T_m||_p <= c_p sup|M| per p of a grid in (1, inf), in grid order.
 
     At p = 2 the norm is exact (the weighted SVD of ``opnorm_exact``) and the
     threshold is exactly 1, the spectral bound max_k |m(lambda_k)| <= sup|M|.
     Every other p takes the probe-ascent lower bound against the reference
-    constant p* - 1.  Ratios at p <= 2 are also fitted against 1/(p - 1),
-    report-only, to document the blow-up rate as p drops to 1.
+    constant p* - 1.
     """
     op, sup = multiplier_operator(generator, multiplier)
     space = generator.space
@@ -393,28 +354,13 @@ def multiplier_pnorm_check(
     for p in p_grid:
         p = float(p)
         if p == 2.0:
-            estimate = opnorm_exact(op, space, 2.0)
+            value = opnorm_exact(op, space, 2.0)
             threshold, provenance = 1.0, "paper"
         else:
-            estimate = opnorm_lower_estimate(op, space, p, probes, ascent_steps, seed)
+            value = opnorm_lower_estimate(op, space, p, probes, ascent_steps, seed)
             threshold, provenance = reference_constant(p), "reference-constant"
-        report = make_report(f"multiplier-pnorm p={p:g}", estimate.value, sup, threshold, provenance)
-        reports.append(report)
-    slope, intercept = pnorm_growth_fit((float(p), r.ratio) for p, r in zip(p_grid, reports))
-    return MultiplierPnormResult(tuple(reports), slope, intercept)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformPnormResult:
-    """The transform bound report plus the conditional-expectation contraction check."""
-
-    report: InequalityReport
-    contraction_excess: float
-    contraction_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed and self.contraction_ok
+        reports.append(make_report(f"multiplier-pnorm p={p:g}", value, sup, threshold, provenance))
+    return tuple(reports)
 
 
 def _unit_sup(m_values: Sequence[complex]) -> np.ndarray:
@@ -429,14 +375,15 @@ def transform_pnorm_check(
     m_values: Sequence[complex],
     f: Field,
     p_grid: Sequence[float],
-) -> tuple[TransformPnormResult, ...]:
+) -> tuple[tuple[InequalityReport, float], ...]:
     """Exact path-space check of ||sum M_i (f_{i+1} - f_i)||_p <= (p* - 1) ||f||_p at each p.
 
-    Multiplier values are normalized to sup 1 first (the bound is homogeneous).
-    The conditioning step is verified alongside: ||E[S | x_0]||_p never exceeds
-    ||S||_p beyond ``CONTRACTION_TOL`` relative slack.  The transform's path
-    values and its conditional expectation do not depend on p, so they are
-    computed once for the whole grid.
+    Returns (row, contraction excess) per p, in grid order.  Multiplier values
+    are normalized to sup 1 first (the bound is homogeneous).  The excess is
+    the relative amount by which ||E[S | x_0]||_p exceeds ||S||_p; conditioning
+    is a contraction, so it may be roundoff only (``CONTRACTION_TOL``).  The
+    transform's path values and its conditional expectation do not depend on
+    p, so they are computed once for the whole grid.
     """
     exact = ExactPaths(ps)
     values = exact.transform(reverse_martingale(ps, f), _unit_sup(m_values))
@@ -455,35 +402,17 @@ def transform_pnorm_check(
             excess = max(0.0, (c_lhs - lhs) / lhs)
         else:
             excess = 0.0 if c_lhs == 0.0 else math.inf
-        results.append(TransformPnormResult(report, excess, excess <= CONTRACTION_TOL))
+        results.append((report, excess))
     return tuple(results)
-
-
-@dataclass(frozen=True, eq=False)
-class LloglChainResult:
-    """The L^1 chain: transform vs square function vs maximal function vs L log L norm."""
-
-    davis_step: InequalityReport
-    square_vs_maximal: InequalityReport
-    maximal_vs_llogl: InequalityReport
-    end_to_end: InequalityReport
-
-    @property
-    def reports(self) -> tuple[InequalityReport, ...]:
-        return (self.davis_step, self.square_vs_maximal, self.maximal_vs_llogl, self.end_to_end)
-
-    @property
-    def all_finite(self) -> bool:
-        return all(math.isfinite(r.ratio) for r in self.reports)
 
 
 def llogl_chain_check(
     ps: PathSpace,
     batch: Sequence[tuple[Sequence[complex], Field]],
-) -> tuple[LloglChainResult, ...]:
-    """Record the L^1 comparison chain for each (multipliers, field) pair on a unit-mass space.
+) -> tuple[tuple[InequalityReport, ...], ...]:
+    """The four rows of the L^1 comparison chain for each (multipliers, field) pair on a unit-mass space.
 
-    Steps: E|S| vs E[(sum |df_i|^2)^{1/2}] (Davis' theorem), that square
+    Steps, in row order: E|S| vs E[(sum |df_i|^2)^{1/2}] (Davis' theorem), that square
     function vs E[sup_i |f_i|], the maximal function vs ||f||_{L log L} (the
     corollary of Doob's inequality), and end-to-end ||E[S | x_0]||_1 vs
     sup|M| ||f||_{L log L}.  Multiplier values are normalized to sup 1; the
@@ -507,25 +436,13 @@ def llogl_chain_check(
         e_square = exact.lp_norm(exact.square(levels), 1.0)
         e_maximal = exact.lp_norm(exact.maximal(levels), 1.0)
         end_lhs = lp_norm(Field(space, exact.conditioned(transform)), 1.0)
-        results.append(LloglChainResult(
+        results.append((
             make_report("davis-step", e_transform, e_square, inf, "report-only"),
             make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
             make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
             make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
         ))
     return tuple(results)
-
-
-@dataclass(frozen=True, eq=False)
-class ApproximationLimitResult:
-    """Per-approximant norm bounds and the limiting bound on the quadrature operator."""
-
-    step_reports: tuple[InequalityReport, ...]
-    limit_report: InequalityReport
-
-    @property
-    def passed(self) -> bool:
-        return self.limit_report.passed and all(r.passed for r in self.step_reports)
 
 
 def approximation_limit_check(
@@ -535,8 +452,8 @@ def approximation_limit_check(
     piece_counts: Sequence[int],
     p: float,
     tol: float = 1e-2,
-) -> ApproximationLimitResult:
-    """Bound ||T_m f||_p through its step approximants.
+) -> tuple[InequalityReport, ...]:
+    """Bound ||T_m f||_p through its step approximants: one row per piece count, then the limit row.
 
     Each approximant satisfies ||T_n f||_p <= (p* - 1) sup|M_n| ||f||_p, and the
     limit operator's norm must not exceed the largest tail approximant norm by
@@ -547,13 +464,13 @@ def approximation_limit_check(
     c_p = reference_constant(p)
     f_norm = lp_norm(f, p)
     target = lp_norm(apply_Tm(dec, symbol_of_sampled(sampled), f), p)
-    step_reports = []
+    reports = []
     approx_norms = []
     for n in piece_counts:
         step = approximate_by_steps(sampled, int(n))
         value = lp_norm(apply_Tm(dec, symbol_of_step(step), f), p)
         approx_norms.append(value)
-        step_reports.append(
+        reports.append(
             make_report(
                 f"approx-bound n={int(n)}",
                 value,
@@ -563,5 +480,5 @@ def approximation_limit_check(
             )
         )
     tail = approx_norms[len(approx_norms) // 2 :]
-    limit_report = make_report("limit-bound", target, max(tail) + tol, 1.0, "paper")
-    return ApproximationLimitResult(tuple(step_reports), limit_report)
+    reports.append(make_report("limit-bound", target, max(tail) + tol, 1.0, "paper"))
+    return tuple(reports)

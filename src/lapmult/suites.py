@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,9 +211,9 @@ def suite_dilation_identity(
     worst_heat = 0.0
     levels = 0
     for gen, ps, probe in dilation_instance_family(seed, instances, max_n, max_horizon, epsilon):
-        report = dilation_identity_check(ps, probe, generator=gen, tol=tol)
-        worst_power = max(worst_power, report.deviation_kernel_powers)
-        worst_heat = max(worst_heat, report.deviation_semigroup)
+        dev_power, dev_heat = dilation_identity_check(ps, probe, generator=gen)
+        worst_power = max(worst_power, dev_power)
+        worst_heat = max(worst_heat, dev_heat)
         levels += ps.horizon + 1
     summary = {
         "instances": instances,
@@ -241,9 +241,9 @@ def suite_transform_identity(
     ):
         rng = np.random.default_rng([seed, i, 2])
         m_values = _random_complex(rng, ps.horizon)
-        report = transform_expectation_identity(ps, m_values, probe, generator=gen, tol=tol)
-        worst_power = max(worst_power, report.deviation_kernel_powers)
-        worst_tel = max(worst_tel, report.deviation_semigroup)
+        dev_power, dev_tel = transform_expectation_identity(ps, m_values, probe, generator=gen)
+        worst_power = max(worst_power, dev_power)
+        worst_tel = max(worst_tel, dev_tel)
     summary = {
         "instances": instances,
         "max_deviation_kernel_powers": worst_power,
@@ -251,6 +251,37 @@ def suite_transform_identity(
         "tol": tol,
     }
     return SuiteResult("transform_identity", max(worst_power, worst_tel) <= tol, summary)
+
+
+def _worst_per_p(
+    grid: Sequence[float], row_lists: Iterable[Sequence[InequalityReport]]
+) -> tuple[InequalityReport, ...]:
+    """The largest-ratio row at each p of ``grid``, in grid order.
+
+    Each entry of ``row_lists`` is one instance's rows in grid order.  A
+    repeated p gets the same row at each of its positions; the first of equal
+    ratios is kept.
+    """
+    worst: dict[float, InequalityReport] = {}
+    for rows in row_lists:
+        for p, row in zip(grid, rows):
+            prev = worst.get(p)
+            if prev is None or row.ratio > prev.ratio:
+                worst[p] = row
+    return tuple(worst[p] for p in grid)
+
+
+def _multiplier_pnorm_result(
+    name: str, grid: list[float], row_lists: Iterable[Sequence[InequalityReport]], summary: dict
+) -> SuiteResult:
+    """The worst row per p and the report-only fit of their ratios against 1/(p - 1) on p <= 2.
+
+    The fit documents the blow-up rate as p drops to 1.
+    """
+    rows = _worst_per_p(grid, row_lists)
+    slope, intercept = pnorm_growth_fit({p: r.ratio for p, r in zip(grid, rows)}.items())
+    summary.update(growth_fit_slope=slope, growth_fit_intercept=intercept)
+    return SuiteResult(name, all(r.passed for r in rows), summary, rows)
 
 
 def suite_multiplier_pnorm(
@@ -262,15 +293,10 @@ def suite_multiplier_pnorm(
     probe_seed: int,
 ) -> SuiteResult:
     """p-norm bound check of one multiplier operator over a p-grid."""
-    result = multiplier_pnorm_check(chain, multiplier, p_grid, probes, ascent_steps, probe_seed)
-    summary = {
-        "p_grid": [float(p) for p in p_grid],
-        "probes": probes,
-        "ascent_steps": ascent_steps,
-        "growth_fit_slope": result.fit_slope,
-        "growth_fit_intercept": result.fit_intercept,
-    }
-    return SuiteResult("multiplier_pnorm", result.passed, summary, result.reports)
+    grid = [float(p) for p in p_grid]
+    rows = multiplier_pnorm_check(chain, multiplier, grid, probes, ascent_steps, probe_seed)
+    summary = {"p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
+    return _multiplier_pnorm_result("multiplier_pnorm", grid, [rows], summary)
 
 
 def suite_multiplier_pnorm_family(
@@ -283,36 +309,14 @@ def suite_multiplier_pnorm_family(
     max_n: int = 16,
     max_pieces: int = 8,
 ) -> SuiteResult:
-    """p-norm bound check across the step-multiplier family; reports worst ratios per p.
-
-    The growth of the family-maximal ratio in 1/(p-1) is fitted on p <= 2 and
-    reported without a pass threshold.
-    """
+    """p-norm bound check across the step-multiplier family; reports worst ratios per p."""
     grid = [float(p) for p in p_grid]
-    worst: dict[float, InequalityReport] = {}
-    for i, (gen, step, _) in enumerate(
-        step_instance_family(seed, instances, max_n, max_pieces)
-    ):
-        result = multiplier_pnorm_check(
-            gen, step, grid, probes, ascent_steps, probe_seed + i
-        )
-        for p, report in zip(grid, result.reports):
-            prev = worst.get(p)
-            if prev is None or report.ratio > prev.ratio:
-                worst[p] = report
-    reports = tuple(worst[p] for p in grid)
-    slope, intercept = pnorm_growth_fit((p, r.ratio) for p, r in worst.items())
-    summary = {
-        "instances": instances,
-        "p_grid": [float(p) for p in p_grid],
-        "probes": probes,
-        "ascent_steps": ascent_steps,
-        "growth_fit_slope": slope,
-        "growth_fit_intercept": intercept,
-    }
-    return SuiteResult(
-        "multiplier_pnorm_family", all(r.passed for r in reports), summary, reports
+    row_lists = (
+        multiplier_pnorm_check(gen, step, grid, probes, ascent_steps, probe_seed + i)
+        for i, (gen, step, _) in enumerate(step_instance_family(seed, instances, max_n, max_pieces))
     )
+    summary = {"instances": instances, "p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
+    return _multiplier_pnorm_result("multiplier_pnorm_family", grid, row_lists, summary)
 
 
 def suite_transform_pnorm(
@@ -325,22 +329,19 @@ def suite_transform_pnorm(
 ) -> SuiteResult:
     """Exact path-space transform bounds with random sign multipliers."""
     grid = [float(p) for p in p_grid]
-    worst: dict[float, InequalityReport] = {}
-    contraction_ok = True
+    row_lists = []
     worst_excess = 0.0
     for i, (_, ps, probe) in enumerate(
         dilation_instance_family(seed, instances, max_n, max_horizon, epsilon)
     ):
         rng = np.random.default_rng([seed, i, 3])
         signs = rng.choice([-1.0, 1.0], ps.horizon)
-        for p, result in zip(grid, transform_pnorm_check(ps, signs, probe, grid)):
-            report = result.report
-            prev = worst.get(p)
-            if prev is None or report.ratio > prev.ratio:
-                worst[p] = report
-            contraction_ok = contraction_ok and result.contraction_ok
-            worst_excess = max(worst_excess, result.contraction_excess)
-    reports = tuple(worst[p] for p in grid)
+        checked = transform_pnorm_check(ps, signs, probe, grid)
+        row_lists.append([row for row, _ in checked])
+        for _, excess in checked:
+            worst_excess = max(worst_excess, excess)
+    rows = _worst_per_p(grid, row_lists)
+    contraction_ok = worst_excess <= CONTRACTION_TOL
     summary = {
         "instances": instances,
         "p_grid": grid,
@@ -348,8 +349,7 @@ def suite_transform_pnorm(
         "worst_contraction_excess": worst_excess,
         "contraction_tol": CONTRACTION_TOL,
     }
-    passed = contraction_ok and all(r.passed for r in reports)
-    return SuiteResult("transform_pnorm", passed, summary, reports)
+    return SuiteResult("transform_pnorm", contraction_ok and all(r.passed for r in rows), summary, rows)
 
 
 def _probe_field(chain: ReversibleGenerator, field_seed, field) -> Field:
@@ -407,9 +407,9 @@ def suite_llogl_chain(
             rng = np.random.default_rng([seed, i, j, 2])
             probe = Field(space, _random_complex(rng, n))
             batch.append((rng.choice([-1.0, 1.0], horizon), probe))
-        for chain_result in llogl_chain_check(ps, batch):
-            all_finite = all_finite and chain_result.all_finite
-            for report in chain_result.reports:
+        for rows in llogl_chain_check(ps, batch):
+            all_finite = all_finite and all(math.isfinite(r.ratio) for r in rows)
+            for report in rows:
                 if i < chains:
                     maxima[report.name][0] = max(maxima[report.name][0], report.ratio)
                 maxima[report.name][1] = max(maxima[report.name][1], report.ratio)
@@ -467,7 +467,7 @@ def suite_imaginary_powers(
             if dev > worst_dev:
                 worst_dev, worst_allowed = dev, err
         op, sup = multiplier_operator(chain, preset)
-        opnorm = opnorm_exact(op, chain.space, 2.0).value
+        opnorm = opnorm_exact(op, chain.space, 2.0)
         reports.append(
             make_report(f"imaginary-power gamma={gamma:g} symbol", worst_dev, worst_allowed, 1.0, "paper")
         )
@@ -503,10 +503,9 @@ def suite_approximation_limit(
 ) -> SuiteResult:
     """Norm bounds on step approximants and the limiting bound on the quadrature operator."""
     probe = _probe_field(chain, field_seed, field)
-    result = approximation_limit_check(chain, multiplier, probe, piece_counts, float(p), tol)
-    reports = result.step_reports + (result.limit_report,)
+    rows = approximation_limit_check(chain, multiplier, probe, piece_counts, float(p), tol)
     summary = {"p": float(p), "tol": tol, "piece_counts": [int(n) for n in piece_counts]}
-    return SuiteResult("approximation_limit", result.passed, summary, reports)
+    return SuiteResult("approximation_limit", all(r.passed for r in rows), summary, rows)
 
 
 # A few dozen ulps: the exact and Monte Carlo routes sum the same path values
@@ -553,8 +552,8 @@ def suite_mc_crosscheck(
     functional = martingale_transform(ps, signs, probe)
 
     exact_field = hat_expectation(ps, functional)
-    mc = hat_expectation(ps, functional, mode="mc", seed=mc_seed, samples=samples)
-    field_ratio = float(_dev_over_se(mc.field.values, exact_field.values, mc.stderr).max())
+    mc_field, mc_field_se = hat_expectation(ps, functional, mode="mc", seed=mc_seed, samples=samples)
+    field_ratio = float(_dev_over_se(mc_field.values, exact_field.values, mc_field_se).max())
 
     exact_norm = path_lp_norm(ps, functional, 2.0)
     mc_norm, mc_se = path_lp_norm(ps, functional, 2.0, mode="mc", seed=mc_seed, samples=samples)

@@ -370,13 +370,6 @@ class TestCli:
         assert "enumeration budget exceeded" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_env_var_controls_default_out_dir(self, tmp_path, monkeypatch, capsys):
-        cfg_path = write_config(tmp_path, MINIMAL)
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("LAPMULT_OUT", str(target))
-        assert main(["run", str(cfg_path)]) == EXIT_OK
-        assert (target / "report.json").exists()
-
     def test_list_presets_includes_paper_suite_and_is_stable(self, capsys):
         assert main(["list-presets"]) == EXIT_OK
         first = capsys.readouterr().out

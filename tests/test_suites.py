@@ -8,13 +8,17 @@ import pytest
 from lapmult.suites import (
     dilation_instance_family,
     step_instance_family,
+    suite_dilation_identity,
     suite_llogl_chain,
     suite_markov_conditions,
     suite_mc_crosscheck,
+    suite_multiplier_pnorm,
+    suite_multiplier_pnorm_family,
     suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
-from lapmult import random_reversible_generator
+from lapmult import random_reversible_generator, suites
+from lapmult.inequalities import make_report
 
 
 def test_step_family_prefix_stable():
@@ -63,6 +67,59 @@ def test_transform_pnorm_rows_follow_the_grid():
     assert [r["name"] for r in got] == [f"transform-pnorm p={p}" for p in ("2", "12", "1.5", "2")]
     assert got[3] == got[0]
     assert got[:3] == rows([2]) + rows([12]) + rows([1.5])
+
+
+def test_multiplier_pnorm_fit_counts_a_repeated_p_once():
+    # both multiplier suites share one fold and one fit: a repeated p repeats
+    # its row but is one point of the growth fit
+    gen, step, _ = step_instance_family(3, 1)[0]
+    once = suite_multiplier_pnorm(gen, step, [1.25, 1.5, 2, 3], 8, 3, 0)
+    twice = suite_multiplier_pnorm(gen, step, [1.25, 1.5, 1.5, 2, 3], 8, 3, 0)
+    rows = [r.to_dict() for r in once.inequalities]
+    assert [r.to_dict() for r in twice.inequalities] == rows[:2] + rows[1:]
+    for key in ("growth_fit_slope", "growth_fit_intercept"):
+        assert twice.summary[key] == once.summary[key] is not None
+
+
+# The failing side of each suite's pass rule: the check the suite calls is
+# replaced by one that reports a violation, and the suite must fail on it.
+def test_transform_pnorm_fails_on_a_contraction_excess(monkeypatch):
+    check = suites.transform_pnorm_check
+
+    def with_excess(ps, m_values, f, p_grid):
+        return tuple((row, 1e-6) for row, _ in check(ps, m_values, f, p_grid))
+
+    monkeypatch.setattr(suites, "transform_pnorm_check", with_excess)
+    result = suite_transform_pnorm(4, 3, [1.5, 3], max_n=4, max_horizon=3)
+    assert all(r.passed for r in result.inequalities)
+    assert result.passed is False
+    assert result.summary["contraction_ok"] is False
+    assert result.summary["worst_contraction_excess"] == 1e-6
+
+
+def test_multiplier_pnorm_family_fails_on_a_row_above_its_threshold(monkeypatch):
+    calls = []
+
+    def one_violation(generator, multiplier, p_grid, *args):
+        calls.append(args)
+        rows = [make_report(f"multiplier-pnorm p={p:g}", 0.5, 1.0, 1.0, "paper") for p in p_grid]
+        if len(calls) == 2:
+            rows[1] = make_report("multiplier-pnorm p=2", 1.5, 1.0, 1.0, "paper")
+        return tuple(rows)
+
+    monkeypatch.setattr(suites, "multiplier_pnorm_check", one_violation)
+    result = suite_multiplier_pnorm_family(6, 3, [1.5, 2, 3], probes=2, ascent_steps=1, probe_seed=0)
+    assert len(calls) == 3
+    assert [r.passed for r in result.inequalities] == [True, False, True]
+    assert result.inequalities[1].ratio == 1.5
+    assert result.passed is False
+
+
+def test_dilation_identity_fails_on_a_deviation_above_tol(monkeypatch):
+    monkeypatch.setattr(suites, "dilation_identity_check", lambda ps, f, generator=None: (0.0, 2e-10))
+    result = suite_dilation_identity(3, 2, max_n=3, max_horizon=2, tol=1e-10)
+    assert result.summary["max_deviation_heat"] == 2e-10
+    assert result.passed is False
 
 
 def test_markov_conditions_suite_serializes_kernel():
