@@ -23,14 +23,15 @@ kernel = heat_operator(gen, t=0.7)
 print("heat kernel at t=0.7:")
 print(np.array_str(kernel.entries, precision=4, suppress_small=True))
 
-report = verify_markov_conditions(kernel, tol=1e-10)
-print(f"conditions pass: {report.passed}")
-print(f"  positivity violation    {report.positivity_violation:.2e}")
-print(f"  conservation violation  {report.conservation_violation:.2e}")
-print(f"  symmetry violation      {report.symmetry_violation:.2e}")
-print(f"  contraction (p=1, inf)  {report.contraction_violation_p1:.2e}, "
-      f"{report.contraction_violation_pinf:.2e}")
-print(f"  note: {report.note}")
+violations = verify_markov_conditions(kernel)
+print(f"conditions pass: {max(violations.values()) <= 1e-10}")
+print(f"  positivity violation    {violations['positivity_violation']:.2e}")
+print(f"  conservation violation  {violations['conservation_violation']:.2e}")
+print(f"  symmetry violation      {violations['symmetry_violation']:.2e}")
+print(f"  contraction (p=1, inf)  {violations['contraction_violation_p1']:.2e}, "
+      f"{violations['contraction_violation_pinf']:.2e}")
+print("  note: contraction for intermediate 1 < p < inf follows from the p in {1, inf} "
+      "endpoints by interpolation; it is not re-verified per p")
 
 # the semigroup law and the contraction property on a random field
 rng = np.random.default_rng(0)

@@ -24,7 +24,6 @@ from .dilation import (
     transition_products,
 )
 from .inequalities import (
-    ConditionReport,
     InequalityReport,
     approximation_limit_check,
     llogl_chain_check,
@@ -33,6 +32,7 @@ from .inequalities import (
     opnorm_exact,
     opnorm_lower_estimate,
     reference_constant,
+    step_convergence_check,
     transform_pnorm_check,
     verify_markov_conditions,
 )
@@ -43,7 +43,6 @@ from .multiplier import (
     apply_Tm,
     approximate_by_steps,
     imaginary_power_preset,
-    step_convergence_check,
     symbol_of_sampled,
     symbol_of_step,
     telescoping_Tm,

@@ -68,8 +68,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     (out_dir / "inequalities.csv").write_text(inequalities_csv(outcome), encoding="utf-8")
     for suite in outcome.report["suites"]:
         marker = "PASS" if suite["passed"] else "FAIL"
-        if suite["report_only"]:
-            marker = "REPORT"
         print(f"[{marker}] {suite['name']}")
     print(f"report written to {out_dir / 'report.json'}")
     if not outcome.overall_pass:

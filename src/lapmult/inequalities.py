@@ -1,8 +1,8 @@
 """Exact and probe-based weighted operator p-norms, and the checks built on them.
 
 The checks are a kernel's Markov conditions (its endpoint contractions are
-exact norms at p in {1, inf}) and the multiplier, transform and L log L
-inequalities.
+exact norms at p in {1, inf}), the multiplier, transform and L log L
+inequalities, and the step approximants T_{M_n} f of T_M f.
 
 Upper-bound statements are verified in the sound direction: norms at p in
 {1, 2, inf} are exact (p = 2 by a weighted SVD), and every other p is
@@ -36,13 +36,13 @@ __all__ = [
     "InequalityReport",
     "reference_constant",
     "opnorm_exact",
-    "ConditionReport",
     "verify_markov_conditions",
     "opnorm_lower_estimate",
     "multiplier_operator",
     "multiplier_pnorm_check",
     "transform_pnorm_check",
     "llogl_chain_check",
+    "step_convergence_check",
     "approximation_limit_check",
 ]
 
@@ -50,11 +50,6 @@ PASS_SLACK = 1e-9
 
 # Relative slack by which ||E[S | x_0]||_p may exceed ||S||_p: roundoff only.
 CONTRACTION_TOL = 1e-10
-
-_INTERPOLATION_NOTE = (
-    "contraction for intermediate 1 < p < inf follows from the "
-    "p in {1, inf} endpoints by interpolation; it is not re-verified per p"
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,64 +125,21 @@ def opnorm_exact(op: np.ndarray, space: WeightedSpace, p: float) -> float:
     raise ValueError("exact norms are available only at p in {1, 2, inf}")
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionReport:
-    """Per-condition maximal violations for a kernel, measured against ``tol``."""
+def verify_markov_conditions(kernel: MarkovKernel) -> dict[str, float]:
+    """The maximal violations of Q's positivity, conservation, symmetry, and endpoint contraction.
 
-    positivity_violation: float
-    conservation_violation: float
-    symmetry_violation: float
-    contraction_violation_p1: float
-    contraction_violation_pinf: float
-    tol: float
-    note: str = _INTERPOLATION_NOTE
-
-    @property
-    def max_violation(self) -> float:
-        return max(
-            self.positivity_violation,
-            self.conservation_violation,
-            self.symmetry_violation,
-            self.contraction_violation_p1,
-            self.contraction_violation_pinf,
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "positivity_violation": self.positivity_violation,
-            "conservation_violation": self.conservation_violation,
-            "symmetry_violation": self.symmetry_violation,
-            "contraction_violation_p1": self.contraction_violation_p1,
-            "contraction_violation_pinf": self.contraction_violation_pinf,
-            "tol": self.tol,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
-
-def verify_markov_conditions(kernel: MarkovKernel, tol: float = 1e-10) -> ConditionReport:
-    """Measure positivity, conservation, symmetry, and endpoint contraction of Q."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    Contraction is measured at p = 1 and p = inf only, by exact norms; every
+    intermediate p follows from these by interpolation.
+    """
     q = kernel.entries
     w = kernel.space.weights
-    positivity = max(0.0, -float(q.min()))
-    conservation = float(np.abs(q.sum(axis=1) - 1.0).max())
-    symmetry = float(np.abs(w[:, None] * q - w[None, :] * q.T).max())
-    contr_1 = max(0.0, opnorm_exact(q, kernel.space, 1.0) - 1.0)
-    contr_inf = max(0.0, opnorm_exact(q, kernel.space, math.inf) - 1.0)
-    return ConditionReport(
-        positivity_violation=positivity,
-        conservation_violation=conservation,
-        symmetry_violation=symmetry,
-        contraction_violation_p1=contr_1,
-        contraction_violation_pinf=contr_inf,
-        tol=tol,
-    )
+    return {
+        "positivity_violation": max(0.0, -float(q.min())),
+        "conservation_violation": float(np.abs(q.sum(axis=1) - 1.0).max()),
+        "symmetry_violation": float(np.abs(w[:, None] * q - w[None, :] * q.T).max()),
+        "contraction_violation_p1": max(0.0, opnorm_exact(q, kernel.space, 1.0) - 1.0),
+        "contraction_violation_pinf": max(0.0, opnorm_exact(q, kernel.space, math.inf) - 1.0),
+    }
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
@@ -445,6 +397,33 @@ def llogl_chain_check(
     return tuple(results)
 
 
+def _approximants(
+    generator: ReversibleGenerator,
+    sampled: SampledMultiplier,
+    f: Field,
+    piece_counts: Sequence[int],
+) -> tuple[Field, list[tuple[StepMultiplier, Field]]]:
+    """T_M f and, per piece count n, the midpoint step approximation M_n with T_{M_n} f."""
+    dec = decompose(generator)
+    target = apply_Tm(dec, symbol_of_sampled(sampled), f)
+    approximants = []
+    for n in piece_counts:
+        step = approximate_by_steps(sampled, int(n))
+        approximants.append((step, apply_Tm(dec, symbol_of_step(step), f)))
+    return target, approximants
+
+
+def step_convergence_check(
+    generator: ReversibleGenerator,
+    sampled: SampledMultiplier,
+    f: Field,
+    piece_counts: Sequence[int],
+) -> tuple[float, ...]:
+    """The errors ||T_{M_n} f - T_M f||_2 of the midpoint step approximations, one per piece count."""
+    target, approximants = _approximants(generator, sampled, f, piece_counts)
+    return tuple(lp_norm(approx - target, 2.0) for _, approx in approximants)
+
+
 def approximation_limit_check(
     generator: ReversibleGenerator,
     sampled: SampledMultiplier,
@@ -460,15 +439,13 @@ def approximation_limit_check(
     more than ``tol``.  The norms converge at the step-approximation rate, so
     ``tol`` must dominate the residual gap at the largest piece count.
     """
-    dec = decompose(generator)
     c_p = reference_constant(p)
     f_norm = lp_norm(f, p)
-    target = lp_norm(apply_Tm(dec, symbol_of_sampled(sampled), f), p)
+    target, approximants = _approximants(generator, sampled, f, piece_counts)
     reports = []
     approx_norms = []
-    for n in piece_counts:
-        step = approximate_by_steps(sampled, int(n))
-        value = lp_norm(apply_Tm(dec, symbol_of_step(step), f), p)
+    for n, (step, approx) in zip(piece_counts, approximants):
+        value = lp_norm(approx, p)
         approx_norms.append(value)
         reports.append(
             make_report(
@@ -480,5 +457,5 @@ def approximation_limit_check(
             )
         )
     tail = approx_norms[len(approx_norms) // 2 :]
-    reports.append(make_report("limit-bound", target, max(tail) + tol, 1.0, "paper"))
+    reports.append(make_report("limit-bound", lp_norm(target, p), max(tail) + tol, 1.0, "paper"))
     return tuple(reports)

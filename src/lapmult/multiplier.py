@@ -10,12 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .semigroup import ReversibleGenerator, heat_operator
-from .space import Field, lp_norm
+from .space import Field
 from .spectral import SpectralDecomposition, spectral_apply
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "telescoping_Tm",
     "imaginary_power_preset",
     "approximate_by_steps",
-    "step_convergence_check",
-    "StepConvergenceReport",
 ]
 
 
@@ -269,63 +267,3 @@ def approximate_by_steps(sampled: SampledMultiplier, n: int) -> StepMultiplier:
     bp = np.linspace(0.0, sampled.truncation, n + 1)
     mids = 0.5 * (bp[:-1] + bp[1:])
     return StepMultiplier(bp, _eval_sampler(sampled.sampler, mids))
-
-
-# Relative rise allowed between consecutive errors of a convergence curve.
-_JITTER = 0.10
-
-
-@dataclass(frozen=True, eq=False)
-class StepConvergenceReport:
-    """L^2 errors of step-approximated operators against the quadrature operator."""
-
-    piece_counts: tuple[int, ...]
-    errors: tuple[float, ...]
-    tol: float
-
-    @property
-    def final_error(self) -> float:
-        return self.errors[-1]
-
-    @property
-    def monotone_ok(self) -> bool:
-        return all(
-            later <= earlier * (1.0 + _JITTER)
-            for earlier, later in zip(self.errors[:-1], self.errors[1:])
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.final_error < self.tol and self.monotone_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "piece_counts": list(self.piece_counts),
-            "errors": list(self.errors),
-            "tol": self.tol,
-            "jitter": _JITTER,
-            "final_error": self.final_error,
-            "monotone_ok": self.monotone_ok,
-            "passed": self.passed,
-        }
-
-
-def step_convergence_check(
-    dec: SpectralDecomposition,
-    sampled: SampledMultiplier,
-    f: Field,
-    piece_counts: Sequence[int],
-    tol: float,
-) -> StepConvergenceReport:
-    """Errors ||T_{M_n} f - T_M f||_2 for midpoint step approximations M_n.
-
-    The report passes when the last error is below ``tol`` and the curve is
-    nonincreasing up to the ``_JITTER`` allowance.
-    """
-    reference = apply_Tm(dec, symbol_of_sampled(sampled), f)
-    errors = []
-    for n in piece_counts:
-        step = approximate_by_steps(sampled, int(n))
-        approx = apply_Tm(dec, symbol_of_step(step), f)
-        errors.append(lp_norm(approx - reference, 2.0))
-    return StepConvergenceReport(tuple(int(n) for n in piece_counts), tuple(errors), tol)

@@ -80,7 +80,7 @@ def run_config(config: ExperimentConfig, threads: int = 1) -> RunOutcome:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_suite, config.suites))
-    overall = all(r.passed for r in results if not r.report_only)
+    overall = all(r.passed for r in results)
     report = {
         "schema": REPORT_SCHEMA,
         "environment": _environment_stamp(),

@@ -17,7 +17,10 @@ __all__ = [
     "operator_matrix",
 ]
 
-EIGENVALUE_FLOOR = 1e-10
+# Roundoff allowance relative to a generator's scale max(1, max|A_ij|).  The
+# generator's invariants are checked to it, and an eigenvalue in
+# [-GENERATOR_TOL * scale, 0) is roundoff of a zero eigenvalue.
+GENERATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +74,9 @@ def decompose(generator) -> SpectralDecomposition:
     decomposition lives on ``generator.space``), so this module, which sits
     below the semigroup module, never imports it.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below that range
-    means the generator is not nonnegative and raises.
+    Eigenvalues in [-1e-10 * max(1, max|A_ij|), 0) are clamped to zero;
+    anything below that range means the generator is not nonnegative and
+    raises.
 
     The last result is memoized with one entry keyed by the identity of
     ``generator``: a repeat call on the same object returns the same
@@ -94,8 +98,9 @@ def decompose(generator) -> SpectralDecomposition:
         lam, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("symmetric eigensolver failed to converge") from exc
-    if lam[0] < -EIGENVALUE_FLOOR:
-        raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{EIGENVALUE_FLOOR}")
+    floor = GENERATOR_TOL * max(1.0, float(np.abs(generator.entries).max()))
+    if lam[0] < -floor:
+        raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     lam = np.where(lam < 0.0, 0.0, lam)
     dec = SpectralDecomposition(generator.space, lam, v / s[:, None])
     _last = (generator, dec)

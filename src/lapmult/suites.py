@@ -32,6 +32,7 @@ from .inequalities import (
     multiplier_pnorm_check,
     opnorm_exact,
     pnorm_growth_fit,
+    step_convergence_check,
     transform_pnorm_check,
     verify_markov_conditions,
 )
@@ -40,7 +41,6 @@ from .multiplier import (
     StepMultiplier,
     apply_Tm,
     imaginary_power_preset,
-    step_convergence_check,
     symbol_of_sampled,
     symbol_of_step,
     telescoping_Tm,
@@ -81,13 +81,13 @@ class SuiteResult:
     passed: bool
     summary: dict
     inequalities: tuple[InequalityReport, ...] = ()
-    report_only: bool = False
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "report_only": self.report_only,
+            # always false; the lapmult-report-2 schema keeps the key
+            "report_only": False,
             "summary": self.summary,
             "inequalities": [r.to_dict() for r in self.inequalities],
         }
@@ -139,16 +139,22 @@ def dilation_instance_family(
         yield gen, PathSpace(kernel, horizon), probe
 
 
+_INTERPOLATION_NOTE = (
+    "contraction for intermediate 1 < p < inf follows from the "
+    "p in {1, inf} endpoints by interpolation; it is not re-verified per p"
+)
+
+
 def suite_markov_conditions(
     chain: ReversibleGenerator, time: float = 1.0, tol: float = 1e-10
 ) -> SuiteResult:
     """Verify the four kernel conditions on a heat operator of the given chain."""
     kernel = heat_operator(chain, time)
-    report = verify_markov_conditions(kernel, tol)
-    summary = report.to_dict()
-    summary["time"] = time
-    summary["kernel"] = kernel.to_dict()
-    return SuiteResult("markov_conditions", report.passed, summary)
+    violations = verify_markov_conditions(kernel)
+    passed = max(violations.values()) <= tol
+    summary = {**violations, "tol": tol, "passed": passed, "note": _INTERPOLATION_NOTE,
+               "time": time, "kernel": kernel.to_dict()}
+    return SuiteResult("markov_conditions", passed, summary)
 
 
 def suite_step_identity(
@@ -359,6 +365,10 @@ def _probe_field(chain: ReversibleGenerator, field_seed, field) -> Field:
     return Field(chain.space, _random_complex(rng, chain.space.n))
 
 
+# Relative rise allowed between consecutive errors of a convergence curve.
+_JITTER = 0.10
+
+
 def suite_step_convergence(
     chain: ReversibleGenerator,
     multiplier: SampledMultiplier,
@@ -369,13 +379,14 @@ def suite_step_convergence(
 ) -> SuiteResult:
     """L^2 convergence of step-approximated operators toward the quadrature operator."""
     probe = _probe_field(chain, field_seed, field)
-    dec = decompose(chain)
     tol = rel_tol * lp_norm(probe, 2.0)
-    report = step_convergence_check(dec, multiplier, probe, piece_counts, tol)
-    summary = report.to_dict()
-    summary["rel_tol"] = rel_tol
-    summary["probe_l2"] = lp_norm(probe, 2.0)
-    return SuiteResult("step_convergence", report.passed, summary)
+    errors = step_convergence_check(chain, multiplier, probe, piece_counts)
+    monotone_ok = all(later <= earlier * (1.0 + _JITTER) for earlier, later in zip(errors, errors[1:]))
+    passed = errors[-1] <= tol and monotone_ok
+    summary = {"piece_counts": [int(n) for n in piece_counts], "errors": list(errors), "tol": tol,
+               "jitter": _JITTER, "final_error": errors[-1], "monotone_ok": monotone_ok,
+               "passed": passed, "rel_tol": rel_tol, "probe_l2": lp_norm(probe, 2.0)}
+    return SuiteResult("step_convergence", passed, summary)
 
 
 def suite_llogl_chain(

@@ -417,3 +417,40 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CHECK_FAILURE
         report = json.loads((out_dir / "report.json").read_text())
         assert report["overall_pass"] is False
+
+    def test_chain_with_large_conductances_runs(self, tmp_path):
+        # eigh leaves the zero eigenvalue at -6e-9 here: roundoff of 1e-15
+        # relative to the generator's entries, so decompose clamps it
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [{"check": "markov_conditions",
+                        "chain": {"seed": 2, "n": 16, "conductance_scale": 1e6}, "time": 1e-6}],
+        }
+        out_dir = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)]) == EXIT_OK
+        assert json.loads((out_dir / "report.json").read_text())["overall_pass"] is True
+
+    def test_generator_with_a_row_sum_defect_is_config_error(self, tmp_path):
+        # the second row sums to -3e-9, which the generator's relative tolerance rejects
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [{"check": "markov_conditions",
+                        "chain": {"weights": [1, 1], "generator": [[1, -1], [-1, 0.999999997]]}}],
+        }
+        out_dir = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+
+    def test_step_convergence_passes_on_a_zero_field(self, tmp_path):
+        # every error is exactly 0 and so is the tolerance rel_tol * ||f||_2
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [{"check": "step_convergence", "chain": {"seed": 7, "n": 3}, "field": [0, 0, 0],
+                        "multiplier": {"type": "sampled", "name": "exp", "t_max": 4.0, "grid": 513},
+                        "piece_counts": [4, 8]}],
+        }
+        out_dir = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)]) == EXIT_OK
+        summary = json.loads((out_dir / "report.json").read_text())["suites"][0]["summary"]
+        assert summary["errors"] == [0.0, 0.0]
+        assert summary["tol"] == 0.0

@@ -21,6 +21,7 @@ from lapmult import (
     telescoping_Tm,
 )
 from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _simpson_weights
+from lapmult.suites import suite_step_convergence
 
 from conftest import random_field
 
@@ -330,33 +331,32 @@ class TestStepApproximation:
 class TestStepConvergence:
     def test_exponential_curve(self):
         space, gen = random_reversible_generator(7, 6)
-        dec = decompose(gen)
         f = random_field(space, 5)
         sampled = SampledMultiplier(exp_sampler, 4.0, 513, 1.0)
-        report = step_convergence_check(dec, sampled, f, [4, 8, 16, 32, 64],
-                                        tol=1e-2 * lp_norm(f, 2.0))
-        assert report.passed
-        assert report.monotone_ok
-        assert report.errors[-1] < report.errors[0]
+        errors = step_convergence_check(gen, sampled, f, [4, 8, 16, 32, 64])
+        # suite_step_convergence applies its pass rule (rel_tol 1e-2) to the same curve
+        result = suite_step_convergence(gen, sampled, [4, 8, 16, 32, 64], field=f.values, rel_tol=1e-2)
+        assert result.summary["errors"] == list(errors)
+        assert result.passed
+        assert result.summary["monotone_ok"]
+        assert errors[-1] < errors[0]
 
     def test_aligned_step_gives_quadrature_error_only(self):
         # a constant sampler is exactly reproduced by every midpoint approximant,
         # so the errors sit at the flat quadrature floor instead of decaying
         space, gen = random_reversible_generator(8, 5)
-        dec = decompose(gen)
         f = random_field(space, 6)
         sampled = SampledMultiplier(lambda t: np.full(np.shape(t), 1.0), 2.0, 129, 1.0)
-        report = step_convergence_check(dec, sampled, f, [2, 4, 8], tol=1e-6)
-        assert max(report.errors) < 1e-6
-        assert max(report.errors) <= min(report.errors) * 1.01
+        errors = step_convergence_check(gen, sampled, f, [2, 4, 8])
+        assert max(errors) < 1e-6
+        assert max(errors) <= min(errors) * 1.01
 
     def test_zero_sampler(self):
         space, gen = random_reversible_generator(9, 5)
-        dec = decompose(gen)
         f = random_field(space, 7)
         sampled = SampledMultiplier(lambda t: np.zeros(np.shape(t)), 2.0, 65, 0.0)
-        report = step_convergence_check(dec, sampled, f, [2, 4], tol=1e-10)
-        assert max(report.errors) < 1e-12
+        errors = step_convergence_check(gen, sampled, f, [2, 4])
+        assert max(errors) < 1e-12
 
 
 class TestEq4Bound:

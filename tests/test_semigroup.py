@@ -15,6 +15,7 @@ from lapmult import (
     verify_markov_conditions,
     weighted_inner,
 )
+from lapmult.suites import suite_markov_conditions
 
 from conftest import random_field
 
@@ -57,9 +58,8 @@ class TestGeneratorConstruction:
     def test_seed42_satisfies_all_conditions(self):
         # the verifier is the oracle for the construction
         _, gen = random_reversible_generator(42, 5)
-        report = verify_markov_conditions(heat_operator(gen, 0.9), tol=1e-10)
-        assert report.passed
-        assert report.max_violation < 1e-10
+        violations = verify_markov_conditions(heat_operator(gen, 0.9))
+        assert max(violations.values()) < 1e-10  # so the suite's rule, <= tol, passes too
 
 
 class TestHeatOperator:
@@ -87,33 +87,39 @@ class TestHeatOperator:
             heat_operator(gen, -0.1)
 
 
+# The pass rule of suite_markov_conditions: no violation above its default tol.
+TOL = 1e-10
+
+
 class TestVerifyConditions:
     def test_identity_kernel(self):
         space = WeightedSpace([0.4, 0.6, 1.0])
-        report = verify_markov_conditions(MarkovKernel(space, np.eye(3), step=0.0))
-        assert report.max_violation == 0.0
-        assert report.passed
+        violations = verify_markov_conditions(MarkovKernel(space, np.eye(3), step=0.0))
+        assert set(violations) == {
+            "positivity_violation", "conservation_violation", "symmetry_violation",
+            "contraction_violation_p1", "contraction_violation_pinf",
+        }
+        assert max(violations.values()) == 0.0
 
     def test_heat_kernels_pass(self):
         for seed in range(5):
             _, gen = random_reversible_generator(seed, 6)
-            report = verify_markov_conditions(heat_operator(gen, 0.7), tol=1e-10)
-            assert report.passed
+            violations = verify_markov_conditions(heat_operator(gen, 0.7))
+            assert max(violations.values()) <= TOL
 
     def test_non_detailed_balance_kernel_reported(self):
         # equal weights: defect |dx_0 Q_01 - dx_1 Q_10| = |0.1 - 0.5| = 0.4
         space = WeightedSpace([1.0, 1.0])
         kernel = MarkovKernel(space, [[0.9, 0.1], [0.5, 0.5]], step=1.0)
-        report = verify_markov_conditions(kernel)
-        assert report.symmetry_violation == pytest.approx(0.4, abs=1e-14)
-        assert not report.passed
-        assert report.positivity_violation == 0.0
-        assert report.conservation_violation < 1e-15
+        violations = verify_markov_conditions(kernel)
+        assert violations["symmetry_violation"] == pytest.approx(0.4, abs=1e-14)
+        assert max(violations.values()) > TOL
+        assert violations["positivity_violation"] == 0.0
+        assert violations["conservation_violation"] < 1e-15
 
     def test_note_mentions_interpolation(self):
-        space = WeightedSpace([1.0])
-        report = verify_markov_conditions(MarkovKernel(space, [[1.0]]))
-        assert "interpolation" in report.note
+        _, gen = random_reversible_generator(0, 1)
+        assert "interpolation" in suite_markov_conditions(gen).summary["note"]
 
 
 class TestSemigroupProperties:

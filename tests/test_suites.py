@@ -14,10 +14,11 @@ from lapmult.suites import (
     suite_mc_crosscheck,
     suite_multiplier_pnorm,
     suite_multiplier_pnorm_family,
+    suite_step_convergence,
     suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
-from lapmult import random_reversible_generator, suites
+from lapmult import SampledMultiplier, random_reversible_generator, suites
 from lapmult.inequalities import make_report
 
 
@@ -119,6 +120,44 @@ def test_dilation_identity_fails_on_a_deviation_above_tol(monkeypatch):
     monkeypatch.setattr(suites, "dilation_identity_check", lambda ps, f, generator=None: (0.0, 2e-10))
     result = suite_dilation_identity(3, 2, max_n=3, max_horizon=2, tol=1e-10)
     assert result.summary["max_deviation_heat"] == 2e-10
+    assert result.passed is False
+
+
+def test_markov_conditions_fails_on_a_violation_above_tol(monkeypatch):
+    check = suites.verify_markov_conditions
+
+    def with_violation(kernel):
+        return {**check(kernel), "symmetry_violation": 2e-10}
+
+    monkeypatch.setattr(suites, "verify_markov_conditions", with_violation)
+    _, gen = random_reversible_generator(42, 5)
+    assert suite_markov_conditions(gen, tol=3e-10).passed is True
+    result = suite_markov_conditions(gen, tol=1e-10)
+    assert result.summary["symmetry_violation"] == 2e-10
+    assert result.summary["passed"] is False
+    assert result.passed is False
+
+
+def _step_convergence_with(monkeypatch, errors):
+    """suite_step_convergence on a unit field (tol = rel_tol) whose check returns ``errors``."""
+    monkeypatch.setattr(suites, "step_convergence_check", lambda gen, sampled, f, counts: errors)
+    _, gen = random_reversible_generator(7, 3)
+    sampled = SampledMultiplier(lambda t: np.exp(-t), 4.0, 65, 1.0)
+    field = np.ones(3) / math.sqrt(gen.space.total_mass)
+    return suite_step_convergence(gen, sampled, [4, 8, 16], field=field, rel_tol=1e-2)
+
+
+def test_step_convergence_fails_on_a_rising_error_curve(monkeypatch):
+    assert _step_convergence_with(monkeypatch, (1e-3, 1.09e-3, 1e-3)).passed is True
+    result = _step_convergence_with(monkeypatch, (1e-3, 1.11e-3, 1e-3))
+    assert result.summary["monotone_ok"] is False
+    assert result.passed is False
+
+
+def test_step_convergence_fails_on_a_final_error_above_tol(monkeypatch):
+    result = _step_convergence_with(monkeypatch, (0.5, 0.1, 0.011))
+    assert result.summary["tol"] == pytest.approx(1e-2, rel=1e-12)
+    assert result.summary["monotone_ok"] is True
     assert result.passed is False
 
 
