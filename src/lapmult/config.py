@@ -5,15 +5,17 @@ of ready-to-run suite specs or raises ConfigError, so a malformed config never
 produces partial output.  Every randomized component must carry its own seed.
 
 Each check is declared once, in ``CHECKS``: its suite runner, the kind and
-bounds of every key it accepts, the keys it requires, and how the keys of its
-``dilation`` block map onto runner keyword arguments.  A key the table does not
-name is a config error at every level, so a config cannot silently mean
-something other than what it says.  A key the config omits takes the default
-of the suite runner's signature; this module holds no defaults of its own.
+bounds of every key it accepts, and how the keys of its ``dilation`` block map
+onto runner keyword arguments.  A key the table does not name is a config error
+at every level, so a config cannot silently mean something other than what it
+says.  The suite runner's signature settles the rest: a key is required exactly
+when the runner has no default for it, and a key the config omits takes that
+default; this module holds no defaults of its own.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -69,6 +71,12 @@ def _fields(spec: Any, kinds: dict[str, Kind], required, where: str) -> dict:
     for key in required:
         _require(key in spec, f"{where}: missing required key {key!r}")
     return {key: kind(spec[key], f"{where}.{key}") for key, kind in kinds.items() if key in spec}
+
+
+def _no_default(function: Callable, keys) -> list[str]:
+    """The parameters of ``function`` that are in ``keys`` and have no default, in signature order."""
+    return [name for name, param in inspect.signature(function).parameters.items()
+            if name in keys and param.default is inspect.Parameter.empty]
 
 
 def _number(value: Any, what: str) -> float:
@@ -151,7 +159,8 @@ def _chain(spec: Any, what: str) -> ReversibleGenerator:
             return ReversibleGenerator(space, np.asarray(given["generator"], dtype=float))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{what}: invalid explicit chain: {exc}") from exc
-    return random_reversible_generator(**_fields(spec, _SEEDED_CHAIN, ("seed", "n"), what))[1]
+    required = _no_default(random_reversible_generator, _SEEDED_CHAIN)
+    return random_reversible_generator(**_fields(spec, _SEEDED_CHAIN, required, what))[1]
 
 
 _STEP = {"type": _string, "breakpoints": _NUMBERS, "values": _list_of(_scalar)}
@@ -192,8 +201,9 @@ _DILATION = {"epsilon": _positive, "horizon": _COUNT, "seed": _SEED, "samples": 
 
 @dataclass(frozen=True, eq=False)
 class Check:
-    """One check: its runner, the kind of each key it accepts, and the keys it requires.
+    """One check: its runner and the kind of each key it accepts.
 
+    A top-level key is required exactly when ``run`` has no default for it.
     ``dilation`` maps the keys of the check's required ``dilation`` block onto
     runner keyword arguments (every key but ``horizon`` is required there), and
     the block's ``mode`` (default ``"exact"``) must equal ``mode``.
@@ -201,7 +211,6 @@ class Check:
 
     run: Callable[..., suites.SuiteResult]
     params: dict[str, Kind]
-    required: tuple[str, ...] = ()
     dilation: dict[str, str] = field(default_factory=dict)
     mode: str = "exact"
 
@@ -213,10 +222,10 @@ class Check:
 
     def parse(self, entry: dict, name: str) -> dict:
         kinds = {"check": _string, **self.params}
-        required = ("check", *self.required)
+        required = ["check", *_no_default(self.run, self.params)]
         if self.dilation:
             kinds["dilation"] = self._dilation_block
-            required += ("dilation",)
+            required.append("dilation")
         kwargs = _fields(entry, kinds, required, name)
         del kwargs["check"]
         for key, value in kwargs.pop("dilation", {}).items():
@@ -237,49 +246,36 @@ _ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_
            "probe_seed": _SEED}
 _PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_COUNT),
            "field": _list_of(_scalar), "field_seed": _SEED}
-_FAMILY_REQUIRED = ("seed", "instances")
-_PROBED_REQUIRED = ("chain", "multiplier", "piece_counts")
 _PATH_DILATION = {"epsilon": "epsilon"}
 
 CHECKS: dict[str, Check] = {
     "markov_conditions": Check(
-        suites.suite_markov_conditions,
-        {"chain": _chain, "time": _positive, "tol": _positive}, ("chain",)),
-    "step_identity": Check(
-        suites.suite_step_identity, {**_STEP_FAMILY, "tol": _positive}, _FAMILY_REQUIRED),
-    "l2_bound": Check(suites.suite_l2_bound, _STEP_FAMILY, _FAMILY_REQUIRED),
+        suites.suite_markov_conditions, {"chain": _chain, "time": _positive, "tol": _positive}),
+    "step_identity": Check(suites.suite_step_identity, {**_STEP_FAMILY, "tol": _positive}),
+    "l2_bound": Check(suites.suite_l2_bound, _STEP_FAMILY),
     "dilation_identity": Check(
-        suites.suite_dilation_identity,
-        {**_PATH_FAMILY, "tol": _positive}, _FAMILY_REQUIRED, _PATH_DILATION),
+        suites.suite_dilation_identity, {**_PATH_FAMILY, "tol": _positive}, _PATH_DILATION),
     "transform_identity": Check(
-        suites.suite_transform_identity,
-        {**_PATH_FAMILY, "tol": _positive}, _FAMILY_REQUIRED, _PATH_DILATION),
+        suites.suite_transform_identity, {**_PATH_FAMILY, "tol": _positive}, _PATH_DILATION),
     "multiplier_pnorm": Check(
-        suites.suite_multiplier_pnorm,
-        {"chain": _chain, "multiplier": _multiplier, **_ASCENT}, ("chain", "multiplier", *_ASCENT)),
+        suites.suite_multiplier_pnorm, {"chain": _chain, "multiplier": _multiplier, **_ASCENT}),
     "multiplier_pnorm_family": Check(
-        suites.suite_multiplier_pnorm_family,
-        {**_STEP_FAMILY, **_ASCENT}, (*_FAMILY_REQUIRED, *_ASCENT)),
+        suites.suite_multiplier_pnorm_family, {**_STEP_FAMILY, **_ASCENT}),
     "transform_pnorm": Check(
-        suites.suite_transform_pnorm,
-        {**_PATH_FAMILY, "p_grid": _ASCENT["p_grid"]},
-        (*_FAMILY_REQUIRED, "p_grid"), _PATH_DILATION),
-    "step_convergence": Check(
-        suites.suite_step_convergence, {**_PROBED, "rel_tol": _positive}, _PROBED_REQUIRED),
+        suites.suite_transform_pnorm, {**_PATH_FAMILY, "p_grid": _ASCENT["p_grid"]}, _PATH_DILATION),
+    "step_convergence": Check(suites.suite_step_convergence, {**_PROBED, "rel_tol": _positive}),
     "llogl_chain": Check(
         suites.suite_llogl_chain,
         {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
          "stability_doubling": _boolean, "stability_rel": _positive},
-        ("seed", "chains", "fields"), _PATH_DILATION),
+        _PATH_DILATION),
     "imaginary_powers": Check(
         suites.suite_imaginary_powers,
-        {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _at_least(5)},
-        ("chain", "gammas")),
+        {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _at_least(5)}),
     "approximation_limit": Check(
-        suites.suite_approximation_limit,
-        {**_PROBED, "p": _exponent, "tol": _positive}, _PROBED_REQUIRED),
+        suites.suite_approximation_limit, {**_PROBED, "p": _exponent, "tol": _positive}),
     "mc_crosscheck": Check(
-        suites.suite_mc_crosscheck, {"seed": _SEED, "n": _COUNT}, ("seed",),
+        suites.suite_mc_crosscheck, {"seed": _SEED, "n": _COUNT},
         {"epsilon": "epsilon", "horizon": "horizon", "seed": "mc_seed", "samples": "samples"},
         mode="mc"),
 }

@@ -94,10 +94,6 @@ class SampledMultiplier:
         vals.setflags(write=False)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_grid_values", vals)
-        # lam -> (full-grid, half-grid) Simpson sums, shared by every symbol
-        # built from this multiplier; filled by symbol_of_sampled.  Threads
-        # that race on one lam compute and store equal pairs.
-        object.__setattr__(self, "_quadrature_pairs", {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +146,9 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     (samplers may oscillate or be undefined as t -> 0), and the truncation tail
     bound sup|M| * e^{-lam T}.
 
-    Each lam's pair of Simpson sums is computed once and kept in ``sampled``,
-    so the value, the error bound and every symbol built from one multiplier
-    share it; the table holds one pair of complex numbers per distinct lam.
+    Each lam's pair of Simpson sums is computed once and kept by the symbol,
+    so its value and its error bound share it; the table holds one pair of
+    complex numbers per distinct lam.
     """
     t = sampled._grid
     mv = sampled._grid_values
@@ -161,7 +157,7 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     tmax = sampled.truncation
     w_full = _simpson_weights(t.size, h)
     w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h)
-    pairs = sampled._quadrature_pairs
+    pairs: dict[float, tuple[complex, complex]] = {}
 
     def _quadratures(lam: float) -> tuple[complex, complex]:
         pair = pairs.get(lam)

@@ -33,10 +33,9 @@ _RUNNERS: dict[str, Callable[..., SuiteResult]] = {name: c.run for name, c in CH
 
 @dataclass(frozen=True, eq=False)
 class RunOutcome:
-    """The assembled report, its flat inequality rows, and the overall verdict."""
+    """The assembled report and the overall verdict."""
 
     report: dict
-    csv_rows: list[dict]
     overall_pass: bool
 
 
@@ -88,13 +87,7 @@ def run_config(config: ExperimentConfig, threads: int = 1) -> RunOutcome:
         "suites": [_jsonable(r.to_dict()) for r in results],
         "overall_pass": overall,
     }
-    rows = []
-    for result in results:
-        for ineq in result.inequalities:
-            row = {"suite": result.name}
-            row.update(_jsonable(ineq.to_dict()))
-            rows.append(row)
-    return RunOutcome(report=report, csv_rows=rows, overall_pass=overall)
+    return RunOutcome(report=report, overall_pass=overall)
 
 
 def report_json(outcome: RunOutcome) -> str:
@@ -108,6 +101,7 @@ def inequalities_csv(outcome: RunOutcome) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_HEADER, lineterminator="\n")
     writer.writeheader()
-    for row in outcome.csv_rows:
-        writer.writerow(row)
+    for suite in outcome.report["suites"]:
+        for row in suite["inequalities"]:
+            writer.writerow({"suite": suite["name"], **row})
     return buffer.getvalue()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import WeightedSpace
-from .spectral import GENERATOR_TOL, decompose, operator_matrix
+from .spectral import decompose, generator_roundoff, operator_matrix
 
 __all__ = [
     "ReversibleGenerator",
@@ -24,10 +24,10 @@ _HEAT_TOL = 1e-10
 class ReversibleGenerator:
     """Generator A of a reversible chain: T^t = e^{-tA} is the associated semigroup.
 
-    Invariants enforced at construction, to ``GENERATOR_TOL`` relative to
-    max(1, max|A_ij|) (the roundoff that ``decompose`` also allows):
-    nonpositive off-diagonal, nonnegative diagonal, zero row sums, and
-    detailed balance dx_i A_ij = dx_j A_ji.
+    Invariants enforced at construction, to ``generator_roundoff`` (the
+    roundoff that ``decompose`` also allows): nonpositive off-diagonal,
+    nonnegative diagonal, zero row sums, and detailed balance
+    dx_i A_ij = dx_j A_ji.
     """
 
     space: WeightedSpace
@@ -40,7 +40,7 @@ class ReversibleGenerator:
             raise ValueError(f"generator must be {n}x{n}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("generator entries must be finite")
-        tol = GENERATOR_TOL * max(1.0, float(np.abs(a).max()))
+        tol = generator_roundoff(a)
         off = a - np.diag(np.diag(a))
         if off.max(initial=0.0) > tol:
             raise ValueError("off-diagonal generator entries must be <= 0")

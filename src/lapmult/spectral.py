@@ -17,10 +17,16 @@ __all__ = [
     "operator_matrix",
 ]
 
-# Roundoff allowance relative to a generator's scale max(1, max|A_ij|).  The
-# generator's invariants are checked to it, and an eigenvalue in
-# [-GENERATOR_TOL * scale, 0) is roundoff of a zero eigenvalue.
 GENERATOR_TOL = 1e-10
+
+
+def generator_roundoff(entries: np.ndarray) -> float:
+    """GENERATOR_TOL * max(1, max|A_ij|): the roundoff allowance of a generator's entries.
+
+    The generator's invariants are checked to it, and an eigenvalue within it
+    of zero is roundoff of a zero eigenvalue.
+    """
+    return GENERATOR_TOL * max(1.0, float(np.abs(entries).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +80,8 @@ def decompose(generator) -> SpectralDecomposition:
     decomposition lives on ``generator.space``), so this module, which sits
     below the semigroup module, never imports it.
 
-    Eigenvalues in [-1e-10 * max(1, max|A_ij|), 0) are clamped to zero;
-    anything below that range means the generator is not nonnegative and
-    raises.
+    Eigenvalues in [-generator_roundoff(A), 0) are clamped to zero; anything
+    below that range means the generator is not nonnegative and raises.
 
     The last result is memoized with one entry keyed by the identity of
     ``generator``: a repeat call on the same object returns the same
@@ -98,7 +103,7 @@ def decompose(generator) -> SpectralDecomposition:
         lam, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("symmetric eigensolver failed to converge") from exc
-    floor = GENERATOR_TOL * max(1.0, float(np.abs(generator.entries).max()))
+    floor = generator_roundoff(generator.entries)
     if lam[0] < -floor:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     lam = np.where(lam < 0.0, 0.0, lam)

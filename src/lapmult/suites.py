@@ -28,7 +28,6 @@ from .inequalities import (
     approximation_limit_check,
     llogl_chain_check,
     make_report,
-    multiplier_operator,
     multiplier_pnorm_check,
     opnorm_exact,
     pnorm_growth_fit,
@@ -51,7 +50,7 @@ from .semigroup import (
     random_reversible_generator,
 )
 from .space import Field, lp_norm
-from .spectral import decompose
+from .spectral import decompose, generator_roundoff, operator_matrix
 
 __all__ = [
     "SuiteResult",
@@ -379,13 +378,14 @@ def suite_step_convergence(
 ) -> SuiteResult:
     """L^2 convergence of step-approximated operators toward the quadrature operator."""
     probe = _probe_field(chain, field_seed, field)
-    tol = rel_tol * lp_norm(probe, 2.0)
+    probe_l2 = lp_norm(probe, 2.0)
+    tol = rel_tol * probe_l2
     errors = step_convergence_check(chain, multiplier, probe, piece_counts)
     monotone_ok = all(later <= earlier * (1.0 + _JITTER) for earlier, later in zip(errors, errors[1:]))
     passed = errors[-1] <= tol and monotone_ok
     summary = {"piece_counts": [int(n) for n in piece_counts], "errors": list(errors), "tol": tol,
                "jitter": _JITTER, "final_error": errors[-1], "monotone_ok": monotone_ok,
-               "passed": passed, "rel_tol": rel_tol, "probe_l2": lp_norm(probe, 2.0)}
+               "passed": passed, "rel_tol": rel_tol, "probe_l2": probe_l2}
     return SuiteResult("step_convergence", passed, summary)
 
 
@@ -443,9 +443,6 @@ def suite_llogl_chain(
     return SuiteResult("llogl_chain", all_finite and stability_ok, summary)
 
 
-_POSITIVE_FLOOR = 1e-8
-
-
 def suite_imaginary_powers(
     chain: ReversibleGenerator,
     gammas: Sequence[float],
@@ -456,12 +453,13 @@ def suite_imaginary_powers(
 
     For each gamma the symbol must match lam^{i gamma} within its reported
     error at every positive eigenvalue, and the operator's 2-norm must stay
-    within sup|M| plus the worst reported error.  Eigenvalues below
-    ``_POSITIVE_FLOOR`` are the conservation zero mode up to roundoff and are
-    not counted as positive.
+    within sup|M| plus the worst reported error.  Eigenvalues within
+    ``generator_roundoff`` of zero are the conservation zero mode and are not
+    counted as positive.
     """
     dec = decompose(chain)
-    positive = [float(lam) for lam in dec.eigenvalues if lam > _POSITIVE_FLOOR]
+    floor = generator_roundoff(chain.entries)
+    positive = [float(lam) for lam in dec.eigenvalues if lam > floor]
     reports = []
     per_gamma = {}
     for gamma in gammas:
@@ -477,8 +475,8 @@ def suite_imaginary_powers(
             max_err = max(max_err, err)
             if dev > worst_dev:
                 worst_dev, worst_allowed = dev, err
-        op, sup = multiplier_operator(chain, preset)
-        opnorm = opnorm_exact(op, chain.space, 2.0)
+        sup = preset.declared_sup
+        opnorm = opnorm_exact(operator_matrix(dec, symbol.evaluator), chain.space, 2.0)
         reports.append(
             make_report(f"imaginary-power gamma={gamma:g} symbol", worst_dev, worst_allowed, 1.0, "paper")
         )

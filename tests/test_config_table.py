@@ -70,11 +70,26 @@ def test_table_matches_runner_signature(name):
     assert produced <= set(params), produced - set(params)
     # the converse: no runner parameter is out of a config's reach
     assert set(params) <= produced, set(params) - produced
-    required = set(check.required)
-    required |= {kwarg for key, kwarg in check.dilation.items() if key != "horizon"}
-    for param in params.values():
-        if param.default is inspect.Parameter.empty:
-            assert param.name in required, param.name
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_required_keys_are_the_runner_parameters_without_default(name):
+    check = CHECKS[name]
+    params = inspect.signature(check.run).parameters
+    no_default = [key for key in check.params if params[key].default is inspect.Parameter.empty]
+    # VALID gives those keys, the dilation block and, for a probe field, its seed
+    assert set(VALID[name]) - {"dilation", "field_seed"} == set(no_default)
+    for key in [*no_default, *(["dilation"] if check.dilation else [])]:
+        entry = {k: v for k, v in VALID[name].items() if k != key}
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            parse_config(config_of(name, **entry))
+    # a key the runner gives a default parses when omitted, and when given that default
+    omitted = kwargs_of(name, **VALID[name])
+    for key in check.params:
+        default = params[key].default
+        if key not in VALID[name] and default not in (inspect.Parameter.empty, None):
+            assert key not in omitted
+            assert kwargs_of(name, **VALID[name], **{key: default})[key] == default
 
 
 @pytest.mark.parametrize("name", list(CHECKS))

@@ -3,14 +3,19 @@
 The order is space -> spectral -> semigroup -> multiplier -> dilation ->
 inequalities -> suites -> config/runner -> cli; a module may import its own
 rank or below, and only at module level, never deferred inside a function.
-No module takes another module's private (underscore) name.
+No module takes another module's private (underscore) name.  The package
+publishes the ``__all__`` of the six layers below the suites, and nothing else.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import lapmult
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lapmult"
 
@@ -102,3 +107,19 @@ def test_no_private_name_crosses_modules():
                     and node.value.id in modules and _private(node.attr)):
                 crossings.append(f"{path.stem}.py:{node.lineno} reads {node.value.id}.{node.attr}")
     assert not crossings, crossings
+
+
+LAYERS = ("space", "spectral", "semigroup", "multiplier", "dilation", "inequalities")
+
+
+def test_package_exports_exactly_the_layers_public_names():
+    layers = [importlib.import_module(f"lapmult.{layer}") for layer in LAYERS]
+    names = [name for module in layers for name in module.__all__]
+    # a wildcard import would let a later layer shadow an earlier one's name silently
+    assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})
+    exported = {name for name, value in vars(lapmult).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == set(names), exported ^ set(names)
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(lapmult, name) is getattr(module, name), name

@@ -9,6 +9,7 @@ from lapmult.suites import (
     dilation_instance_family,
     step_instance_family,
     suite_dilation_identity,
+    suite_imaginary_powers,
     suite_llogl_chain,
     suite_markov_conditions,
     suite_mc_crosscheck,
@@ -18,7 +19,7 @@ from lapmult.suites import (
     suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
-from lapmult import SampledMultiplier, random_reversible_generator, suites
+from lapmult import SampledMultiplier, decompose, random_reversible_generator, suites
 from lapmult.inequalities import make_report
 
 
@@ -159,6 +160,17 @@ def test_step_convergence_fails_on_a_final_error_above_tol(monkeypatch):
     assert result.summary["tol"] == pytest.approx(1e-2, rel=1e-12)
     assert result.summary["monotone_ok"] is True
     assert result.passed is False
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_imaginary_powers_leaves_out_only_the_zero_mode(scale):
+    # at scale 1e8 the zero mode comes out as 3.2e-07, far above an absolute 1e-8 floor
+    _, gen = random_reversible_generator(2, 16, conductance_scale=scale)
+    result = suite_imaginary_powers(gen, [0.5, 1.0, 2.0])
+    positive = result.summary["positive_eigenvalues"]
+    assert len(positive) == 15
+    assert positive == decompose(gen).eigenvalues[1:].tolist()
+    assert positive[0] > 1e-2 * scale
 
 
 def test_markov_conditions_suite_serializes_kernel():
