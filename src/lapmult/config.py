@@ -160,7 +160,11 @@ def _chain(spec: Any, what: str) -> ReversibleGenerator:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{what}: invalid explicit chain: {exc}") from exc
     required = _no_default(random_reversible_generator, _SEEDED_CHAIN)
-    return random_reversible_generator(**_fields(spec, _SEEDED_CHAIN, required, what))[1]
+    given = _fields(spec, _SEEDED_CHAIN, required, what)
+    try:
+        return random_reversible_generator(**given)[1]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{what}: invalid seeded chain: {exc}") from exc
 
 
 _STEP = {"type": _string, "breakpoints": _NUMBERS, "values": _list_of(_scalar)}

@@ -130,6 +130,20 @@ def symbol_of_step(step: StepMultiplier) -> MultiplierSymbol:
     return MultiplierSymbol(evaluator, lambda lam: 0.0)
 
 
+# Prefixes are whole blocks of points, so a dot kernel that unrolls by any
+# power of two up to the block groups their terms as over the full grid.
+_EXP_UNDERFLOW = 746.0
+_PREFIX_BLOCK = 512
+
+
+def _nonzero_prefix(t: np.ndarray, lam: float) -> int:
+    """Points of the sorted grid t summed for lam (see symbol_of_sampled)."""
+    if not lam > 0.0:
+        return t.size
+    cut = int(np.searchsorted(t, _EXP_UNDERFLOW / lam))
+    return min(t.size, -(-cut // _PREFIX_BLOCK) * _PREFIX_BLOCK)
+
+
 def _simpson_weights(npoints: int, h: float) -> np.ndarray:
     w = np.full(npoints, 2.0)
     w[1::2] = 4.0
@@ -145,6 +159,11 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     half grid (smooth part of the integrand), an analytic cap on the first cell
     (samplers may oscillate or be undefined as t -> 0), and the truncation tail
     bound sup|M| * e^{-lam T}.
+
+    For lam > 0 both sums run only over the grid prefix t < 746 / lam, rounded
+    up to a multiple of 512 points and capped at the grid size.  Past it
+    fl(lam * t) > 745.2, and np.exp rounds every argument below -745.14 to
+    exactly 0.0, so every dropped term is an exact zero.
 
     Each lam's pair of Simpson sums is computed once and kept by the symbol,
     so its value and its error bound share it; the table holds one pair of
@@ -162,8 +181,10 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     def _quadratures(lam: float) -> tuple[complex, complex]:
         pair = pairs.get(lam)
         if pair is None:
-            g = mv * np.exp(-lam * t)
-            pair = pairs[lam] = complex(w_full @ g), complex(w_half @ g[::2])
+            stop = _nonzero_prefix(t, lam)
+            g = mv[:stop] * np.exp(-lam * t[:stop])
+            pair = pairs[lam] = (complex(w_full[:stop] @ g),
+                                 complex(w_half[:(stop + 1) // 2] @ g[::2]))
         return pair
 
     def evaluator(lam: float) -> complex:

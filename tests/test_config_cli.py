@@ -441,6 +441,19 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
 
+    def test_seeded_chain_that_cannot_be_built_is_config_error(self, tmp_path):
+        # conductances near 1e308 overflow the generator's row sums to inf
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [{"check": "markov_conditions",
+                        "chain": {"seed": 1, "n": 4, "conductance_scale": 1e308}}],
+        }
+        out_dir = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+
     def test_step_convergence_passes_on_a_zero_field(self, tmp_path):
         # every error is exactly 0 and so is the tolerance rel_tol * ||f||_2
         payload = {

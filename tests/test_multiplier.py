@@ -20,7 +20,7 @@ from lapmult import (
     symbol_of_step,
     telescoping_Tm,
 )
-from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _simpson_weights
+from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _nonzero_prefix, _simpson_weights
 from lapmult.suites import suite_step_convergence
 
 from conftest import random_field
@@ -31,7 +31,7 @@ def exp_sampler(t):
 
 
 def reference_symbol_of_sampled(sampled):
-    """symbol_of_sampled as it was before the quadrature table: fresh Simpson sums on every call."""
+    """symbol_of_sampled without its table or prefix cut: fresh full-grid Simpson sums on every call."""
     t = sampled._grid
     mv = sampled._grid_values
     h = float(t[1] - t[0])
@@ -154,11 +154,15 @@ class TestSampledSymbol:
             SampledMultiplier(exp_sampler, 1.0, 3, 1.0)
 
 
-SAMPLED_CASES = {
-    "imaginary_power": lambda: imaginary_power_preset(1.0, 8.0, 401),
-    "exp": lambda: SampledMultiplier(exp_sampler, 4.0, 129, 1.0),
-}
 REPEATED_LAMS = (0.0, 0.3, 2.5, 0.3, 0.0, 7.0, 2.5, 0.3)
+# Past the lams of the last two cases e^{-lam t} underflows to 0.0 before the grid ends.
+SAMPLED_CASES = {
+    "imaginary_power": (lambda: imaginary_power_preset(1.0, 8.0, 401), REPEATED_LAMS),
+    "exp": (lambda: SampledMultiplier(exp_sampler, 4.0, 129, 1.0), REPEATED_LAMS),
+    "imaginary_power_default": (lambda: imaginary_power_preset(1.0), (42.0, 129.0, 1e3, 42.0, 1e5)),
+    "exp_513": (lambda: SampledMultiplier(exp_sampler, 4.0, 513, 1.0), (200.0, 1e3, 200.0, 1e4)),
+}
+CUT_CASES = ("imaginary_power_default", "exp_513")
 
 
 class TestQuadratureReuse:
@@ -166,15 +170,31 @@ class TestQuadratureReuse:
     @pytest.mark.parametrize("bound_first", [False, True])
     def test_bytes_match_fresh_quadrature(self, case, bound_first):
         # repeated lams reuse the symbol's own Simpson pairs; its two callables alternate
-        symbol = symbol_of_sampled(SAMPLED_CASES[case]())
-        reference = reference_symbol_of_sampled(SAMPLED_CASES[case]())
+        make, lams = SAMPLED_CASES[case]
+        symbol = symbol_of_sampled(make())
+        reference = reference_symbol_of_sampled(make())
         calls = [("error_bound", np.float64), ("evaluator", np.complex128)]
         if not bound_first:
             calls.reverse()
-        for lam in REPEATED_LAMS:
+        for lam in lams:
             for name, dtype in calls:
                 got = dtype(getattr(symbol, name)(lam)).tobytes()
                 assert got == dtype(getattr(reference, name)(lam)).tobytes(), (name, lam)
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_dropped_terms_are_exact_zeros(self, case):
+        make, lams = SAMPLED_CASES[case]
+        t = make()._grid
+        assert all(_nonzero_prefix(t, lam) < t.size for lam in lams)
+        for lam in np.geomspace(1e-3, 1e7, 241):
+            stop = _nonzero_prefix(t, float(lam))
+            assert stop == t.size or stop % 512 == 0
+            assert np.all(np.exp(-lam * t[stop:]) == 0.0), lam
+
+    def test_full_grid_without_positive_lam(self):
+        t = imaginary_power_preset(1.0)._grid
+        for lam in (0.0, -1e-9, -5.0, math.nan):
+            assert _nonzero_prefix(t, lam) == t.size
 
 
 class TestApplyTm:
