@@ -75,10 +75,12 @@ class PathSpace:
         The kernel entries are frozen, so the table can never go stale; callers
         check the enumeration budget before touching it.  It lives as long as
         the space, so code that holds many path spaces holds all their tables.
+        The weights are the kernel's products ((1 q_0) q_1) ... folded down the
+        path tree, bit for bit the per-path product.
         """
         steps = self.horizon + 1
         paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
-        weights = _step_products(self, paths)
+        weights = _fold(np.ones(self.n_states), [self.kernel.entries] * self.horizon, np.multiply)
         paths.setflags(write=False)
         weights.setflags(write=False)
         return paths, weights
@@ -126,6 +128,27 @@ def all_paths(ps: PathSpace) -> np.ndarray:
     return ps._table[0]
 
 
+def _is_table(ps: PathSpace, paths: np.ndarray) -> bool:
+    """Whether ``paths`` is the table :func:`all_paths` returned; never builds one."""
+    table = vars(ps).get("_table")
+    return table is not None and paths is table[0]
+
+
+def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
+    """Fold per-step tables down the path tree, in :func:`all_paths` order.
+
+    ``start`` holds each start state's value at x_0; step k applies ``ufunc``
+    to the accumulated value of each prefix x_0..x_k and ``tables[k][x_k,
+    x_{k+1}]`` (a 1-d table is read as constant in x_k).  Level k holds only
+    the n^{k+1} prefixes, yet each path's value goes through the operations a
+    per-path gather would apply, in the same order, so the bits are the same.
+    """
+    acc = start
+    for table in tables:
+        acc = ufunc(acc[..., None], table)
+    return acc.ravel()
+
+
 def _edge_index(paths: np.ndarray, i: int, n: int) -> np.ndarray:
     """Flat index x_i * n + x_{i+1} of each path's step-i edge."""
     return paths[:, i] * n + paths[:, i + 1]
@@ -145,9 +168,8 @@ def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
     For the table returned by :func:`all_paths` this is the read-only array
     cached with it; any other path array gets a freshly computed product.
     """
-    table = vars(ps).get("_table")  # only a table already built, never build one here
-    if table is not None and paths is table[0]:
-        return table[1]
+    if _is_table(ps, paths):
+        return ps._table[1]
     return _step_products(ps, paths)
 
 
@@ -174,8 +196,8 @@ def reverse_martingale(ps: PathSpace, f: Field) -> np.ndarray:
 
 
 def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
-    """Per step i, the flattened n x n table of g_{i+1}[y] - g_i[x] at index x*n + y."""
-    return [(levels[i + 1][None, :] - levels[i][:, None]).ravel() for i in range(len(levels) - 1)]
+    """Per step i, the n x n table of g_{i+1}[y] - g_i[x] at [x, y] (flat index x*n + y)."""
+    return [levels[i + 1][None, :] - levels[i][:, None] for i in range(len(levels) - 1)]
 
 
 def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
@@ -183,7 +205,7 @@ def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
 
 
 def _edge_sum(tables: list[np.ndarray], edges: Iterable[np.ndarray], count: int, dtype) -> np.ndarray:
-    """sum_i table_i[edge_i] on each of ``count`` paths, given step i's edge indices edge_i.
+    """sum_i table_i[edge_i] on each of ``count`` paths, given step i's flat edge indices edge_i.
 
     A generator of edge indices holds one step's indices at a time.
     """
@@ -207,20 +229,21 @@ class ExactPaths:
     ``path_lp_norm``, both identity checks and the batched transform and
     L log L checks all go through it.  The constructor fetches the path table,
     so the enumeration budget is checked before anything else is built.  The
-    conditional weights, the path measure and the per-step edge indices
-    x_i n + x_{i+1} are each built on first use and kept by this object, never
-    by the space: at 4^9 paths the edge indices alone are 8.4 MB of int32.
+    conditional weights and the path measure are each built on first use and
+    kept by this object, never by the space.
 
     Every reduction gives the same bits as a per-path evaluation.  The table
     lists each start state's paths as one contiguous block, so E[S | x_0] is a
     running sum along each block, which adds the paths in the order a
-    per-state accumulation would.  The transform and the square function
-    gather, per step i, an n x n edge table of M_i (g_{i+1}[y] - g_i[x]) (for
-    the square function, the squared modulus of the raw increment) at each
-    path's edge index, and the maximal function gathers |g_k| per state, so
-    each value goes through the same operations in the same order.  An L^p
-    norm stays one dot product per functional: a gemv, an ``einsum`` or a
-    ``sum`` over a (functionals x paths) block changes last bits.
+    per-state accumulation would.  The transform, the square function and the
+    maximal function are folds down the path tree (:func:`_fold`) over per-step
+    n x n tables: M_i (g_{i+1}[y] - g_i[x]), the squared modulus of the raw
+    increment, and |g_{k+1}| per state.  Each path's value is still built from
+    zero (or |g_0(x_0)|) by the same additions (or maxima) in step order, so
+    it keeps the bits of a per-path gather, at the cost of about one pass over
+    the paths instead of one gather per step.  An L^p norm stays one dot
+    product per functional: a gemv, an ``einsum`` or a ``sum`` over a
+    (functionals x paths) block changes last bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
@@ -237,11 +260,6 @@ class ExactPaths:
         """Each path's probability P(omega)."""
         return path_measure(self.ps, self.paths)
 
-    @functools.cached_property
-    def edges(self) -> list[np.ndarray]:
-        """Per step i, each path's edge index x_i n + x_{i+1}."""
-        return [_edge_index(self.paths, i, self.ps.n_states) for i in range(self.ps.horizon)]
-
     def level(self, levels: np.ndarray, k: int) -> np.ndarray:
         """The level-k martingale value f_k(omega) = g_k(x_k) on every path."""
         if not 0 <= k <= self.ps.horizon:
@@ -251,7 +269,7 @@ class ExactPaths:
     def transform(self, levels: np.ndarray, m_values: Sequence[complex]) -> np.ndarray:
         """S = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)) on every path."""
         m = _multiplier_row(m_values, self.ps.horizon)
-        return _edge_sum(_transform_tables(levels, m), self.edges, len(self.paths), complex)
+        return _fold(np.zeros(self.ps.n_states, dtype=complex), _transform_tables(levels, m), np.add)
 
     def square(self, levels: np.ndarray) -> np.ndarray:
         """The square function (sum_i |g_{i+1}(x_{i+1}) - g_i(x_i)|^2)^{1/2} on every path.
@@ -260,15 +278,12 @@ class ExactPaths:
         L log L chain needs only the raw increments.
         """
         squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
-        return np.sqrt(_edge_sum(squares, self.edges, len(self.paths), float))
+        return np.sqrt(_fold(np.zeros(self.ps.n_states), squares, np.add))
 
     def maximal(self, levels: np.ndarray) -> np.ndarray:
         """The maximal function max_k |g_k(x_k)| on every path."""
         moduli = np.abs(levels)
-        best = moduli[0].take(self.paths[:, 0])
-        for k in range(1, len(moduli)):
-            np.maximum(best, moduli[k].take(self.paths[:, k]), out=best)
-        return best
+        return _fold(moduli[0], moduli[1:], np.maximum)
 
     def conditioned(self, values: np.ndarray) -> np.ndarray:
         """E[S | x_0] from S on every path.
@@ -304,14 +319,16 @@ def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: 
 
     The next state is the number of cumulative-kernel columns the draw
     exceeds.  Rows are filled one step at a time and the transposed view is
-    returned, so each coordinate ``paths[:, k]`` is contiguous.
+    returned, so each coordinate ``paths[:, k]`` is contiguous.  The int32
+    state row is cast to ``np.intp`` once per step, because ``take`` with
+    int32 indices is several times slower than with native ones.
     """
     columns = ps._cumulative_columns
     rows = np.zeros((ps.horizon + 1, count), dtype=np.int32)
     rows[0] = start
     for k in range(ps.horizon):
         u = rng.random(count)
-        here, nxt = rows[k], rows[k + 1]
+        here, nxt = rows[k].astype(np.intp), rows[k + 1]
         for column in columns:
             nxt += u > column.take(here)
     return rows.T
@@ -439,6 +456,8 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
     tables = _transform_tables(reverse_martingale(ps, f), m)
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
+        if _is_table(ps, paths):
+            return _fold(np.zeros(n, dtype=complex), tables, np.add)
         edges = (_edge_index(paths, i, n) for i in range(ps.horizon))
         return _edge_sum(tables, edges, len(paths), complex)
 

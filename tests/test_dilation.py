@@ -28,7 +28,15 @@ from lapmult import (
     transition_products,
 )
 from lapmult import dilation
-from lapmult.dilation import PathFunctional, _sample_stratum, _stratum_counts
+from lapmult.dilation import (
+    PathFunctional,
+    _edge_index,
+    _edge_sum,
+    _increment_tables,
+    _sample_stratum,
+    _stratum_counts,
+    _transform_tables,
+)
 
 from conftest import random_field, seed_square_and_maximal
 
@@ -469,7 +477,7 @@ class TestSquareAndMaximal:
 class TestExactPaths:
     def test_reductions_build_only_what_they_read(self, monkeypatch):
         # an exact hat_expectation needs the conditional weights alone, an
-        # exact path_lp_norm the path measure alone; neither needs edge indices
+        # exact path_lp_norm the path measure alone
         built = []
 
         class Recording(ExactPaths):
@@ -483,9 +491,9 @@ class TestExactPaths:
         hat_expectation(ps, functional)
         path_lp_norm(ps, functional, 2.0)
         hat, norm = built
-        assert {"weights", "measure", "edges"} & set(vars(hat)) == {"weights"}
+        assert {"weights", "measure"} & set(vars(hat)) == {"weights"}
         assert hat.weights is transition_products(ps, all_paths(ps))
-        assert {"weights", "measure", "edges"} & set(vars(norm)) == {"measure"}
+        assert {"weights", "measure"} & set(vars(norm)) == {"measure"}
 
 
 def mc_sampled_paths(ps, seed=5, samples=300):
@@ -716,3 +724,41 @@ class TestEvaluatorOracle:
         for got, want in pairs:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFoldMatchesGathers:
+    """The exact reductions fold down the path tree; each must keep the bits
+    of the per-step gather at every path's flat edge index."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 6])
+    @pytest.mark.parametrize("real_field", [False, True])
+    def test_fold_equals_gather_route(self, n, horizon, real_field):
+        space, _, ps = make_path_space(seed=3 * n + horizon, n=n, horizon=horizon)
+        f = random_field(space, 7 * n + horizon, real=real_field)
+        rng = np.random.default_rng([n, horizon])
+        m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
+        levels = reverse_martingale(ps, f)
+        exact = ExactPaths(ps)
+        paths = exact.paths
+        count = len(paths)
+        edges = [_edge_index(paths, i, n) for i in range(horizon)]
+        squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
+        _, maximal = seed_square_and_maximal(ps, levels)
+
+        assert_same_bits(exact.transform(levels, m_values),
+                         _edge_sum(_transform_tables(levels, m_values), edges, count, complex))
+        assert_same_bits(exact.square(levels), np.sqrt(_edge_sum(squares, edges, count, float)))
+        assert_same_bits(exact.maximal(levels), maximal(paths))
+        assert_same_bits(exact.weights, per_step_products(ps, paths))
+
+        # the evaluator folds on the cached table and gathers on any other array
+        evaluator = martingale_transform(ps, m_values, f).evaluator
+        assert paths is all_paths(ps)
+        assert_same_bits(evaluator(all_paths(ps)), evaluator(all_paths(ps).copy()))
