@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,18 +85,6 @@ class PathSpace:
         weights.setflags(write=False)
         return paths, weights
 
-    @functools.cached_property
-    def _cumulative_columns(self) -> np.ndarray:
-        """Columns j < n - 1 of the row-cumulative kernel, one contiguous row each.
-
-        Inverse-CDF sampling counts the columns a uniform draw u < 1 exceeds.
-        The last column is taken as exactly 1, whatever the roundoff in the
-        row sums, so no draw exceeds it and it is left out.
-        """
-        cols = np.cumsum(self.kernel.entries, axis=1)[:, :-1].T.copy()
-        cols.setflags(write=False)
-        return cols
-
 
 @dataclass(frozen=True, eq=False)
 class PathFunctional:
@@ -149,17 +137,22 @@ def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> n
     return acc.ravel()
 
 
-def _edge_index(paths: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Flat index x_i * n + x_{i+1} of each path's step-i edge."""
-    return paths[:, i] * n + paths[:, i + 1]
+def _along_paths(
+    ps: PathSpace, paths: np.ndarray, start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc
+) -> np.ndarray:
+    """acc = start[x_0], then acc = ufunc(acc, tables[k][x_k, x_{k+1}]) at each step k, per path.
 
-
-def _step_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
-    q = ps.kernel.entries.ravel()
-    w = np.ones(len(paths))
-    for k in range(ps.horizon):
-        w *= q.take(_edge_index(paths, k, ps.n_states))
-    return w
+    The cached table folds down the path tree (:func:`_fold`); any other path
+    array gathers each flat (n, n) table at x_k * n + x_{k+1} in place.  Both
+    apply the same operations in the same order, so every path keeps its bits.
+    """
+    if _is_table(ps, paths):
+        return _fold(start, tables, ufunc)
+    n = ps.n_states
+    acc = start.take(paths[:, 0])
+    for k, table in enumerate(tables):
+        ufunc(acc, table.take(paths[:, k] * n + paths[:, k + 1]), out=acc)
+    return acc
 
 
 def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
@@ -170,7 +163,7 @@ def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
     """
     if _is_table(ps, paths):
         return ps._table[1]
-    return _step_products(ps, paths)
+    return _along_paths(ps, paths, np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply)
 
 
 def path_measure(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
@@ -204,15 +197,11 @@ def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
     return [mi * increment for mi, increment in zip(m, _increment_tables(levels))]
 
 
-def _edge_sum(tables: list[np.ndarray], edges: Iterable[np.ndarray], count: int, dtype) -> np.ndarray:
-    """sum_i table_i[edge_i] on each of ``count`` paths, given step i's flat edge indices edge_i.
-
-    A generator of edge indices holds one step's indices at a time.
-    """
-    out = np.zeros(count, dtype=dtype)
-    for table, edge in zip(tables, edges):
-        out += table.take(edge)
-    return out
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, after checking that a path functional is finite on every path it saw."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path functional returned non-finite values")
+    return values
 
 
 def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
@@ -236,14 +225,15 @@ class ExactPaths:
     lists each start state's paths as one contiguous block, so E[S | x_0] is a
     running sum along each block, which adds the paths in the order a
     per-state accumulation would.  The transform, the square function and the
-    maximal function are folds down the path tree (:func:`_fold`) over per-step
-    n x n tables: M_i (g_{i+1}[y] - g_i[x]), the squared modulus of the raw
-    increment, and |g_{k+1}| per state.  Each path's value is still built from
-    zero (or |g_0(x_0)|) by the same additions (or maxima) in step order, so
-    it keeps the bits of a per-path gather, at the cost of about one pass over
-    the paths instead of one gather per step.  An L^p norm stays one dot
-    product per functional: a gemv, an ``einsum`` or a ``sum`` over a
-    (functionals x paths) block changes last bits.
+    maximal function fold per-step tables down the path tree (:func:`_fold`):
+    M_i (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
+    |g_{k+1}| per state.  That is the table side of :func:`_along_paths`,
+    the one per-step rule that also gathers weights and transforms on sampled
+    paths; this object holds the table by construction and the maximal
+    function's tables are 1-d, so it calls :func:`_fold` directly.  Each path
+    still sees the operations of a per-path gather in step order.  An L^p
+    norm stays one dot product per functional: a gemv, an ``einsum`` or a
+    ``sum`` over a (functionals x paths) block changes last bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
@@ -290,17 +280,14 @@ class ExactPaths:
 
         ``+ 0.0`` gives a per-state accumulation's +0.0 where every term is -0.0.
         """
-        svals = np.asarray(values, dtype=complex)
-        if not np.all(np.isfinite(svals)):
-            raise ValueError("path functional returned non-finite values")
+        svals = _finite(np.asarray(values, dtype=complex))
         blocks = (self.weights * svals).reshape(self.ps.n_states, -1)
         np.cumsum(blocks, axis=1, out=blocks)
         return blocks[:, -1] + 0.0
 
     def lp_norm(self, avals: np.ndarray, p: float) -> float:
         """||S||_{L^p(P)} from the moduli |S| on every path."""
-        if not np.all(np.isfinite(avals)):
-            raise ValueError("path functional returned non-finite values")
+        _finite(avals)
         if math.isinf(p):
             return float(avals[self.measure > 0.0].max(initial=0.0))
         return float((self.measure @ avals**p) ** (1.0 / p))
@@ -318,12 +305,15 @@ def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: 
     """``count`` paths from ``start``, one uniform draw per path and step.
 
     The next state is the number of cumulative-kernel columns the draw
-    exceeds.  Rows are filled one step at a time and the transposed view is
-    returned, so each coordinate ``paths[:, k]`` is contiguous.  The int32
-    state row is cast to ``np.intp`` once per step, because ``take`` with
-    int32 indices is several times slower than with native ones.
+    exceeds.  Each call builds columns j < n - 1 of the row-cumulative kernel
+    as contiguous rows; the last column is taken as exactly 1, whatever the
+    roundoff in the row sums, so no draw u < 1 exceeds it and it is left out.
+    Rows are filled one step at a time and the transposed view is returned,
+    so each coordinate ``paths[:, k]`` is contiguous.  The int32 state row is
+    cast to ``np.intp`` once per step, because ``take`` with int32 indices is
+    several times slower than with native ones.
     """
-    columns = ps._cumulative_columns
+    columns = np.cumsum(ps.kernel.entries.T, axis=0)[:-1]
     rows = np.zeros((ps.horizon + 1, count), dtype=np.int32)
     rows[0] = start
     for k in range(ps.horizon):
@@ -347,9 +337,7 @@ def _sampled_strata(
     rng = np.random.default_rng(seed)
     counts = _stratum_counts(ps, samples)
     for x in range(ps.n_states):
-        values = np.asarray(functional.evaluator(_sample_stratum(ps, rng, counts[x], x)))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("path functional returned non-finite values")
+        values = _finite(np.asarray(functional.evaluator(_sample_stratum(ps, rng, counts[x], x))))
         yield x, counts[x], values
 
 
@@ -456,10 +444,7 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
     tables = _transform_tables(reverse_martingale(ps, f), m)
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
-        if _is_table(ps, paths):
-            return _fold(np.zeros(n, dtype=complex), tables, np.add)
-        edges = (_edge_index(paths, i, n) for i in range(ps.horizon))
-        return _edge_sum(tables, edges, len(paths), complex)
+        return _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
 
     return PathFunctional(evaluator)
 

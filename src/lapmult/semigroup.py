@@ -130,23 +130,27 @@ def random_reversible_generator(
 def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
     """T^t = e^{-tA} computed through the spectral decomposition of A.
 
-    Entries are clipped to [0, 1] only for violations below 1e-10; anything
-    larger signals a broken generator and raises.  Successive calls on one
-    generator share the decomposition that :func:`decompose` memoizes for it,
-    so only the first runs the eigensolver; the kernel is byte-identical to
-    one built from a fresh decomposition.
+    Entries are clipped to [0, 1] only for negativity and row-sum defects
+    within max(1e-10, 8 n u max(1, ||tA||_1)), the backward-error bound of
+    the spectral route (u the unit roundoff); anything larger signals a
+    broken generator and raises.  Successive calls on one generator share the
+    decomposition that :func:`decompose` memoizes for it, so only the first
+    runs the eigensolver; the kernel is byte-identical to one built from a
+    fresh decomposition.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("time must be a finite nonnegative real")
     dec = decompose(generator)
     m = operator_matrix(dec, lambda lam: math.exp(-t * lam)).real
+    ta_norm = float(np.linalg.norm(t * generator.entries, 1))
+    tol = max(_HEAT_TOL, 8 * generator.space.n * np.finfo(float).eps * max(1.0, ta_norm))
     worst = float(m.min())
-    if worst < -_HEAT_TOL:
+    if worst < -tol:
         raise ValueError(
-            f"heat kernel entry {worst:.3e} below -{_HEAT_TOL}; generator is broken"
+            f"heat kernel entry {worst:.3e} below -{tol:.3e}; generator is broken"
         )
     m = np.clip(m, 0.0, 1.0)
     row_defect = float(np.abs(m.sum(axis=1) - 1.0).max())
-    if row_defect > _HEAT_TOL:
+    if row_defect > tol:
         raise ValueError(f"heat kernel row sums off by {row_defect:.3e}")
     return MarkovKernel(generator.space, m, step=t)

@@ -418,6 +418,21 @@ class TestCli:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["overall_pass"] is False
 
+    def test_stiff_heat_kernel_is_reported_not_raised(self, tmp_path):
+        # at ||tA||_1 ~ 1e5 the eigh roundoff in the row sums exceeds 1e-10 but not
+        # the heat kernel's backward-error bound, so the kernel is built and the
+        # suite reports the conservation defect against its own tol
+        payload = {
+            "schema": "lapmult-config-1",
+            "suites": [{"check": "markov_conditions",
+                        "chain": {"seed": 1, "n": 9, "conductance_scale": 1e4}, "time": 3.0}],
+        }
+        cfg_path = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CHECK_FAILURE
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["overall_pass"] is False
+
     def test_chain_with_large_conductances_runs(self, tmp_path):
         # eigh leaves the zero eigenvalue at -6e-9 here: roundoff of 1e-15
         # relative to the generator's entries, so decompose clamps it

@@ -30,8 +30,6 @@ from lapmult import (
 from lapmult import dilation
 from lapmult.dilation import (
     PathFunctional,
-    _edge_index,
-    _edge_sum,
     _increment_tables,
     _sample_stratum,
     _stratum_counts,
@@ -508,12 +506,16 @@ def mc_sampled_paths(ps, seed=5, samples=300):
     return seen
 
 
+def reference_gather(paths, start, tables, ufunc):
+    """start[x_0], then ufunc with tables[k][x_k, x_{k+1}] at each step, indexed by state pair."""
+    acc = start[paths[:, 0]]
+    for k, table in enumerate(tables):
+        acc = ufunc(acc, table[paths[:, k], paths[:, k + 1]])
+    return acc
+
+
 def per_step_products(ps, paths):
-    q = ps.kernel.entries
-    w = np.ones(len(paths))
-    for k in range(ps.horizon):
-        w *= q[paths[:, k], paths[:, k + 1]]
-    return w
+    return reference_gather(paths, np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply)
 
 
 class TestPathTableCache:
@@ -733,8 +735,8 @@ def assert_same_bits(got, want):
 
 
 class TestFoldMatchesGathers:
-    """The exact reductions fold down the path tree; each must keep the bits
-    of the per-step gather at every path's flat edge index."""
+    """One per-step reduction folds on the cached table and gathers on any
+    other path array; every route must keep the bits of a per-path gather."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("horizon", [0, 1, 2, 6])
@@ -746,19 +748,21 @@ class TestFoldMatchesGathers:
         m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
         levels = reverse_martingale(ps, f)
         exact = ExactPaths(ps)
-        paths = exact.paths
-        count = len(paths)
-        edges = [_edge_index(paths, i, n) for i in range(horizon)]
+        table = exact.paths
+        zeros = np.zeros(n, dtype=complex)
+        transform_tables = _transform_tables(levels, m_values)
         squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
         _, maximal = seed_square_and_maximal(ps, levels)
 
         assert_same_bits(exact.transform(levels, m_values),
-                         _edge_sum(_transform_tables(levels, m_values), edges, count, complex))
-        assert_same_bits(exact.square(levels), np.sqrt(_edge_sum(squares, edges, count, float)))
-        assert_same_bits(exact.maximal(levels), maximal(paths))
-        assert_same_bits(exact.weights, per_step_products(ps, paths))
+                         reference_gather(table, zeros, transform_tables, np.add))
+        assert_same_bits(exact.square(levels), np.sqrt(reference_gather(table, np.zeros(n), squares, np.add)))
+        assert_same_bits(exact.maximal(levels), maximal(table))
+        assert_same_bits(exact.weights, per_step_products(ps, table))
 
-        # the evaluator folds on the cached table and gathers on any other array
+        # the same calls fold on the cached table and gather on a copy or a sample
         evaluator = martingale_transform(ps, m_values, f).evaluator
-        assert paths is all_paths(ps)
-        assert_same_bits(evaluator(all_paths(ps)), evaluator(all_paths(ps).copy()))
+        assert table is all_paths(ps)
+        for paths in [table, table.copy(), *mc_sampled_paths(ps, seed=n + horizon)]:
+            assert_same_bits(transition_products(ps, paths), per_step_products(ps, paths))
+            assert_same_bits(evaluator(paths), reference_gather(paths, zeros, transform_tables, np.add))

@@ -136,6 +136,16 @@ def test_conditioned_transform(instance):
     assert hat_expectation(ps, martingale_transform(ps, m, f)).values.tolist() == expected
 
 
+def test_conditioned_transform_gathered_on_a_copy(instance):
+    ps, f, m = instance
+    exact = ExactPaths(ps)
+    expected = as_complex(conditioned([transform(LEVELS_RE, path) for path in PATHS]),
+                          conditioned([transform(LEVELS_IM, path) for path in PATHS])).tolist()
+    # a copy of the table is not the cached table, so the evaluator gathers instead of folding
+    gathered = martingale_transform(ps, m, f).evaluator(exact.paths.copy())
+    assert exact.conditioned(gathered).tolist() == expected
+
+
 def test_transform_l2_norm(instance):
     ps, f, m = instance
     moment = sum(NU[path[0]] * weight(path)
