@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -46,7 +47,12 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PathSpace:
-    """Kernel Q, horizon N, and the stationary initial law nu = weights / total mass."""
+    """Kernel Q, horizon N, and the stationary initial law nu = weights / total mass.
+
+    A space also keeps the paths it has made: the enumerated table
+    (``_table``, built on first use) and its last stratified Monte Carlo draw
+    (``_draw``).  Both are read-only and die with the space.
+    """
 
     kernel: MarkovKernel
     horizon: int
@@ -84,6 +90,27 @@ class PathSpace:
         paths.setflags(write=False)
         weights.setflags(write=False)
         return paths, weights
+
+    def _draw(self, seed: int, samples: int) -> tuple[np.ndarray, ...]:
+        """The stratified sample for ``(seed, samples)``: one read-only path array per start state.
+
+        The strata come from one ``default_rng(seed)`` stream, in state order.
+        The space keeps its last draw as one ``(seed, samples, strata)`` tuple,
+        read and replaced whole, so a repeat call with the same pair returns
+        the same arrays without drawing, and any other pair replaces it.  At
+        most one draw is held, and it lives as long as the space.  Threads
+        that race on one space can at worst draw the same sample twice.
+        """
+        last = vars(self).get("_last_draw")
+        if last is not None and last[:2] == (seed, samples):
+            return last[2]
+        rng = np.random.default_rng(seed)
+        counts = _stratum_counts(self, samples)
+        strata = tuple(_sample_stratum(self, rng, counts[x], x) for x in range(self.n_states))
+        for paths in strata:
+            paths.setflags(write=False)
+        vars(self)["_last_draw"] = (seed, samples, strata)
+        return strata
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +314,8 @@ class ExactPaths:
 
     def lp_norm(self, avals: np.ndarray, p: float) -> float:
         """||S||_{L^p(P)} from the moduli |S| on every path."""
+        if not p >= 1.0:
+            raise ValueError("p must satisfy p >= 1")
         _finite(avals)
         if math.isinf(p):
             return float(avals[self.measure > 0.0].max(initial=0.0))
@@ -324,21 +353,26 @@ def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: 
     return rows.T
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _sampled_strata(
     ps: PathSpace, functional: PathFunctional, seed: int | None, samples: int | None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (start state, sample count, functional values) for each stratum in turn.
 
-    The strata share one stream seeded by ``seed``, drawn in state order.
-    Values must be finite on every sampled path, as exact mode requires.
+    The paths are the space's draw for ``(seed, samples)`` (:meth:`PathSpace._draw`),
+    so calls with the same pair see the same read-only arrays; the functional
+    is evaluated on every stratum of every call.  ``seed`` and ``samples``
+    must be integers (a ``Generator`` or a float would make the draw depend
+    on more than the pair), ``samples`` at least 1.  Values must be finite on
+    every sampled path, as exact mode requires.
     """
-    if seed is None or samples is None or samples < 1:
-        raise ValueError("Monte Carlo mode needs a seed and a positive sample count")
-    rng = np.random.default_rng(seed)
-    counts = _stratum_counts(ps, samples)
-    for x in range(ps.n_states):
-        values = _finite(np.asarray(functional.evaluator(_sample_stratum(ps, rng, counts[x], x))))
-        yield x, counts[x], values
+    if not (_is_integer(seed) and _is_integer(samples) and samples >= 1):
+        raise ValueError("Monte Carlo mode needs an integer seed and a positive integer sample count")
+    for x, paths in enumerate(ps._draw(seed, samples)):
+        yield x, len(paths), _finite(np.asarray(functional.evaluator(paths)))
 
 
 def hat_expectation(
@@ -354,7 +388,8 @@ def hat_expectation(
     Exact mode enumerates every path; Monte Carlo stratifies on the initial
     state (allocation proportional to nu, at least two samples each) and
     returns (estimate, per-state standard errors), the errors from the sample
-    variances (ddof 1).
+    variances (ddof 1).  ``seed`` and ``samples`` are integers; the space
+    keeps its last draw, so a ``path_lp_norm`` with the same pair reuses it.
     """
     space = ps.kernel.space
     if mode == "exact":
@@ -384,9 +419,11 @@ def path_lp_norm(
 
     Monte Carlo mode returns (estimate, standard error) with the error of the
     p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
-    power; it requires finite p.
+    power; it requires finite p and integer ``seed`` and ``samples``, and
+    reuses the space's last draw when the pair matches, as ``hat_expectation``
+    does.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
         exact = ExactPaths(ps)

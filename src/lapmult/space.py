@@ -102,7 +102,7 @@ def lp_norm(f: Field, p: float) -> float:
     a = np.abs(f.values)
     if math.isinf(p) and p > 0:
         return float(a.max())
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
     if p == 1.0:
         return float(a @ f.space.weights)

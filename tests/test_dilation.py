@@ -35,6 +35,7 @@ from lapmult.dilation import (
     _stratum_counts,
     _transform_tables,
 )
+from lapmult.suites import suite_mc_crosscheck
 
 from conftest import random_field, seed_square_and_maximal
 
@@ -219,6 +220,146 @@ class TestHatExpectation:
         functional = PathFunctional(lambda paths: np.ones(len(paths)))
         with pytest.raises(ValueError):
             hat_expectation(ps, functional, mode="mc")
+
+
+MC_REDUCTIONS = pytest.mark.parametrize(
+    "reduce", [hat_expectation, functools.partial(path_lp_norm, p=2.0)],
+    ids=["hat_expectation", "path_lp_norm"],
+)
+
+
+def mc_bytes(result):
+    """The bytes of a Monte Carlo result: (Field, stderr array) or (estimate, stderr)."""
+    estimate, stderr = result
+    estimate = estimate.values if isinstance(estimate, Field) else np.float64(estimate)
+    return estimate.tobytes() + np.asarray(stderr, dtype=float).tobytes()
+
+
+class TestMonteCarloArguments:
+    # the space keeps its last draw keyed by (seed, samples), so both must be
+    # plain integers: a Generator or a float would make the key say less than the draw
+    @MC_REDUCTIONS
+    @pytest.mark.parametrize(
+        "seed,samples",
+        [(1, math.inf), (1, 2.5), (1, 2.0), (1, True), (True, 50), (2.0, 50),
+         (np.random.default_rng(1), 50), (None, 50), (1, None), (1, 0), (1, -3)],
+        ids=["inf", "2.5", "float-samples", "bool-samples", "bool-seed", "float-seed",
+             "generator", "no-seed", "no-samples", "zero", "negative"],
+    )
+    def test_non_integer_arguments_rejected(self, reduce, seed, samples):
+        _, _, ps = make_path_space(n=3, horizon=2)
+        functional = PathFunctional(lambda paths: np.ones(len(paths)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer seed and a positive integer sample count"):
+                reduce(ps, functional, mode="mc", seed=seed, samples=samples)
+        assert "_last_draw" not in vars(ps)
+
+    @MC_REDUCTIONS
+    def test_numpy_integers_accepted(self, reduce):
+        space, _, ps = make_path_space(n=3, horizon=2)
+        functional = martingale_transform(ps, np.ones(ps.horizon), random_field(space, 4))
+        want = reduce(PathSpace(ps.kernel, ps.horizon), functional, mode="mc", seed=5, samples=60)
+        got = reduce(ps, functional, mode="mc", seed=np.int64(5), samples=np.int32(60))
+        assert mc_bytes(got) == mc_bytes(want)
+
+
+class TestNanExponent:
+    # p < 1.0 is False for NaN, so every guard reads "not p >= 1.0"
+    def test_path_norms_reject_nan(self):
+        space, _, ps = make_path_space(n=3, horizon=2)
+        functional = martingale_transform(ps, np.ones(ps.horizon), random_field(space, 3))
+        exact = ExactPaths(ps)
+        calls = [
+            lambda p: path_lp_norm(ps, functional, p),
+            lambda p: path_lp_norm(ps, functional, p, mode="mc", seed=1, samples=50),
+            lambda p: exact.lp_norm(np.abs(functional.evaluator(exact.paths)), p),
+        ]
+        for call in calls:
+            for p in (math.nan, -math.inf, 0.5):
+                with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+                    call(p)
+
+
+class TestSharedDraw:
+    """A path space keeps its last stratified draw, so Monte Carlo calls with
+    one (seed, samples) share the sample and still evaluate every stratum."""
+
+    @staticmethod
+    def _seen(ps, reduce, seed=5, samples=300):
+        seen = []
+
+        def record(paths):
+            seen.append(paths)
+            return np.ones(len(paths))
+
+        reduce(ps, PathFunctional(record), mode="mc", seed=seed, samples=samples)
+        return seen
+
+    def test_same_pair_hands_over_the_same_read_only_arrays(self):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        first = self._seen(ps, hat_expectation)
+        second = self._seen(ps, functools.partial(path_lp_norm, p=2.0))
+        assert len(first) == len(second) == ps.n_states
+        for a, b in zip(first, second):
+            assert a is b
+            assert a.dtype == np.int32
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
+    @pytest.mark.parametrize("seed,samples", [(6, 300), (5, 301)])
+    def test_new_pair_draws_anew_as_a_fresh_space(self, seed, samples):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        old = self._seen(ps, hat_expectation)
+        new = self._seen(ps, hat_expectation, seed=seed, samples=samples)
+        fresh = self._seen(PathSpace(ps.kernel, ps.horizon), hat_expectation, seed=seed, samples=samples)
+        # the key is the pair itself, even where 301 rounds to the same stratum counts
+        for a, b, c in zip(old, new, fresh):
+            assert a is not b
+            assert np.array_equal(b, c)
+
+    def test_space_holds_one_draw(self):
+        _, _, ps = make_path_space(n=4, horizon=3)
+        first = self._seen(ps, hat_expectation, seed=5)
+        self._seen(ps, hat_expectation, seed=6)
+        assert [key for key in vars(ps) if key not in ("kernel", "horizon")] == ["_last_draw"]
+        assert vars(ps)["_last_draw"][:2] == (6, 300)
+        # the first draw was let go, so asking for it again draws it anew, equal
+        again = self._seen(ps, hat_expectation, seed=5)
+        for a, b in zip(first, again):
+            assert a is not b
+            assert np.array_equal(a, b)
+        assert vars(ps)["_last_draw"][0] == 5
+
+    def test_order_of_calls_gives_the_same_bytes(self):
+        space, _, ps = make_path_space(n=4, horizon=4)
+        functional = martingale_transform(ps, np.array([1.0, -1.0, 0.5j, 1.0]), random_field(space, 9))
+
+        def hat(space_):
+            return hat_expectation(space_, functional, mode="mc", seed=3, samples=2000)
+
+        def norm(space_):
+            return path_lp_norm(space_, functional, 2.0, mode="mc", seed=3, samples=2000)
+
+        a, b = PathSpace(ps.kernel, ps.horizon), PathSpace(ps.kernel, ps.horizon)
+        hat_a, norm_a = hat(a), norm(a)
+        norm_b, hat_b = norm(b), hat(b)
+        assert mc_bytes(hat_a) == mc_bytes(hat_b)
+        assert mc_bytes(norm_a) == mc_bytes(norm_b)
+
+    def test_crosscheck_samples_each_stratum_once(self, monkeypatch):
+        drawn = []
+        sample_stratum = dilation._sample_stratum
+
+        def counting(ps, rng, count, start):
+            drawn.append(start)
+            return sample_stratum(ps, rng, count, start)
+
+        monkeypatch.setattr(dilation, "_sample_stratum", counting)
+        n = 4
+        assert suite_mc_crosscheck(17, samples=2000, mc_seed=23, n=n, horizon=3).passed
+        assert drawn == list(range(n))
 
 
 class TestMonteCarloStandardError:

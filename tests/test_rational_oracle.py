@@ -7,6 +7,10 @@ must agree bit for bit with the same quantities computed in ``Fraction``
 arithmetic by a plain enumeration of the 3^5 paths that shares no code with
 the library.  Only the moduli, which take square roots, are compared to within
 a few ulp.
+
+The stratified sampler is checked the same way: the cumulative rows of the
+dyadic kernel are exact in floating point, so each sampled next state must be
+the number of exact cumulative entries below its uniform draw.
 """
 
 import math
@@ -20,6 +24,7 @@ from lapmult import (
     ExactPaths,
     Field,
     MarkovKernel,
+    PathFunctional,
     PathSpace,
     WeightedSpace,
     dilation_identity_check,
@@ -179,3 +184,25 @@ def test_identity_checks_are_exact(instance):
     ps, f, m = instance
     assert dilation_identity_check(ps, f) == (0.0, None)
     assert transform_expectation_identity(ps, m, f) == (0.0, None)
+
+
+def test_sampler_inverts_exact_cumulative_rows(instance):
+    ps, _, _ = instance
+    seed, samples = 2024, 400
+    strata = []
+
+    def record(paths):
+        strata.append(paths)
+        return np.zeros(len(paths))
+
+    hat_expectation(ps, PathFunctional(record), mode="mc", seed=seed, samples=samples)
+    cumulative = [[sum(row[: j + 1]) for j in range(N)] for row in Q]
+    assert [len(paths) for paths in strata] == [round(samples * nu) for nu in NU]
+    # the sampler's order: one stream, strata in state order, one uniform per path and step
+    rng = np.random.default_rng(seed)
+    for start, paths in enumerate(strata):
+        rows = paths.tolist()
+        assert all(path[0] == start for path in rows)
+        for k in range(HORIZON):
+            for path, u in zip(rows, rng.random(len(rows))):
+                assert path[k + 1] == sum(c < F(u) for c in cumulative[path[k]])

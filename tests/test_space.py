@@ -77,6 +77,12 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinite_p(self, p):
+        f = constant_field(WeightedSpace([1.0, 2.0]))
+        with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+            lp_norm(f, p)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_homogeneity_and_triangle(self, p):
         space = probability_space(3, 6)
