@@ -65,13 +65,6 @@ class SpectralDecomposition:
         }
 
 
-# The last (generator, decomposition) pair that decompose returned.  The
-# generator is held by strong reference, so an ``is`` match can never be a
-# recycled id.  The pair is read and replaced as one tuple, so threads that
-# race on it can at worst decompose the same generator twice.
-_last: tuple[object, SpectralDecomposition] | None = None
-
-
 def decompose(generator) -> SpectralDecomposition:
     """Diagonalize A by conjugating with D^{1/2} and applying a symmetric eigensolver.
 
@@ -83,18 +76,18 @@ def decompose(generator) -> SpectralDecomposition:
     Eigenvalues in [-generator_roundoff(A), 0) are clamped to zero; anything
     below that range means the generator is not nonnegative and raises.
 
-    The last result is memoized with one entry keyed by the identity of
-    ``generator``: a repeat call on the same object returns the same
-    decomposition without running the eigensolver, while an equal but distinct
-    generator gets its own.  A failure is never kept, so a generator that
-    raises raises on every call.  Generators are frozen and the eigensolver is
-    deterministic, so the memoized result is byte-identical to a fresh one.
-    The memo holds one generator and one decomposition, two n x n arrays.
+    The generator keeps its decomposition (``_decomposition`` in its instance
+    dict): a repeat call on the same object returns the same decomposition
+    without running the eigensolver, however many other generators were
+    decomposed in between, while an equal but distinct generator gets its own.  A failure is never
+    kept, so a generator that raises raises on every call.  Generators are
+    frozen and the eigensolver is deterministic, so the kept result is
+    byte-identical to a fresh one.  It dies with its generator.  Threads that
+    race on one generator can at worst decompose it twice.
     """
-    global _last
-    last = _last
-    if last is not None and last[0] is generator:
-        return last[1]
+    held = vars(generator).get("_decomposition")
+    if held is not None:
+        return held
     w = generator.space.weights
     s = np.sqrt(w)
     sym = generator.entries * s[:, None] / s[None, :]
@@ -108,7 +101,7 @@ def decompose(generator) -> SpectralDecomposition:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     lam = np.where(lam < 0.0, 0.0, lam)
     dec = SpectralDecomposition(generator.space, lam, v / s[:, None])
-    _last = (generator, dec)
+    vars(generator)["_decomposition"] = dec
     return dec
 
 

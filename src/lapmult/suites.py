@@ -96,13 +96,32 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+# The last ((seed, count, max_n, max_pieces), family) pair that
+# step_instance_family returned.  It is read and replaced as one tuple, so
+# threads that race on it can at worst build the same family twice.
+_last_family: tuple[tuple, tuple] | None = None
+
+
 def step_instance_family(
     seed: int,
     count: int,
     max_n: int = 16,
     max_pieces: int = 8,
-) -> list[tuple[ReversibleGenerator, StepMultiplier, Field]]:
-    """Random chains with complex-valued step multipliers and complex probe fields."""
+) -> tuple[tuple[ReversibleGenerator, StepMultiplier, Field], ...]:
+    """Random chains with complex-valued step multipliers and complex probe fields.
+
+    The last family is kept: a repeat call with the same arguments returns
+    the same tuple without building it, so consecutive suites on one family
+    share its generators and, through them, the decompositions that
+    :func:`decompose` keeps with each.  Any other arguments build a new family
+    and replace the old one, so at most one family is held.  Every member is
+    frozen, so a shared family is byte-identical to a fresh one.
+    """
+    global _last_family
+    key = (seed, count, max_n, max_pieces)
+    last = _last_family
+    if last is not None and last[0] == key:
+        return last[1]
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
@@ -113,7 +132,9 @@ def step_instance_family(
         step = StepMultiplier(breakpoints, _random_complex(rng, pieces))
         probe = Field(space, _random_complex(rng, n))
         out.append((gen, step, probe))
-    return out
+    family = tuple(out)
+    _last_family = (key, family)
+    return family
 
 
 def dilation_instance_family(

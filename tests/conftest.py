@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapmult import Field, ReversibleGenerator, WeightedSpace
+from lapmult import Field, ReversibleGenerator, WeightedSpace, suites
 
 
 @pytest.fixture
@@ -11,6 +11,20 @@ def two_state():
     space = WeightedSpace([0.5, 0.5])
     gen = ReversibleGenerator(space, [[a, -a], [-a, a]])
     return space, gen, a
+
+
+@pytest.fixture
+def cold_step_family(monkeypatch):
+    """A function that drops the family ``step_instance_family`` keeps.
+
+    A run that follows it builds its step families, and decomposes their
+    generators, from scratch.
+    """
+
+    def clear():
+        monkeypatch.setattr(suites, "_last_family", None)
+
+    return clear
 
 
 def random_field(space, seed, real=False):

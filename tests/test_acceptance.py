@@ -169,9 +169,11 @@ def test_criterion_9_imaginary_powers():
         assert info["opnorm_2"] <= info["sup"] + info["max_reported_error"] + 1e-12
 
 
-def test_criterion_10_reproducible_paper_suite(tmp_path):
+def test_criterion_10_reproducible_paper_suite(tmp_path, cold_step_family):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    cold_step_family()
     code1 = main(["run", "paper-suite", "--out", str(out1)])
+    cold_step_family()
     code2 = main(["run", "paper-suite", "--out", str(out2)])
     first = (out1 / "report.json").read_bytes()
     second = (out2 / "report.json").read_bytes()

@@ -238,7 +238,7 @@ class TestRunner:
         names = [s["name"] for s in outcome.report["suites"]]
         assert names == ["markov_conditions", "step_identity", "l2_bound"]
 
-    def test_reports_identical_across_runs_and_threads(self):
+    def test_reports_identical_across_runs_and_threads(self, cold_step_family):
         cfg = {
             "schema": "lapmult-config-1",
             "suites": [
@@ -271,9 +271,11 @@ class TestRunner:
             ],
         }
         config = parse_config(cfg)
-        first = report_json(run_config(config, threads=1))
-        second = report_json(run_config(config, threads=1))
-        threaded = report_json(run_config(config, threads=3))
+        reports = []
+        for threads in (1, 1, 3):
+            cold_step_family()
+            reports.append(report_json(run_config(config, threads=threads)))
+        first, second, threaded = reports
         assert first == second == threaded
 
     def test_csv_header_and_rows(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gamma as scipy_gamma
 
 from lapmult import (
@@ -21,7 +22,7 @@ from lapmult import (
     telescoping_Tm,
 )
 from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _nonzero_prefix, _simpson_weights
-from lapmult.suites import suite_step_convergence
+from lapmult.suites import step_instance_family, suite_step_convergence
 
 from conftest import random_field
 
@@ -269,6 +270,21 @@ class TestTelescoping:
         spectral_route = apply_Tm(dec, symbol_of_step(step), f)
         scale = step.sup_norm * lp_norm(f, 2.0)
         assert lp_norm(telescoped - spectral_route, 2.0) <= 1e-10 * scale
+
+
+    def test_expm_kernels_match_the_spectral_route_on_the_paper_family(self):
+        # criterion 1 on the paper-suite step family, with telescoping_Tm's heat
+        # kernels from scipy.linalg.expm: only the spectral route runs the
+        # eigensolver, so the two routes share no numerical code
+        for gen, step, f in step_instance_family(2024, 50, 16, 8):
+            kernels = {t: scipy.linalg.expm(-t * gen.entries) for t in step.breakpoints}
+            telescoped = np.zeros(gen.space.n, dtype=complex)
+            for mi, t0, t1 in zip(step.values, step.breakpoints[:-1], step.breakpoints[1:]):
+                telescoped += mi * (kernels[t1] @ f.values - kernels[t0] @ f.values)
+            spectral_route = apply_Tm(decompose(gen), symbol_of_step(step), f)
+            scale = max(step.sup_norm * lp_norm(f, 2.0), 1e-300)
+            deviation = lp_norm(Field(f.space, telescoped) - spectral_route, 2.0)
+            assert deviation <= 1e-10 * scale
 
 
 class TestImaginaryPowers:

@@ -123,6 +123,22 @@ class TestDecomposeReuse:
         for idx in order:
             assert_same_bytes(decompose(gens[idx]), reference_decompose(gens[idx]))
 
+    def test_interleaved_generators_keep_their_decompositions(self, monkeypatch):
+        _, a = random_reversible_generator(37, 6)
+        _, b = random_reversible_generator(38, 5)
+        first = decompose(a)
+        decompose(b)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(sym):
+            calls.append(sym.shape)
+            return eigh(sym)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert decompose(a) is first
+        assert calls == []
+
     def test_failed_eigensolve_raises_on_every_call(self, monkeypatch):
         _, gen = random_reversible_generator(33, 5)
         _, other = random_reversible_generator(34, 5)

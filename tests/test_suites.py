@@ -20,7 +20,9 @@ from lapmult.suites import (
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
 from lapmult import SampledMultiplier, decompose, random_reversible_generator, suites
+from lapmult.config import parse_config
 from lapmult.inequalities import make_report
+from lapmult.runner import report_json, run_config
 
 
 def test_step_family_prefix_stable():
@@ -48,6 +50,62 @@ def test_dilation_family_keeps_one_instance_alive():
     gc.collect()
     assert first() is None
     assert second.horizon >= 1
+
+
+class TestStepFamilySharing:
+    def test_repeat_call_returns_the_same_tuple(self):
+        family = step_instance_family(21, 4, max_n=6)
+        assert isinstance(family, tuple)
+        assert step_instance_family(21, 4, max_n=6) is family
+        assert step_instance_family(21, 4, 6, 8) is family
+
+    def test_other_arguments_replace_the_kept_family(self):
+        family = step_instance_family(22, 3, max_n=6)
+        gen_ref = weakref.ref(family[0][0])
+        dec_ref = weakref.ref(decompose(family[0][0]))
+        other = step_instance_family(22, 4, max_n=6)
+        assert other is not family
+        assert other[0][0] is not family[0][0]
+        del family
+        gc.collect()
+        assert gen_ref() is None
+        assert dec_ref() is None
+        assert step_instance_family(22, 4, max_n=6) is other
+
+    def test_shared_family_reports_match_cold_rebuilds(self, monkeypatch, cold_step_family):
+        # each suite below asks for the same family; rebuilding it cold before
+        # every suite decomposes each member once per suite, and must change
+        # no report byte
+        family = {"seed": 23, "instances": 4, "max_n": 8, "max_pieces": 3}
+        config = parse_config({"schema": "lapmult-config-1", "suites": [
+            {"check": "step_identity", **family},
+            {"check": "l2_bound", **family},
+            {"check": "multiplier_pnorm_family", **family, "p_grid": [1.5, 2, 3],
+             "probes": 4, "ascent_steps": 2, "probe_seed": 0},
+        ]})
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(sym):
+            calls.append(sym.shape)
+            return eigh(sym)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cold_step_family()
+        shared = report_json(run_config(config))
+        assert len(calls) == 4
+
+        build = suites.step_instance_family
+
+        def cold(*args):
+            cold_step_family()
+            return build(*args)
+
+        monkeypatch.setattr(suites, "step_instance_family", cold)
+        calls.clear()
+        rebuilt = report_json(run_config(config))
+        assert len(calls) == 3 * 4
+        assert rebuilt == shared
 
 
 def test_step_family_respects_bounds():
