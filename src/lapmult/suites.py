@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,11 +29,13 @@ from .inequalities import (
     llogl_chain_check,
     make_report,
     multiplier_pnorm_check,
+    multiplier_pnorm_family_check,
     opnorm_exact,
     pnorm_growth_fit,
     step_convergence_check,
     transform_pnorm_check,
     verify_markov_conditions,
+    worst_row,
 )
 from .multiplier import (
     SampledMultiplier,
@@ -279,32 +281,13 @@ def suite_transform_identity(
     return SuiteResult("transform_identity", max(worst_power, worst_tel) <= tol, summary)
 
 
-def _worst_per_p(
-    grid: Sequence[float], row_lists: Iterable[Sequence[InequalityReport]]
-) -> tuple[InequalityReport, ...]:
-    """The largest-ratio row at each p of ``grid``, in grid order.
-
-    Each entry of ``row_lists`` is one instance's rows in grid order.  A
-    repeated p gets the same row at each of its positions; the first of equal
-    ratios is kept.
-    """
-    worst: dict[float, InequalityReport] = {}
-    for rows in row_lists:
-        for p, row in zip(grid, rows):
-            prev = worst.get(p)
-            if prev is None or row.ratio > prev.ratio:
-                worst[p] = row
-    return tuple(worst[p] for p in grid)
-
-
 def _multiplier_pnorm_result(
-    name: str, grid: list[float], row_lists: Iterable[Sequence[InequalityReport]], summary: dict
+    name: str, grid: list[float], rows: Sequence[InequalityReport], summary: dict
 ) -> SuiteResult:
-    """The worst row per p and the report-only fit of their ratios against 1/(p - 1) on p <= 2.
+    """The rows, one per p, and the report-only fit of their ratios against 1/(p - 1) on p <= 2.
 
     The fit documents the blow-up rate as p drops to 1.
     """
-    rows = _worst_per_p(grid, row_lists)
     slope, intercept = pnorm_growth_fit({p: r.ratio for p, r in zip(grid, rows)}.items())
     summary.update(growth_fit_slope=slope, growth_fit_intercept=intercept)
     return SuiteResult(name, all(r.passed for r in rows), summary, rows)
@@ -322,7 +305,7 @@ def suite_multiplier_pnorm(
     grid = [float(p) for p in p_grid]
     rows = multiplier_pnorm_check(chain, multiplier, grid, probes, ascent_steps, probe_seed)
     summary = {"p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
-    return _multiplier_pnorm_result("multiplier_pnorm", grid, [rows], summary)
+    return _multiplier_pnorm_result("multiplier_pnorm", grid, rows, summary)
 
 
 def suite_multiplier_pnorm_family(
@@ -335,14 +318,20 @@ def suite_multiplier_pnorm_family(
     max_n: int = 16,
     max_pieces: int = 8,
 ) -> SuiteResult:
-    """p-norm bound check across the step-multiplier family; reports worst ratios per p."""
+    """p-norm bound check across the step-multiplier family; reports the worst ratio per p.
+
+    Member i probes with seed ``probe_seed + i``.  The probe ascent runs only
+    on members whose certified Riesz-Thorin bound can reach the worst ratio
+    found so far (see ``multiplier_pnorm_family_check``), so the rows are
+    those of an ascent on every member.
+    """
     grid = [float(p) for p in p_grid]
-    row_lists = (
-        multiplier_pnorm_check(gen, step, grid, probes, ascent_steps, probe_seed + i)
-        for i, (gen, step, _) in enumerate(step_instance_family(seed, instances, max_n, max_pieces))
+    family = step_instance_family(seed, instances, max_n, max_pieces)
+    rows = multiplier_pnorm_family_check(
+        [(gen, step) for gen, step, _ in family], grid, probes, ascent_steps, probe_seed
     )
     summary = {"instances": instances, "p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
-    return _multiplier_pnorm_result("multiplier_pnorm_family", grid, row_lists, summary)
+    return _multiplier_pnorm_result("multiplier_pnorm_family", grid, rows, summary)
 
 
 def suite_transform_pnorm(
@@ -366,7 +355,7 @@ def suite_transform_pnorm(
         row_lists.append([row for row, _ in checked])
         for _, excess in checked:
             worst_excess = max(worst_excess, excess)
-    rows = _worst_per_p(grid, row_lists)
+    rows = tuple(worst_row(column) for column in zip(*row_lists))
     contraction_ok = worst_excess <= CONTRACTION_TOL
     summary = {
         "instances": instances,

@@ -23,8 +23,10 @@ from lapmult import (
     martingale_transform,
     multiplier_operator,
     multiplier_pnorm_check,
+    multiplier_pnorm_family_check,
     opnorm_exact,
     opnorm_lower_estimate,
+    opnorm_upper_bound,
     path_measure,
     random_reversible_generator,
     reference_constant,
@@ -35,8 +37,9 @@ from lapmult import (
 )
 from lapmult import dilation, inequalities
 from lapmult.dilation import PathFunctional, PathSpace
-from lapmult.inequalities import CONTRACTION_TOL, make_report, pnorm_growth_fit
+from lapmult.inequalities import UPPER_BOUND_MARGIN, CONTRACTION_TOL, make_report, pnorm_growth_fit
 from lapmult.space import luxemburg_rows
+from lapmult.suites import step_instance_family
 
 from conftest import random_field, seed_square_and_maximal
 
@@ -397,6 +400,124 @@ class TestMultiplierPnormCheck:
         monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
         multiplier_pnorm_check(gen, step, [1.25, 2.0, 3.0, 2], probes=8, ascent_steps=2, seed=0)
         assert ascent_ps == [1.25, 3.0]
+
+# The paper-suite preset's step family and its p != 2 grid.
+def paper_suite_family():
+    return [(gen, step) for gen, step, _ in step_instance_family(2024, 50, 16, 8)]
+
+
+PAPER_SUITE_PS = (1.25, 1.5, 3.0, 4.0)
+
+
+class TestOpnormUpperBound:
+    def test_never_below_the_lower_estimate_on_the_paper_suite_family(self):
+        for i, (gen, step) in enumerate(paper_suite_family()):
+            op, _ = multiplier_operator(gen, step)
+            for p in PAPER_SUITE_PS:
+                lower = opnorm_lower_estimate(op, gen.space, p, probes=8, ascent_steps=4, seed=i)
+                assert opnorm_upper_bound(op, gen.space, p) >= lower, (i, p)
+
+    # On both analytic cases the ascent reaches the norm and its realized
+    # ratio lands a few ulps above the unenlarged bound: the margin is needed.
+    def test_markov_kernel_bound_is_one_with_the_margin(self):
+        space, gen = random_reversible_generator(4, 6)
+        kernel = heat_operator(gen, 0.7)
+        for p in ORACLE_P:
+            bound = opnorm_upper_bound(kernel.entries, space, p)
+            assert bound == pytest.approx(1.0 + UPPER_BOUND_MARGIN, rel=1e-14, abs=0.0)
+            assert bound >= opnorm_lower_estimate(kernel.entries, space, p, probes=8, ascent_steps=10)
+
+    def test_multiple_of_identity_bound_is_its_modulus_with_the_margin(self):
+        space, _ = random_reversible_generator(5, 6)
+        op = (-1.5 + 2.0j) * np.eye(space.n)
+        for p in ORACLE_P:
+            bound = opnorm_upper_bound(op, space, p)
+            assert bound == pytest.approx(2.5 * (1.0 + UPPER_BOUND_MARGIN), rel=1e-14, abs=0.0)
+            assert bound >= opnorm_lower_estimate(op, space, p, probes=8, ascent_steps=2)
+
+    def test_duality_on_the_paper_suite_family(self):
+        # D T_m is symmetric, so T_m is its own weighted transpose: the
+        # endpoint norms at 1 and inf agree, and so do the bounds at p and p'
+        rounding = 64 * np.finfo(float).eps
+        for gen, step in paper_suite_family():
+            op, _ = multiplier_operator(gen, step)
+            space = gen.space
+            one, inf = opnorm_exact(op, space, 1.0), opnorm_exact(op, space, math.inf)
+            assert one == pytest.approx(inf, rel=rounding, abs=0.0)
+            for p in PAPER_SUITE_PS:
+                dual = opnorm_upper_bound(op, space, p / (p - 1.0))
+                assert opnorm_upper_bound(op, space, p) == pytest.approx(dual, rel=rounding, abs=0.0)
+
+    def test_requires_interior_p(self):
+        space = WeightedSpace([1.0, 1.0])
+        for p in (1.0, math.inf, 0.5):
+            with pytest.raises(ValueError):
+                opnorm_upper_bound(np.eye(2), space, p)
+
+
+def reference_family_rows(members, grid, probes, ascent_steps, seed):
+    """multiplier_pnorm_check on every member; the first of the largest ratios at each grid position."""
+    row_lists = [multiplier_pnorm_check(gen, m, grid, probes, ascent_steps, seed + i)
+                 for i, (gen, m) in enumerate(members)]
+    worst = []
+    for k in range(len(grid)):
+        best = row_lists[0][k]
+        for rows in row_lists[1:]:
+            if rows[k].ratio > best.ratio:
+                best = rows[k]
+        worst.append(best.to_dict())
+    return worst
+
+
+@pytest.fixture
+def counted_ascents(monkeypatch):
+    """The (p, seed) of every probe ascent run while the test runs."""
+    calls = []
+    ascent = inequalities.opnorm_lower_estimate
+
+    def counting(op, space, p, probes, ascent_steps, seed):
+        calls.append((p, seed))
+        return ascent(op, space, p, probes, ascent_steps, seed)
+
+    monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
+    return calls
+
+
+class TestMultiplierPnormFamilyCheck:
+    def test_rows_equal_the_check_on_every_member(self, counted_ascents):
+        members = [(gen, step) for gen, step, _ in step_instance_family(31, 12, max_n=8, max_pieces=4)]
+        grid = [1.5, 2.0, 3.0, 1.5, 4.0]
+        want = reference_family_rows(members, grid, 8, 3, 5)
+        counted_ascents.clear()
+        rows = multiplier_pnorm_family_check(members, grid, probes=8, ascent_steps=3, seed=5)
+        assert [r.to_dict() for r in rows] == want
+        assert rows[3] is rows[0]
+        assert {p for p, _ in counted_ascents} == {1.5, 3.0, 4.0}
+        assert len(counted_ascents) < len(members) * 3
+
+    def test_paper_suite_family_skips_ascents_and_keeps_rows(self, counted_ascents):
+        members = paper_suite_family()
+        grid = [1.25, 1.5, 2.0, 3.0, 4.0]
+        want = reference_family_rows(members, grid, 8, 4, 99)
+        counted_ascents.clear()
+        rows = multiplier_pnorm_family_check(members, grid, probes=8, ascent_steps=4, seed=99)
+        assert [r.to_dict() for r in rows] == want
+        assert len(counted_ascents) < len(members) * len(PAPER_SUITE_PS)
+        # each visited member runs at most one ascent per p
+        assert len(set(counted_ascents)) == len(counted_ascents)
+
+    def test_zero_sup_member_is_visited_and_gives_ratio_zero(self, counted_ascents):
+        _, gen = random_reversible_generator(2, 5)
+        zero = StepMultiplier([0.0, 1.0], [0.0])
+        live = StepMultiplier([0.0, 0.3, 1.1], [1.0 - 0.5j, 0.25])
+        grid = [1.5, 2.0, 3.0]
+        multiplier_pnorm_family_check([(gen, live), (gen, zero)], grid, probes=8, ascent_steps=2, seed=0)
+        assert {(1.5, 1), (3.0, 1)} <= set(counted_ascents)
+
+        counted_ascents.clear()
+        rows = multiplier_pnorm_family_check([(gen, zero)], grid, probes=8, ascent_steps=2, seed=0)
+        assert counted_ascents == [(1.5, 0), (3.0, 0)]
+        assert all(r.ratio == 0.0 and r.passed for r in rows)
 
 
 class TestTransformPnormCheck:

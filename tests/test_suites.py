@@ -160,16 +160,15 @@ def test_transform_pnorm_fails_on_a_contraction_excess(monkeypatch):
 def test_multiplier_pnorm_family_fails_on_a_row_above_its_threshold(monkeypatch):
     calls = []
 
-    def one_violation(generator, multiplier, p_grid, *args):
-        calls.append(args)
+    def one_violation(members, p_grid, *args):
+        calls.append((len(members), args))
         rows = [make_report(f"multiplier-pnorm p={p:g}", 0.5, 1.0, 1.0, "paper") for p in p_grid]
-        if len(calls) == 2:
-            rows[1] = make_report("multiplier-pnorm p=2", 1.5, 1.0, 1.0, "paper")
+        rows[1] = make_report("multiplier-pnorm p=2", 1.5, 1.0, 1.0, "paper")
         return tuple(rows)
 
-    monkeypatch.setattr(suites, "multiplier_pnorm_check", one_violation)
+    monkeypatch.setattr(suites, "multiplier_pnorm_family_check", one_violation)
     result = suite_multiplier_pnorm_family(6, 3, [1.5, 2, 3], probes=2, ascent_steps=1, probe_seed=0)
-    assert len(calls) == 3
+    assert calls == [(3, (2, 1, 0))]
     assert [r.passed for r in result.inequalities] == [True, False, True]
     assert result.inequalities[1].ratio == 1.5
     assert result.passed is False
