@@ -16,7 +16,7 @@ from lapmult import (
     heat_operator,
     llogl_chain_check,
     multiplier_operator,
-    multiplier_pnorm_check,
+    multiplier_pnorm_family_check,
     opnorm_exact,
     opnorm_lower_estimate,
     random_reversible_generator,
@@ -38,7 +38,8 @@ lower2 = opnorm_lower_estimate(op, space, 2.0, probes=200, ascent_steps=30, seed
 print(f"||T_m||_2 exact {exact2:.8f}, probe lower bound {lower2:.8f}")
 
 grid = [1.25, 1.5, 2.0, 3.0, 4.0]
-rows = multiplier_pnorm_check(gen, step, grid, probes=400, ascent_steps=30, seed=9)
+# one chain is a family of one: its rows are the family check's worst rows
+rows = multiplier_pnorm_family_check([(gen, step)], grid, probes=400, ascent_steps=30, seed=9)
 for report in rows:
     print(f"  {report.name}: ratio {report.ratio:.4f} <= {report.threshold:g} "
           f"[{report.provenance}] -> {'ok' if report.passed else 'VIOLATION'}")

@@ -8,8 +8,9 @@ Upper-bound statements are verified in the sound direction: norms at p in
 {1, 2, inf} are exact (p = 2 by a weighted SVD), and every other p is
 reported as a lower bound by probe ascent, so "no observed violation" is
 meaningful.  Between the endpoints, ``opnorm_upper_bound`` bounds the norm
-from above by Riesz-Thorin interpolation; the family check uses it only to
-skip ascents that cannot change its worst rows.  The reference constant for
+from above by Riesz-Thorin interpolation; the multiplier check uses it only
+to skip ascents that cannot change its worst rows.  That check takes a
+family, and a single chain is a family of one.  The reference constant for
 transform bounds is p* - 1 with p* = max(p, p/(p-1)).
 """
 
@@ -43,7 +44,6 @@ __all__ = [
     "opnorm_lower_estimate",
     "opnorm_upper_bound",
     "multiplier_operator",
-    "multiplier_pnorm_check",
     "multiplier_pnorm_family_check",
     "transform_pnorm_check",
     "llogl_chain_check",
@@ -331,33 +331,6 @@ def pnorm_growth_fit(
     return slope, intercept
 
 
-def multiplier_pnorm_check(
-    generator: ReversibleGenerator,
-    multiplier: StepMultiplier | SampledMultiplier,
-    p_grid: Sequence[float],
-    probes: int = 200,
-    ascent_steps: int = 20,
-    seed: int = 0,
-) -> tuple[InequalityReport, ...]:
-    """One row ||T_m||_p <= c_p sup|M| per p of a grid in (1, inf), in grid order.
-
-    At p = 2 the norm is exact (the weighted SVD of ``opnorm_exact``) and the
-    threshold is exactly 1, the spectral bound max_k |m(lambda_k)| <= sup|M|.
-    Every other p takes the probe-ascent lower bound against the reference
-    constant p* - 1.
-    """
-    op, sup = multiplier_operator(generator, multiplier)
-    space = generator.space
-    reports = []
-    for p in map(float, p_grid):
-        if p == 2.0:
-            value = opnorm_exact(op, space, 2.0)
-        else:
-            value = opnorm_lower_estimate(op, space, p, probes, ascent_steps, seed)
-        reports.append(_pnorm_row(p, value, sup))
-    return tuple(reports)
-
-
 def _pnorm_row(p: float, value: float, sup: float) -> InequalityReport:
     """The row ||T_m||_p <= c_p sup|M|: c_2 = 1 from the paper, else the reference constant."""
     if p == 2.0:
@@ -374,28 +347,28 @@ def multiplier_pnorm_family_check(
     ascent_steps: int = 20,
     seed: int = 0,
 ) -> tuple[InequalityReport, ...]:
-    """The worst row of ``multiplier_pnorm_check`` over a family, per p of a grid, in grid order.
+    """The worst row ||T_m||_p <= c_p sup|M| over a family, per p of a grid in (1, inf), in grid order.
 
-    Member i probes with seed ``seed + i``.  The rows are those of running
-    ``multiplier_pnorm_check`` on every member and keeping the first of the
-    largest ratios in member order (``worst_row``); a repeated p repeats its
-    row.  Only the ascents that can change them run.  At each p != 2 the
-    members are visited in descending order of their certified ratio
-    ``opnorm_upper_bound / sup``, and the visit stops at the first member
-    whose bound lies below the largest ratio found so far: that member's
-    ratio, and every later one's, is strictly below the worst, so it can
-    neither set nor tie it.  A member whose bound ratio is not finite, a zero
-    sup included, is always visited.  The p = 2 row is the exact norm of
-    every member.
+    A single chain is the family ``[(generator, multiplier)]``.  Member i's
+    value is its exact norm at p = 2, against the paper's threshold 1 (the
+    spectral bound), and elsewhere its probe-ascent lower bound with seed
+    ``seed + i``, against p* - 1.  The worst row is the first of the largest
+    ratios in member order (``worst_row``); a repeated p repeats its row.  At
+    each p the members are visited in descending order of their certified
+    ratio ``opnorm_upper_bound / sup`` (the enlarged exact norm at p = 2), and
+    the visit stops at the first member whose bound lies below the largest
+    ratio found so far: its ratio, and every later one's, is strictly below
+    the worst, so it can neither set nor tie it.  A member whose bound ratio
+    is not finite, a zero sup included, is always visited.
     """
+    grid = [float(p) for p in p_grid]
+    if not all(1.0 < p < math.inf for p in grid):
+        raise ValueError("p must lie strictly between 1 and inf")
     operators = [(gen.space, *multiplier_operator(gen, m)) for gen, m in members]
     norms = [_endpoint_norms(op, space) for space, op, _ in operators]
     worst: dict[float, InequalityReport] = {}
-    for p in map(float, p_grid):
+    for p in grid:
         if p in worst:
-            continue
-        if p == 2.0:
-            worst[p] = worst_row(_pnorm_row(p, n2, sup) for (_, _, sup), (_, n2, _) in zip(operators, norms))
             continue
         reach = []
         for (_, _, sup), endpoint in zip(operators, norms):
@@ -407,10 +380,14 @@ def multiplier_pnorm_family_check(
             if reach[i] < best:
                 break
             space, op, sup = operators[i]
-            rows[i] = _pnorm_row(p, opnorm_lower_estimate(op, space, p, probes, ascent_steps, seed + i), sup)
+            if p == 2.0:
+                value = norms[i][1]
+            else:
+                value = opnorm_lower_estimate(op, space, p, probes, ascent_steps, seed + i)
+            rows[i] = _pnorm_row(p, value, sup)
             best = max(best, rows[i].ratio)
         worst[p] = worst_row(rows[i] for i in sorted(rows))
-    return tuple(worst[float(p)] for p in p_grid)
+    return tuple(worst[p] for p in grid)
 
 
 def _unit_sup(m_values: Sequence[complex]) -> np.ndarray:

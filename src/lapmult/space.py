@@ -11,7 +11,6 @@ __all__ = [
     "WeightedSpace",
     "Field",
     "constant_field",
-    "zero_field",
     "lp_norm",
     "weighted_inner",
     "llogl_norm",
@@ -91,10 +90,6 @@ class Field:
 
 def constant_field(space: WeightedSpace, value: complex = 1.0) -> Field:
     return Field(space, np.full(space.n, value, dtype=complex))
-
-
-def zero_field(space: WeightedSpace) -> Field:
-    return Field(space, np.zeros(space.n, dtype=complex))
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -28,7 +28,6 @@ from .inequalities import (
     approximation_limit_check,
     llogl_chain_check,
     make_report,
-    multiplier_pnorm_check,
     multiplier_pnorm_family_check,
     opnorm_exact,
     pnorm_growth_fit,
@@ -281,15 +280,25 @@ def suite_transform_identity(
     return SuiteResult("transform_identity", max(worst_power, worst_tel) <= tol, summary)
 
 
-def _multiplier_pnorm_result(
-    name: str, grid: list[float], rows: Sequence[InequalityReport], summary: dict
+def _multiplier_pnorm(
+    name: str,
+    members: Sequence[tuple[ReversibleGenerator, StepMultiplier | SampledMultiplier]],
+    p_grid: Sequence[float],
+    probes: int,
+    ascent_steps: int,
+    probe_seed: int,
+    **summary,
 ) -> SuiteResult:
-    """The rows, one per p, and the report-only fit of their ratios against 1/(p - 1) on p <= 2.
+    """The family's worst row per p, and the report-only fit of their ratios against 1/(p - 1) on p <= 2.
 
-    The fit documents the blow-up rate as p drops to 1.
+    Member i probes with seed ``probe_seed + i``.  The fit documents the
+    blow-up rate as p drops to 1.
     """
+    grid = [float(p) for p in p_grid]
+    rows = multiplier_pnorm_family_check(members, grid, probes, ascent_steps, probe_seed)
     slope, intercept = pnorm_growth_fit({p: r.ratio for p, r in zip(grid, rows)}.items())
-    summary.update(growth_fit_slope=slope, growth_fit_intercept=intercept)
+    summary.update(p_grid=grid, probes=probes, ascent_steps=ascent_steps,
+                   growth_fit_slope=slope, growth_fit_intercept=intercept)
     return SuiteResult(name, all(r.passed for r in rows), summary, rows)
 
 
@@ -301,11 +310,8 @@ def suite_multiplier_pnorm(
     ascent_steps: int,
     probe_seed: int,
 ) -> SuiteResult:
-    """p-norm bound check of one multiplier operator over a p-grid."""
-    grid = [float(p) for p in p_grid]
-    rows = multiplier_pnorm_check(chain, multiplier, grid, probes, ascent_steps, probe_seed)
-    summary = {"p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
-    return _multiplier_pnorm_result("multiplier_pnorm", grid, rows, summary)
+    """p-norm bound check of one multiplier operator over a p-grid: the family of one member."""
+    return _multiplier_pnorm("multiplier_pnorm", [(chain, multiplier)], p_grid, probes, ascent_steps, probe_seed)
 
 
 def suite_multiplier_pnorm_family(
@@ -320,18 +326,14 @@ def suite_multiplier_pnorm_family(
 ) -> SuiteResult:
     """p-norm bound check across the step-multiplier family; reports the worst ratio per p.
 
-    Member i probes with seed ``probe_seed + i``.  The probe ascent runs only
-    on members whose certified Riesz-Thorin bound can reach the worst ratio
-    found so far (see ``multiplier_pnorm_family_check``), so the rows are
-    those of an ascent on every member.
+    The probe ascent runs only on members whose certified Riesz-Thorin bound
+    can reach the worst ratio found so far (see
+    ``multiplier_pnorm_family_check``), so the rows are those of an ascent on
+    every member.
     """
-    grid = [float(p) for p in p_grid]
     family = step_instance_family(seed, instances, max_n, max_pieces)
-    rows = multiplier_pnorm_family_check(
-        [(gen, step) for gen, step, _ in family], grid, probes, ascent_steps, probe_seed
-    )
-    summary = {"instances": instances, "p_grid": grid, "probes": probes, "ascent_steps": ascent_steps}
-    return _multiplier_pnorm_result("multiplier_pnorm_family", grid, rows, summary)
+    return _multiplier_pnorm("multiplier_pnorm_family", [(gen, step) for gen, step, _ in family],
+                             p_grid, probes, ascent_steps, probe_seed, instances=instances)
 
 
 def suite_transform_pnorm(
@@ -368,6 +370,9 @@ def suite_transform_pnorm(
 
 
 def _probe_field(chain: ReversibleGenerator, field_seed, field) -> Field:
+    """The literal ``field``, or a complex field drawn from ``field_seed``; exactly one must be given."""
+    if (field is None) == (field_seed is None):
+        raise ValueError("give exactly one of field or field_seed")
     if field is not None:
         return Field(chain.space, np.asarray(field, dtype=complex))
     rng = np.random.default_rng(field_seed)

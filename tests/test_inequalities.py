@@ -22,7 +22,6 @@ from lapmult import (
     lp_norm,
     martingale_transform,
     multiplier_operator,
-    multiplier_pnorm_check,
     multiplier_pnorm_family_check,
     opnorm_exact,
     opnorm_lower_estimate,
@@ -33,7 +32,6 @@ from lapmult import (
     reverse_martingale,
     transform_pnorm_check,
     transition_products,
-    zero_field,
 )
 from lapmult import dilation, inequalities
 from lapmult.dilation import PathFunctional, PathSpace
@@ -335,18 +333,33 @@ class TestAscentOracle:
                 assert got == want
 
 
+@pytest.fixture
+def counted_ascents(monkeypatch):
+    """The (p, seed) of every probe ascent run while the test runs."""
+    calls = []
+    ascent = inequalities.opnorm_lower_estimate
+
+    def counting(op, space, p, probes, ascent_steps, seed):
+        calls.append((p, seed))
+        return ascent(op, space, p, probes, ascent_steps, seed)
+
+    monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
+    return calls
+
+
+# The single-chain check is the family check on a family of one.
 class TestMultiplierPnormCheck:
     def test_zero_multiplier(self):
         space, gen = random_reversible_generator(2, 5)
-        rows = multiplier_pnorm_check(gen, StepMultiplier([0.0, 1.0], [0.0]),
-                                      [1.5, 2.0, 3.0], probes=32, ascent_steps=5, seed=0)
+        members = [(gen, StepMultiplier([0.0, 1.0], [0.0]))]
+        rows = multiplier_pnorm_family_check(members, [1.5, 2.0, 3.0], probes=32, ascent_steps=5, seed=0)
         assert all(r.passed for r in rows)
         assert all(r.ratio == 0.0 for r in rows)
 
     def test_p2_has_paper_threshold_one(self):
         space, gen = random_reversible_generator(3, 6)
-        rows = multiplier_pnorm_check(gen, StepMultiplier([0.0, 0.7], [1.0]),
-                                      [1.5, 2.0, 4.0], probes=64, ascent_steps=10, seed=1)
+        members = [(gen, StepMultiplier([0.0, 0.7], [1.0]))]
+        rows = multiplier_pnorm_family_check(members, [1.5, 2.0, 4.0], probes=64, ascent_steps=10, seed=1)
         by_name = {r.name: r for r in rows}
         p2 = by_name["multiplier-pnorm p=2"]
         assert p2.threshold == 1.0
@@ -361,16 +374,16 @@ class TestMultiplierPnormCheck:
             np.concatenate([[0.0], np.sort(rng.uniform(0, 3, 4))]),
             rng.standard_normal(4) + 1j * rng.standard_normal(4),
         )
-        rows = multiplier_pnorm_check(gen, step, [1.25, 1.5, 3.0, 4.0],
-                                      probes=200, ascent_steps=20, seed=7)
+        rows = multiplier_pnorm_family_check([(gen, step)], [1.25, 1.5, 3.0, 4.0],
+                                             probes=200, ascent_steps=20, seed=7)
         for report in rows:
             assert report.ratio <= report.threshold * (1 + 1e-9)
 
     def test_growth_fit_reported(self):
         space, gen = random_reversible_generator(8, 5)
         grid = [1.25, 1.5, 2.0]
-        rows = multiplier_pnorm_check(gen, StepMultiplier([0.0, 1.0], [1.0]),
-                                      grid, probes=64, ascent_steps=10, seed=2)
+        members = [(gen, StepMultiplier([0.0, 1.0], [1.0]))]
+        rows = multiplier_pnorm_family_check(members, grid, probes=64, ascent_steps=10, seed=2)
         slope, intercept = pnorm_growth_fit((p, r.ratio) for p, r in zip(grid, rows))
         assert slope is not None
         assert intercept is not None
@@ -383,23 +396,27 @@ class TestMultiplierPnormCheck:
 
     def test_p2_row_is_the_exact_norm(self):
         gen, step, (op, sup) = self._p2_instance()
-        p2 = multiplier_pnorm_check(gen, step, [1.5, 2.0], probes=16, ascent_steps=4, seed=3)[1]
+        p2 = multiplier_pnorm_family_check([(gen, step)], [1.5, 2.0], probes=16, ascent_steps=4, seed=3)[1]
         assert p2.lhs == opnorm_exact(op, gen.space, 2.0)
         assert p2.ratio == p2.lhs / sup
         assert p2.lhs >= opnorm_lower_estimate(op, gen.space, 2.0, probes=16, ascent_steps=4, seed=3)
 
-    def test_p2_row_runs_no_ascent(self, monkeypatch):
+    def test_requires_interior_p(self, counted_ascents):
         gen, step, _ = self._p2_instance()
-        ascent_ps = []
-        ascent = inequalities.opnorm_lower_estimate
+        for p in (1.0, math.inf, 0.5, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="strictly between"):
+                multiplier_pnorm_family_check([(gen, step)], [2.0, p], probes=8, ascent_steps=2, seed=0)
+        assert counted_ascents == []
 
-        def counting(op, space, p, *args):
-            ascent_ps.append(p)
-            return ascent(op, space, p, *args)
+    def test_p2_row_runs_no_ascent(self, counted_ascents):
+        # p = 2 takes the exact norm and a repeated p repeats its row
+        gen, step, _ = self._p2_instance()
+        grid = [1.25, 2.0, 3.0, 2, 1.25]
+        rows = multiplier_pnorm_family_check([(gen, step)], grid, probes=8, ascent_steps=2, seed=0)
+        assert [p for p, _ in counted_ascents] == [1.25, 3.0]
+        assert rows[4].to_dict() == rows[0].to_dict()
+        assert rows[3].to_dict() == rows[1].to_dict()
 
-        monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
-        multiplier_pnorm_check(gen, step, [1.25, 2.0, 3.0, 2], probes=8, ascent_steps=2, seed=0)
-        assert ascent_ps == [1.25, 3.0]
 
 # The paper-suite preset's step family and its p != 2 grid.
 def paper_suite_family():
@@ -456,31 +473,21 @@ class TestOpnormUpperBound:
 
 
 def reference_family_rows(members, grid, probes, ascent_steps, seed):
-    """multiplier_pnorm_check on every member; the first of the largest ratios at each grid position."""
-    row_lists = [multiplier_pnorm_check(gen, m, grid, probes, ascent_steps, seed + i)
-                 for i, (gen, m) in enumerate(members)]
+    """Every member at every grid position, with no pruning and no reuse; the first of the largest ratios."""
     worst = []
-    for k in range(len(grid)):
-        best = row_lists[0][k]
-        for rows in row_lists[1:]:
-            if rows[k].ratio > best.ratio:
-                best = rows[k]
+    for p in map(float, grid):
+        best = None
+        for i, (gen, m) in enumerate(members):
+            op, sup = multiplier_operator(gen, m)
+            if p == 2.0:
+                row = make_report("multiplier-pnorm p=2", opnorm_exact(op, gen.space, 2.0), sup, 1.0, "paper")
+            else:
+                value = opnorm_lower_estimate(op, gen.space, p, probes, ascent_steps, seed + i)
+                row = make_report(f"multiplier-pnorm p={p:g}", value, sup, reference_constant(p), "reference-constant")
+            if best is None or row.ratio > best.ratio:
+                best = row
         worst.append(best.to_dict())
     return worst
-
-
-@pytest.fixture
-def counted_ascents(monkeypatch):
-    """The (p, seed) of every probe ascent run while the test runs."""
-    calls = []
-    ascent = inequalities.opnorm_lower_estimate
-
-    def counting(op, space, p, probes, ascent_steps, seed):
-        calls.append((p, seed))
-        return ascent(op, space, p, probes, ascent_steps, seed)
-
-    monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
-    return calls
 
 
 class TestMultiplierPnormFamilyCheck:
@@ -701,7 +708,7 @@ def oracle_batch(space, horizon, seed):
         (np.ones(horizon), constant_field(space, 1.5 - 0.5j)),  # zero increments
         (np.zeros(horizon), random_field(space, seed + 1)),  # all-zero multiplier row
         (rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon), random_field(space, seed + 2)),
-        (rng.choice([-1.0, 1.0], horizon), zero_field(space)),
+        (rng.choice([-1.0, 1.0], horizon), constant_field(space, 0.0)),
     ]
     return batch
 
@@ -761,7 +768,7 @@ class TestLuxemburgOracle:
             fields = [Field(space, scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
                       for _ in range(int(rng.integers(1, 6)))]
             if case % 7 == 0:
-                fields.append(zero_field(space))
+                fields.append(constant_field(space, 0.0))
             moduli = np.abs([f.values for f in fields])
             got = luxemburg_rows(moduli, space.weights).tolist()
             assert got == [single_llogl_norm(f) for f in fields]

@@ -14,7 +14,6 @@ from lapmult import (
     llogl_norm,
     lp_norm,
     weighted_inner,
-    zero_field,
 )
 
 from conftest import random_field
@@ -57,7 +56,7 @@ class TestConstruction:
 
 class TestLpNorm:
     def test_zero_field(self):
-        assert lp_norm(zero_field(WeightedSpace([0.3, 0.7, 1.1])), 2.0) == 0.0
+        assert lp_norm(constant_field(WeightedSpace([0.3, 0.7, 1.1]), 0.0), 2.0) == 0.0
 
     def test_constant_on_probability_space(self):
         space = WeightedSpace([0.2, 0.5, 0.3])
@@ -115,7 +114,7 @@ def test_norm_homogeneity_hypothesis(values, scale):
 class TestWeightedInner:
     def test_zero(self):
         space = WeightedSpace([1.0, 1.0])
-        assert weighted_inner(zero_field(space), zero_field(space)) == 0.0
+        assert weighted_inner(constant_field(space, 0.0), constant_field(space, 0.0)) == 0.0
 
     def test_constant_probability_space(self):
         space = probability_space(1, 4)
@@ -151,7 +150,7 @@ class TestWeightedInner:
 
 class TestLloglNorm:
     def test_zero_field(self):
-        assert llogl_norm(zero_field(WeightedSpace([0.4, 0.6]))) == 0.0
+        assert llogl_norm(constant_field(WeightedSpace([0.4, 0.6]), 0.0)) == 0.0
 
     def test_constant_against_scalar_oracle(self):
         # independent oracle: solve (1/k) log(e + 1/k) = 1 for the scalar k

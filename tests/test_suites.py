@@ -8,6 +8,7 @@ import pytest
 from lapmult.suites import (
     dilation_instance_family,
     step_instance_family,
+    suite_approximation_limit,
     suite_dilation_identity,
     suite_imaginary_powers,
     suite_llogl_chain,
@@ -157,18 +158,33 @@ def test_transform_pnorm_fails_on_a_contraction_excess(monkeypatch):
     assert result.summary["worst_contraction_excess"] == 1e-6
 
 
-def test_multiplier_pnorm_family_fails_on_a_row_above_its_threshold(monkeypatch):
-    calls = []
-
+def _violating_pnorm_check(calls):
+    """A stand-in for the family check that records its calls; the second row (p = 2) violates."""
     def one_violation(members, p_grid, *args):
-        calls.append((len(members), args))
+        calls.append((list(members), args))
         rows = [make_report(f"multiplier-pnorm p={p:g}", 0.5, 1.0, 1.0, "paper") for p in p_grid]
         rows[1] = make_report("multiplier-pnorm p=2", 1.5, 1.0, 1.0, "paper")
         return tuple(rows)
 
-    monkeypatch.setattr(suites, "multiplier_pnorm_family_check", one_violation)
+    return one_violation
+
+
+def test_multiplier_pnorm_family_fails_on_a_row_above_its_threshold(monkeypatch):
+    calls = []
+    monkeypatch.setattr(suites, "multiplier_pnorm_family_check", _violating_pnorm_check(calls))
     result = suite_multiplier_pnorm_family(6, 3, [1.5, 2, 3], probes=2, ascent_steps=1, probe_seed=0)
-    assert calls == [(3, (2, 1, 0))]
+    assert [(len(members), args) for members, args in calls] == [(3, (2, 1, 0))]
+    assert [r.passed for r in result.inequalities] == [True, False, True]
+    assert result.inequalities[1].ratio == 1.5
+    assert result.passed is False
+
+
+def test_multiplier_pnorm_fails_on_a_row_above_its_threshold(monkeypatch):
+    calls = []
+    monkeypatch.setattr(suites, "multiplier_pnorm_family_check", _violating_pnorm_check(calls))
+    gen, step, _ = step_instance_family(3, 1)[0]
+    result = suite_multiplier_pnorm(gen, step, [1.5, 2, 3], probes=2, ascent_steps=1, probe_seed=4)
+    assert calls == [([(gen, step)], (2, 1, 4))]
     assert [r.passed for r in result.inequalities] == [True, False, True]
     assert result.inequalities[1].ratio == 1.5
     assert result.passed is False
@@ -217,6 +233,17 @@ def test_step_convergence_fails_on_a_final_error_above_tol(monkeypatch):
     assert result.summary["tol"] == pytest.approx(1e-2, rel=1e-12)
     assert result.summary["monotone_ok"] is True
     assert result.passed is False
+
+
+@pytest.mark.parametrize("probe", [{}, {"field": [1.0, 2.0, 3.0], "field_seed": 5}], ids=["neither", "both"])
+def test_probed_suites_need_exactly_one_of_field_and_field_seed(probe):
+    # with neither the field would be unseeded; with both one would be ignored
+    _, gen = random_reversible_generator(7, 3)
+    sampled = SampledMultiplier(lambda t: np.exp(-t), 4.0, 65, 1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        suite_step_convergence(gen, sampled, [4, 8], **probe)
+    with pytest.raises(ValueError, match="exactly one"):
+        suite_approximation_limit(gen, sampled, [4, 8], **probe)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e8])
