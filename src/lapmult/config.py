@@ -102,6 +102,13 @@ def _at_least(low: int) -> Kind:
 _SEED, _COUNT = _at_least(0), _at_least(1)
 
 
+def _simpson_grid(value: Any, what: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= 5 and (value - 1) % 4 == 0,
+             f"{what} must be an integer 4m+1 >= 5")
+    return value
+
+
 def _boolean(value: Any, what: str) -> bool:
     _require(isinstance(value, bool), f"{what} must be a boolean")
     return value
@@ -168,7 +175,7 @@ def _chain(spec: Any, what: str) -> ReversibleGenerator:
 
 
 _STEP = {"type": _string, "breakpoints": _NUMBERS, "values": _list_of(_scalar)}
-_SAMPLED = {"type": _string, "name": _string, "t_max": _positive, "grid": _at_least(5)}
+_SAMPLED = {"type": _string, "name": _string, "t_max": _positive, "grid": _simpson_grid}
 
 
 def _multiplier(spec: Any, what: str) -> StepMultiplier | SampledMultiplier:
@@ -275,7 +282,7 @@ CHECKS: dict[str, Check] = {
         _PATH_DILATION),
     "imaginary_powers": Check(
         suites.suite_imaginary_powers,
-        {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _at_least(5)}),
+        {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _simpson_grid}),
     "approximation_limit": Check(
         suites.suite_approximation_limit, {**_PROBED, "p": _exponent, "tol": _positive}),
     "mc_crosscheck": Check(

@@ -375,6 +375,12 @@ def _sampled_strata(
         yield x, len(paths), _finite(np.asarray(functional.evaluator(paths)))
 
 
+def _exact_paths(ps: PathSpace, seed: int | None, samples: int | None) -> ExactPaths:
+    if seed is not None or samples is not None:
+        raise ValueError("seed and samples apply to Monte Carlo mode only")
+    return ExactPaths(ps)
+
+
 def hat_expectation(
     ps: PathSpace,
     functional: PathFunctional,
@@ -390,10 +396,11 @@ def hat_expectation(
     returns (estimate, per-state standard errors), the errors from the sample
     variances (ddof 1).  ``seed`` and ``samples`` are integers; the space
     keeps its last draw, so a ``path_lp_norm`` with the same pair reuses it.
+    Exact mode takes neither.
     """
     space = ps.kernel.space
     if mode == "exact":
-        exact = ExactPaths(ps)
+        exact = _exact_paths(ps, seed, samples)
         return Field(space, exact.conditioned(functional.evaluator(exact.paths)))
     if mode == "mc":
         means = np.empty(space.n, dtype=complex)
@@ -421,12 +428,12 @@ def path_lp_norm(
     p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
     power; it requires finite p and integer ``seed`` and ``samples``, and
     reuses the space's last draw when the pair matches, as ``hat_expectation``
-    does.
+    does.  Exact mode takes neither ``seed`` nor ``samples``.
     """
     if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
-        exact = ExactPaths(ps)
+        exact = _exact_paths(ps, seed, samples)
         return exact.lp_norm(np.abs(np.asarray(functional.evaluator(exact.paths))), p)
     if mode == "mc":
         if math.isinf(p):

@@ -65,8 +65,8 @@ class SampledMultiplier:
 
     ``sampler`` must be vectorized: it maps an ndarray of times to the array of
     values of the same shape, and any other shape is a ValueError.  ``grid_size``
-    is rounded up so the point count is 4m+1, which keeps both the full and the
-    half grid valid for composite Simpson quadrature.
+    must be a point count 4m+1 >= 5, which keeps both the full and the half grid
+    valid for composite Simpson quadrature.
     """
 
     sampler: Callable[[np.ndarray], np.ndarray]
@@ -77,15 +77,11 @@ class SampledMultiplier:
     def __post_init__(self) -> None:
         if not (self.truncation > 0.0 and math.isfinite(self.truncation)):
             raise ValueError("truncation must be a finite positive real")
-        if self.grid_size < 5:
-            raise ValueError("grid_size must be at least 5")
+        if not (self.grid_size >= 5 and (self.grid_size - 1) % 4 == 0):
+            raise ValueError("grid_size must be a point count 4m+1 >= 5")
         if not (self.declared_sup >= 0.0 and math.isfinite(self.declared_sup)):
             raise ValueError("declared_sup must be a finite nonnegative real")
-        size = int(self.grid_size)
-        if (size - 1) % 4:
-            size += 4 - (size - 1) % 4
-        object.__setattr__(self, "grid_size", size)
-        grid = np.linspace(0.0, self.truncation, size)
+        grid = np.linspace(0.0, self.truncation, self.grid_size)
         vals = _eval_sampler(self.sampler, grid)
         bound = self.declared_sup + 1e-12 * (1.0 + self.declared_sup)
         if np.abs(vals).max() > bound:

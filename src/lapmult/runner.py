@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import CHECKS, ExperimentConfig, SuiteSpec
@@ -24,7 +23,7 @@ from .suites import SuiteResult
 
 __all__ = ["RunOutcome", "run_config", "report_json", "inequalities_csv"]
 
-REPORT_SCHEMA = "lapmult-report-2"
+REPORT_SCHEMA = "lapmult-report-3"
 
 # Derived from config.CHECKS.  A module-level dict of plain functions, so that
 # instrumentation can rebind an entry without touching the check table.
@@ -61,7 +60,6 @@ def _environment_stamp() -> dict:
         "lapmult": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": sys.platform,
     }
 

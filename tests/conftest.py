@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapmult import Field, ReversibleGenerator, WeightedSpace, suites
+from lapmult import Field, ReversibleGenerator, WeightedSpace, inequalities, suites
 
 
 @pytest.fixture
@@ -25,6 +25,20 @@ def cold_step_family(monkeypatch):
         monkeypatch.setattr(suites, "_last_family", None)
 
     return clear
+
+
+@pytest.fixture
+def counted_ascents(monkeypatch):
+    """The (p, seed) of every probe ascent run while the test runs."""
+    calls = []
+    ascent = inequalities.opnorm_lower_estimate
+
+    def counting(op, space, p, probes, ascent_steps, seed):
+        calls.append((p, seed))
+        return ascent(op, space, p, probes, ascent_steps, seed)
+
+    monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
+    return calls
 
 
 def random_field(space, seed, real=False):

@@ -169,19 +169,28 @@ def test_criterion_9_imaginary_powers():
         assert info["opnorm_2"] <= info["sup"] + info["max_reported_error"] + 1e-12
 
 
-def test_criterion_10_reproducible_paper_suite(tmp_path, cold_step_family):
+# Of the family's 50 members x 4 values of p other than 2, the Riesz-Thorin
+# upper bound leaves 60 that could set a worst row; only those run an ascent.
+PAPER_SUITE_ASCENTS = 60
+
+
+def test_criterion_10_reproducible_paper_suite(tmp_path, cold_step_family, counted_ascents):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cold_step_family()
     code1 = main(["run", "paper-suite", "--out", str(out1)])
+    ascents1 = len(counted_ascents)
+    counted_ascents.clear()
     cold_step_family()
     code2 = main(["run", "paper-suite", "--out", str(out2)])
+    ascents = (ascents1, len(counted_ascents))
     first = (out1 / "report.json").read_bytes()
     second = (out2 / "report.json").read_bytes()
     identical = first == second
     overall = json.loads(first)["overall_pass"]
     announce(10, code1 == EXIT_OK and code2 == EXIT_OK and identical,
              f"exit codes ({code1}, {code2}), byte-identical reports: {identical}, "
-             f"overall_pass: {overall}")
+             f"overall_pass: {overall}, probe ascents: {ascents}")
     assert code1 == EXIT_OK and code2 == EXIT_OK
     assert identical, "reports differ between runs"
     assert overall
+    assert ascents == (PAPER_SUITE_ASCENTS, PAPER_SUITE_ASCENTS)

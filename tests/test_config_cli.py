@@ -222,7 +222,7 @@ class TestRunner:
     def test_overall_pass_and_report_shape(self):
         outcome = run_config(parse_config(MINIMAL))
         assert outcome.overall_pass
-        assert outcome.report["schema"] == "lapmult-report-2"
+        assert outcome.report["schema"] == "lapmult-report-3"
         assert [s["name"] for s in outcome.report["suites"]] == ["markov_conditions"]
 
     def test_each_requested_check_appears_once(self):

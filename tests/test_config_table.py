@@ -221,6 +221,8 @@ def test_mc_crosscheck_needs_mc_mode(dilation):
     ("step_convergence", "multiplier", STEP),
     ("imaginary_powers", "gammas", [10.5]),
     ("imaginary_powers", "grid", 4),
+    ("imaginary_powers", "grid", 100),
+    ("step_convergence", "multiplier", {**EXP, "grid": 100}),
     ("approximation_limit", "p", 1.0),
     ("llogl_chain", "n", 1),
     ("llogl_chain", "horizon", 0),

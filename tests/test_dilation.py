@@ -263,6 +263,18 @@ class TestMonteCarloArguments:
         got = reduce(ps, functional, mode="mc", seed=np.int64(5), samples=np.int32(60))
         assert mc_bytes(got) == mc_bytes(want)
 
+    # exact mode enumerates every path: a sample count or seed there would be
+    # silently ignored
+    @MC_REDUCTIONS
+    @pytest.mark.parametrize("given", [{"seed": 1}, {"samples": 10**9}, {"seed": 1, "samples": 50}])
+    def test_exact_mode_rejects_monte_carlo_arguments(self, reduce, given):
+        _, _, ps = make_path_space(n=3, horizon=2)
+        functional = PathFunctional(lambda paths: np.ones(len(paths)))
+        with pytest.raises(ValueError, match="Monte Carlo mode only"):
+            reduce(ps, functional, mode="exact", **given)
+        assert "_table" not in vars(ps)
+        reduce(ps, functional, mode="exact", seed=None, samples=None)
+
 
 class TestNanExponent:
     # p < 1.0 is False for NaN, so every guard reads "not p >= 1.0"

@@ -33,7 +33,7 @@ from lapmult import (
     transform_pnorm_check,
     transition_products,
 )
-from lapmult import dilation, inequalities
+from lapmult import dilation
 from lapmult.dilation import PathFunctional, PathSpace
 from lapmult.inequalities import UPPER_BOUND_MARGIN, CONTRACTION_TOL, make_report, pnorm_growth_fit
 from lapmult.space import luxemburg_rows
@@ -331,20 +331,6 @@ class TestAscentOracle:
                 want = untrimmed_lower_estimate(op, space, p, probes=1, ascent_steps=0, seed=3)
                 got = opnorm_lower_estimate(op, space, p, probes=1, ascent_steps=0, seed=3)
                 assert got == want
-
-
-@pytest.fixture
-def counted_ascents(monkeypatch):
-    """The (p, seed) of every probe ascent run while the test runs."""
-    calls = []
-    ascent = inequalities.opnorm_lower_estimate
-
-    def counting(op, space, p, probes, ascent_steps, seed):
-        calls.append((p, seed))
-        return ascent(op, space, p, probes, ascent_steps, seed)
-
-    monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
-    return calls
 
 
 # The single-chain check is the family check on a family of one.

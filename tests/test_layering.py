@@ -5,11 +5,13 @@ inequalities -> suites -> config/runner -> cli; a module may import its own
 rank or below, and only at module level, never deferred inside a function.
 No module takes another module's private (underscore) name.  The package
 publishes the ``__all__`` of the six layers below the suites, and nothing else.
+Outside the package, a module imports numpy and the standard library only.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -74,15 +76,67 @@ def test_no_import_is_deferred():
     assert not deferred, deferred
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about 0.3 s and 24 MB per process; Gamma(1 - i gamma)
-    # comes from multiplier._complex_gamma instead
+# A sampled multiplier (with Gamma(1 - i gamma) behind the imaginary power) and
+# a Monte Carlo cross-check: the run paths most likely to reach for scipy.
+SCIPY_FREE_CONFIG = {
+    "schema": "lapmult-config-1",
+    "suites": [
+        {"check": "step_convergence", "chain": {"seed": 7, "n": 4}, "field_seed": 5,
+         "multiplier": {"type": "sampled", "name": "exp", "t_max": 4.0, "grid": 129},
+         "piece_counts": [8, 16, 32], "rel_tol": 0.05},
+        {"check": "imaginary_powers", "chain": {"seed": 11, "n": 4}, "gammas": [1.0], "grid": 401},
+        {"check": "mc_crosscheck", "seed": 17, "n": 3,
+         "dilation": {"horizon": 3, "epsilon": 0.8, "mode": "mc", "samples": 2000, "seed": 23}},
+    ],
+}
+
+# Any import of scipy or a scipy submodule raises ImportError, as if scipy
+# were not installed.
+NO_SCIPY_RUN = """
+import json, sys
+
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy)
+import lapmult, lapmult.cli
+code = lapmult.cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_runs_with_scipy_unimportable(tmp_path):
+    # numpy is the only runtime dependency; the tests' scipy stays an oracle
+    # that shares no code with the library
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SCIPY_FREE_CONFIG), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code = "import sys, lapmult, lapmult.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(config), str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip() == "[]"
+    code, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert code == 0, result.stdout[-2000:]
+    assert loaded == []
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    third_party = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party += [f"{path.stem}.py:{node.lineno} imports {name}" for name in names
+                            if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not third_party, third_party
 
 
 def _private(name):

@@ -138,9 +138,13 @@ class TestSampledSymbol:
         for lam in (0.3, 1.0, 2.5, 6.0):
             assert abs(quad.evaluator(lam) - closed.evaluator(lam)) <= quad.error_bound(lam)
 
-    def test_grid_rounded_to_simpson_pairs(self):
-        sampled = SampledMultiplier(exp_sampler, 1.0, 6, 1.0)
-        assert (sampled.grid_size - 1) % 4 == 0
+    def test_grid_off_simpson_pairs_rejected(self):
+        # rounding a size up to 4m+1 would run a grid the caller did not ask for
+        for size in (6, 7, 8, 100, 24000):
+            with pytest.raises(ValueError, match=r"4m\+1"):
+                SampledMultiplier(exp_sampler, 1.0, size, 1.0)
+        for size in (5, 9, 101):
+            assert SampledMultiplier(exp_sampler, 1.0, size, 1.0)._grid.size == size
 
     def test_sampler_exceeding_sup_rejected(self):
         with pytest.raises(ValueError):
