@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import suites
+from . import dilation, suites
 from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset
 from .semigroup import ReversibleGenerator, random_reversible_generator
 from .space import WeightedSpace
@@ -218,18 +218,34 @@ class Check:
     ``dilation`` maps the keys of the check's required ``dilation`` block onto
     runner keyword arguments (every key but ``horizon`` is required there), and
     the block's ``mode`` (default ``"exact"``) must equal ``mode``.
+    ``enumerates`` marks a check that enumerates one path space of ``n``
+    states to ``horizon``: its n**(horizon+1) paths, runner defaults filling
+    what the config omits, must be within ``dilation.DEFAULT_PATH_BUDGET`` at
+    parse time.  Family checks draw their sizes from seeds, so their budget
+    is checked as they run.
     """
 
     run: Callable[..., suites.SuiteResult]
     params: dict[str, Kind]
     dilation: dict[str, str] = field(default_factory=dict)
     mode: str = "exact"
+    enumerates: bool = False
 
     def _dilation_block(self, spec: Any, what: str) -> dict:
         kinds = {"mode": _string, **{key: _DILATION[key] for key in self.dilation}}
         given = _fields(spec, kinds, [key for key in self.dilation if key != "horizon"], what)
         _require(given.pop("mode", "exact") == self.mode, f"{what}.mode must be {self.mode!r}")
         return given
+
+    def _check_budget(self, kwargs: dict, name: str) -> None:
+        params = inspect.signature(self.run).parameters
+        n, horizon = (kwargs.get(key, params[key].default) for key in ("n", "horizon"))
+        budget, steps = dilation.DEFAULT_PATH_BUDGET, horizon + 1
+        # n >= 2 states give at least 2**steps paths, so a long horizon fails without forming n**steps
+        count = n**steps if n == 1 or steps <= budget.bit_length() else None
+        _require(count is not None and count <= budget,
+                 f"{name}: n = {n} and horizon = {horizon} give {count or f'{n}**{steps}'} paths, "
+                 f"past the enumeration budget of {budget}")
 
     def parse(self, entry: dict, name: str) -> dict:
         kinds = {"check": _string, **self.params}
@@ -247,6 +263,8 @@ class Check:
             if "field" in kwargs:
                 n = kwargs["chain"].space.n
                 _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
+        if self.enumerates:
+            self._check_budget(kwargs, name)
         return kwargs
 
 
@@ -279,7 +297,7 @@ CHECKS: dict[str, Check] = {
         suites.suite_llogl_chain,
         {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
          "stability_doubling": _boolean, "stability_rel": _positive},
-        _PATH_DILATION),
+        _PATH_DILATION, enumerates=True),
     "imaginary_powers": Check(
         suites.suite_imaginary_powers,
         {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _simpson_grid}),
@@ -288,7 +306,7 @@ CHECKS: dict[str, Check] = {
     "mc_crosscheck": Check(
         suites.suite_mc_crosscheck, {"seed": _SEED, "n": _COUNT},
         {"epsilon": "epsilon", "horizon": "horizon", "seed": "mc_seed", "samples": "samples"},
-        mode="mc"),
+        mode="mc", enumerates=True),
 }
 
 KNOWN_CHECKS = tuple(CHECKS)

@@ -396,7 +396,9 @@ def hat_expectation(
     returns (estimate, per-state standard errors), the errors from the sample
     variances (ddof 1).  ``seed`` and ``samples`` are integers; the space
     keeps its last draw, so a ``path_lp_norm`` with the same pair reuses it.
-    Exact mode takes neither.
+    Exact mode takes neither.  A :func:`martingale_transform` keeps its values
+    on the space's table and current draw, so a ``path_lp_norm`` on the same
+    path set reuses them rather than evaluating the transform again.
     """
     space = ps.kernel.space
     if mode == "exact":
@@ -428,7 +430,9 @@ def path_lp_norm(
     p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
     power; it requires finite p and integer ``seed`` and ``samples``, and
     reuses the space's last draw when the pair matches, as ``hat_expectation``
-    does.  Exact mode takes neither ``seed`` nor ``samples``.
+    does.  Exact mode takes neither ``seed`` nor ``samples``.  On a path set
+    that a :func:`martingale_transform` has already seen, the table or the
+    current draw, the transform's kept values are reused, with the same bits.
     """
     if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
@@ -481,14 +485,57 @@ def dilation_identity_check(
     return dev_power, dev_heat
 
 
+def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[object, int] | None:
+    """The space's own path set that holds ``paths``, and the place of ``paths`` in it.
+
+    A path set is the enumerated table (place 0) or the strata of the space's
+    current draw (place = start state), told apart by identity.  Any other
+    array has none: a copy of the table, another space's table, or a stratum
+    of a draw the space has since replaced.  Never builds or draws anything.
+    """
+    if _is_table(ps, paths):
+        return paths, 0
+    last = vars(ps).get("_last_draw")
+    if last is not None:
+        for x, stratum in enumerate(last[2]):
+            if paths is stratum:
+                return last[2], x
+    return None
+
+
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
-    """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform."""
+    """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform.
+
+    The evaluator keeps the values it computed on the space's own path sets:
+    the enumerated table and the strata of the space's current draw.  A repeat
+    call with the same array returns the kept values, read-only, so the
+    reductions of ``hat_expectation`` and ``path_lp_norm`` evaluate each path
+    set once, with the same bits.  Any other array gets a fresh evaluation.
+    The evaluator holds one path set at a time, so evaluating a stratum of a
+    draw lets the table's values go and the reverse.
+    """
     m = _multiplier_row(m_values, ps.horizon)
     n = ps.n_states
     tables = _transform_tables(reverse_martingale(ps, f), m)
+    kept: tuple[object, dict[int, np.ndarray]] | None = None  # (path set, values per place)
+
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        return _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
-        return _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
+        nonlocal kept
+        owner = _path_set(ps, paths)
+        if owner is None:
+            return evaluate(paths)
+        path_set, place = owner
+        if kept is None or kept[0] is not path_set:
+            kept = (path_set, {})
+        values = kept[1].get(place)
+        if values is None:
+            values = evaluate(paths)
+            values.setflags(write=False)
+            kept[1][place] = values
+        return values
 
     return PathFunctional(evaluator)
 

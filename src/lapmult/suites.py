@@ -575,12 +575,12 @@ def suite_mc_crosscheck(
     signs = rng.choice([-1.0, 1.0], horizon)
     functional = martingale_transform(ps, signs, probe)
 
+    # the functional keeps one path set's values at a time: use the table's, then the draw's
     exact_field = hat_expectation(ps, functional)
-    mc_field, mc_field_se = hat_expectation(ps, functional, mode="mc", seed=mc_seed, samples=samples)
-    field_ratio = float(_dev_over_se(mc_field.values, exact_field.values, mc_field_se).max())
-
     exact_norm = path_lp_norm(ps, functional, 2.0)
+    mc_field, mc_field_se = hat_expectation(ps, functional, mode="mc", seed=mc_seed, samples=samples)
     mc_norm, mc_se = path_lp_norm(ps, functional, 2.0, mode="mc", seed=mc_seed, samples=samples)
+    field_ratio = float(_dev_over_se(mc_field.values, exact_field.values, mc_field_se).max())
     norm_ratio = float(_dev_over_se(mc_norm, exact_norm, mc_se))
 
     summary = {

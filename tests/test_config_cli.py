@@ -349,7 +349,7 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
         assert not out_dir.exists()
 
-    def test_llogl_chain_over_budget_exits_without_report(self, tmp_path, capsys):
+    def test_llogl_chain_over_budget_is_a_config_error(self, tmp_path, capsys):
         # n = 4 and horizon 10 give 4^11 paths, past the default enumeration budget
         payload = {
             "schema": "lapmult-config-1",
@@ -368,8 +368,8 @@ class TestCli:
         }
         cfg_path = write_config(tmp_path, payload)
         out_dir = tmp_path / "out"
-        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
-        assert "enumeration budget exceeded" in capsys.readouterr().err
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert "llogl_chain: n = 4 and horizon = 10 give 4194304 paths" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_list_presets_includes_paper_suite_and_is_stable(self, capsys):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from lapmult import runner
+from lapmult import dilation, runner
 from lapmult.cli import EXIT_CONFIG_ERROR, main
 from lapmult.config import CHECKS, KNOWN_CHECKS, ConfigError, parse_config
 
@@ -238,3 +238,34 @@ def test_field_literal_must_match_chain_size():
     del entry["field_seed"]
     with pytest.raises(ConfigError, match="4 entries"):
         parse_config(config_of("step_convergence", **entry))
+
+
+# n = 4 and horizon 10 give 4^11 = 4194304 paths, past the enumeration budget
+OVER_BUDGET = {
+    "mc_crosscheck": {**VALID["mc_crosscheck"], "n": 4,
+                      "dilation": {**VALID["mc_crosscheck"]["dilation"], "horizon": 10}},
+    "llogl_chain": {**VALID["llogl_chain"], "n": 4, "horizon": 10},
+}
+
+
+@pytest.mark.parametrize("name", list(OVER_BUDGET))
+def test_over_budget_path_space_is_a_config_error(name):
+    with pytest.raises(ConfigError, match=f"{name}: n = 4 and horizon = 10 give 4194304 paths"):
+        parse_config(config_of(name, **OVER_BUDGET[name]))
+
+
+@pytest.mark.parametrize("name", list(OVER_BUDGET))
+def test_path_budget_is_read_at_parse_time_with_runner_defaults(name, monkeypatch):
+    params = inspect.signature(CHECKS[name].run).parameters
+    count = params["n"].default ** (params["horizon"].default + 1)
+    monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", count)
+    parse_config(config_of(name, **VALID[name]))
+    monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", count - 1)
+    with pytest.raises(ConfigError, match=f"give {count} paths, past the enumeration budget of {count - 1}"):
+        parse_config(config_of(name, **VALID[name]))
+
+
+def test_a_long_horizon_is_refused_without_forming_the_path_count():
+    entry = {**VALID["llogl_chain"], "horizon": 10**12}
+    with pytest.raises(ConfigError, match=r"give 4\*\*1000000000001 paths"):
+        parse_config(config_of("llogl_chain", **entry))

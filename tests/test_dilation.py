@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -919,3 +921,97 @@ class TestFoldMatchesGathers:
         for paths in [table, table.copy(), *mc_sampled_paths(ps, seed=n + horizon)]:
             assert_same_bits(transition_products(ps, paths), per_step_products(ps, paths))
             assert_same_bits(evaluator(paths), reference_gather(paths, zeros, transform_tables, np.add))
+
+
+class TestKeptValues:
+    """A transform's evaluator keeps its values on its space's table and on
+    the strata of the space's current draw, one path set at a time, so each
+    path set is evaluated once; any other array is evaluated afresh."""
+
+    @staticmethod
+    def _transform(n=3, horizon=3):
+        space, _, ps = make_path_space(seed=4 * n + horizon, n=n, horizon=horizon)
+        rng = np.random.default_rng([n, horizon, 1])
+        m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
+        f = random_field(space, n + horizon)
+        return ps, (m_values, f), martingale_transform(ps, m_values, f).evaluator
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The path arrays handed to ``_along_paths`` while the test runs."""
+        seen = []
+        along_paths = dilation._along_paths
+
+        def counting(ps, paths, start, tables, ufunc):
+            seen.append(paths)
+            return along_paths(ps, paths, start, tables, ufunc)
+
+        monkeypatch.setattr(dilation, "_along_paths", counting)
+        return seen
+
+    @pytest.mark.parametrize("n,horizon", [(1, 2), (2, 0), (3, 3), (4, 4)])
+    def test_kept_values_have_the_bits_of_a_fresh_transform(self, n, horizon):
+        ps, args, evaluator = self._transform(n, horizon)
+        for paths in [all_paths(ps), *ps._draw(5, 300)]:
+            kept = evaluator(paths)
+            assert evaluator(paths) is kept
+            assert_same_bits(kept, martingale_transform(ps, *args).evaluator(paths))
+
+    def test_each_path_array_is_evaluated_once_across_both_reductions(self, monkeypatch):
+        ps, _, evaluator = self._transform(n=2, horizon=4)
+        calls = []
+
+        def counting_evaluator(paths):
+            calls.append(paths)
+            return evaluator(paths)
+
+        functional = PathFunctional(counting_evaluator)
+        seen = self._counted(monkeypatch)
+        hat_expectation(ps, functional)
+        path_lp_norm(ps, functional, 2.0)
+        hat_expectation(ps, functional, mode="mc", seed=3, samples=500)
+        path_lp_norm(ps, functional, 2.0, mode="mc", seed=3, samples=500)
+        assert len(calls) == 6
+        path_sets = [all_paths(ps), *ps._draw(3, 500)]
+        assert len(seen) == len(path_sets)
+        assert all(a is b for a, b in zip(seen, path_sets))
+
+    def test_other_arrays_are_evaluated_afresh(self, monkeypatch):
+        ps, args, evaluator = self._transform()
+        table = all_paths(ps)
+        old = ps._draw(5, 300)
+        kept = [evaluator(table), evaluator(old[0])]
+        ps._draw(6, 300)  # another pair replaces the draw
+        others = [table.copy(), all_paths(PathSpace(ps.kernel, ps.horizon)), old[0]]
+        want = [martingale_transform(ps, *args).evaluator(paths.copy()) for paths in others]
+        seen = self._counted(monkeypatch)
+        for paths, values in zip(others, want):
+            for _ in range(2):
+                got = evaluator(paths)
+                assert not any(got is k for k in kept)
+                assert_same_bits(got, values)
+        expected = [paths for paths in others for _ in range(2)]
+        assert len(seen) == len(expected)
+        assert all(a is b for a, b in zip(seen, expected))
+
+    def test_kept_arrays_are_read_only(self):
+        ps, _, evaluator = self._transform()
+        for paths in [all_paths(ps), *ps._draw(5, 300)]:
+            values = evaluator(paths)
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_one_path_set_is_held_at_a_time(self):
+        ps, _, evaluator = self._transform()
+        table_values = weakref.ref(evaluator(all_paths(ps)))
+        gc.collect()
+        assert table_values() is not None
+        strata = ps._draw(5, 300)
+        stratum_values = weakref.ref(evaluator(strata[0]))
+        gc.collect()
+        assert table_values() is None
+        assert stratum_values() is not None
+        evaluator(all_paths(ps))
+        gc.collect()
+        assert stratum_values() is None

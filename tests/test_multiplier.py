@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -334,6 +335,13 @@ class TestComplexGamma:
         got = np.array([_complex_gamma(complex(v)) for v in z])
         want = scipy_gamma(z)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_matches_a_40_digit_gamma_within_the_documented_error(self):
+        # mpmath.gamma shares no code with scipy; the README promises 1.3e-14
+        with mpmath.workdps(40):
+            for gamma in np.linspace(-10.0, 10.0, 401):
+                want = complex(mpmath.gamma(mpmath.mpc(1.0, -gamma)))
+                assert abs(_complex_gamma(complex(1.0, -gamma)) - want) <= 1.3e-14 * abs(want)
 
     def test_real_values(self):
         assert _complex_gamma(1 + 0j) == pytest.approx(1.0, rel=1e-15)

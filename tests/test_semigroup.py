@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -103,6 +104,20 @@ class TestHeatOperator:
                 tol = 8 * n * u * max(1.0, np.linalg.norm(ta, 1))
                 gap = np.abs(heat_operator(gen, t).entries - scipy.linalg.expm(-ta)).max()
                 assert gap <= tol, (seed, t, gap, tol)
+
+    @pytest.mark.parametrize("seed,n,t", [(0, 2, 0.5), (1, 3, 2.0), (2, 5, 0.3), (3, 6, 1.0), (4, 8, 3.0)])
+    def test_matches_a_40_digit_expm(self, seed, n, t):
+        # mpmath.expm at 40 digits shares no code with eigh or scipy and is
+        # exact at double precision, so the gap is heat_operator's own error:
+        # about 2 n u max(1, ||tA||_1) from eigh, times at most sqrt(3) from
+        # the weight conjugation.  The largest gap on these cases is 0.25 of
+        # n u max(1, ||tA||_1).
+        _, gen = random_reversible_generator(seed, n)
+        ta = t * gen.entries
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.expm(mpmath.matrix((-ta).tolist())).tolist(), dtype=float)
+        tol = 4 * n * np.finfo(float).eps * max(1.0, np.linalg.norm(ta, 1))
+        assert np.abs(heat_operator(gen, t).entries - exact).max() <= tol
 
     def test_rejects_negative_time(self):
         _, gen = random_reversible_generator(5, 3)
