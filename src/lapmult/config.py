@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import dilation, suites
-from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset
+from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset, symbol_bound
 from .semigroup import ReversibleGenerator, random_reversible_generator
 from .space import WeightedSpace
 
@@ -221,8 +221,9 @@ class Check:
     ``enumerates`` marks a check that enumerates one path space of ``n``
     states to ``horizon``: its n**(horizon+1) paths, runner defaults filling
     what the config omits, must be within ``dilation.DEFAULT_PATH_BUDGET`` at
-    parse time.  Family checks draw their sizes from seeds, so their budget
-    is checked as they run.
+    parse time, and its horizon within ``dilation.MAX_TABLE_HORIZON``.
+    Family checks draw their sizes from seeds, so their budget is checked as
+    they run.
     """
 
     run: Callable[..., suites.SuiteResult]
@@ -246,6 +247,28 @@ class Check:
         _require(count is not None and count <= budget,
                  f"{name}: n = {n} and horizon = {horizon} give {count or f'{n}**{steps}'} paths, "
                  f"past the enumeration budget of {budget}")
+        limit = dilation.MAX_TABLE_HORIZON
+        _require(horizon <= limit, f"{name}: horizon = {horizon} is past the path table's limit of {limit}")
+
+    def _check_symbols(self, kwargs: dict, name: str) -> None:
+        """Refuse a sampled symbol whose value or error bound may overflow on the chain's spectrum.
+
+        Gershgorin bounds every eigenvalue of A by 2 max_i A_ii, so no
+        eigensolve runs at parse time.
+        """
+        if "gammas" in kwargs:
+            t_max = kwargs.get("t_max", inspect.signature(self.run).parameters["t_max"].default)
+            # symbol_bound reads only sup|M| and t_max, so the coarsest grid will do
+            sampled = [imaginary_power_preset(gamma, t_max, 5) for gamma in kwargs["gammas"]]
+        elif isinstance(kwargs.get("multiplier"), SampledMultiplier):
+            sampled = [kwargs["multiplier"]]
+        else:
+            return
+        lam_max = 2.0 * float(np.diag(kwargs["chain"].entries).max())
+        for multiplier in sampled:
+            _require(math.isfinite(symbol_bound(multiplier, lam_max)),
+                     f"{name}: t_max = {multiplier.truncation:g} on a chain with eigenvalues up to "
+                     f"{lam_max:.3g} overflows the quadrature symbol or its error bound")
 
     def parse(self, entry: dict, name: str) -> dict:
         kinds = {"check": _string, **self.params}
@@ -265,6 +288,8 @@ class Check:
                 _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
         if self.enumerates:
             self._check_budget(kwargs, name)
+        if "chain" in kwargs:
+            self._check_symbols(kwargs, name)
         return kwargs
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._keep import keep, kept
 from .multiplier import StepMultiplier, telescoping_Tm
 from .semigroup import MarkovKernel, ReversibleGenerator, heat_operator
 from .space import Field, same_space
@@ -27,6 +28,7 @@ __all__ = [
     "ExactPaths",
     "EnumerationBudgetError",
     "DEFAULT_PATH_BUDGET",
+    "MAX_TABLE_HORIZON",
     "all_paths",
     "path_measure",
     "transition_products",
@@ -40,6 +42,10 @@ __all__ = [
 
 DEFAULT_PATH_BUDGET = 1_000_000
 
+# The path table is built through an array of horizon + 2 axes, and numpy 2
+# allows at most 64, so no table reaches past this horizon.
+MAX_TABLE_HORIZON = 62
+
 
 class EnumerationBudgetError(RuntimeError):
     """Exact path enumeration would exceed ``DEFAULT_PATH_BUDGET`` paths."""
@@ -51,7 +57,7 @@ class PathSpace:
 
     A space also keeps the paths it has made: the enumerated table
     (``_table``, built on first use) and its last stratified Monte Carlo draw
-    (``_draw``).  Both are read-only and die with the space.
+    (``_draw``).  Both are read-only.
     """
 
     kernel: MarkovKernel
@@ -79,10 +85,10 @@ class PathSpace:
         """Every path and its weight conditional on its start, built once, read-only.
 
         The kernel entries are frozen, so the table can never go stale; callers
-        check the enumeration budget before touching it.  It lives as long as
-        the space, so code that holds many path spaces holds all their tables.
-        The weights are the kernel's products ((1 q_0) q_1) ... folded down the
-        path tree, bit for bit the per-path product.
+        check the enumeration budget before touching it.  Code that holds many
+        path spaces holds all their tables.  The weights are the kernel's
+        products ((1 q_0) q_1) ... folded down the path tree, bit for bit the
+        per-path product.
         """
         steps = self.horizon + 1
         paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
@@ -95,22 +101,10 @@ class PathSpace:
         """The stratified sample for ``(seed, samples)``: one read-only path array per start state.
 
         The strata come from one ``default_rng(seed)`` stream, in state order.
-        The space keeps its last draw as one ``(seed, samples, strata)`` tuple,
-        read and replaced whole, so a repeat call with the same pair returns
-        the same arrays without drawing, and any other pair replaces it.  At
-        most one draw is held, and it lives as long as the space.  Threads
-        that race on one space can at worst draw the same sample twice.
+        The space keeps its last draw, keyed on ``(seed, samples)`` (see
+        ``lapmult._keep``).
         """
-        last = vars(self).get("_last_draw")
-        if last is not None and last[:2] == (seed, samples):
-            return last[2]
-        rng = np.random.default_rng(seed)
-        counts = _stratum_counts(self, samples)
-        strata = tuple(_sample_stratum(self, rng, counts[x], x) for x in range(self.n_states))
-        for paths in strata:
-            paths.setflags(write=False)
-        vars(self)["_last_draw"] = (seed, samples, strata)
-        return strata
+        return keep(self, (seed, samples), lambda: _sample_strata(self, seed, samples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +125,17 @@ def all_paths(ps: PathSpace) -> np.ndarray:
     paths from each start state form one contiguous block of n^N rows.  The
     array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
 
-    ``DEFAULT_PATH_BUDGET`` is read and checked on every call; the table itself
-    is built on the first call within it and the same array is returned
-    thereafter.
+    ``DEFAULT_PATH_BUDGET`` is read and checked on every call, and then
+    ``MAX_TABLE_HORIZON``; the table itself is built on the first call within
+    both and the same array is returned thereafter.
     """
     count = ps.path_count
     if count > DEFAULT_PATH_BUDGET:
         raise EnumerationBudgetError(
             f"{count} paths exceed the enumeration budget of {DEFAULT_PATH_BUDGET}"
         )
+    if ps.horizon > MAX_TABLE_HORIZON:
+        raise ValueError(f"horizon {ps.horizon} is past the path table's limit of {MAX_TABLE_HORIZON}")
     return ps._table[0]
 
 
@@ -353,6 +349,15 @@ def _sample_stratum(ps: PathSpace, rng: np.random.Generator, count: int, start: 
     return rows.T
 
 
+def _sample_strata(ps: PathSpace, seed: int, samples: int) -> tuple[np.ndarray, ...]:
+    rng = np.random.default_rng(seed)
+    counts = _stratum_counts(ps, samples)
+    strata = tuple(_sample_stratum(ps, rng, counts[x], x) for x in range(ps.n_states))
+    for paths in strata:
+        paths.setflags(write=False)
+    return strata
+
+
 def _is_integer(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -485,57 +490,51 @@ def dilation_identity_check(
     return dev_power, dev_heat
 
 
-def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[object, int] | None:
-    """The space's own path set that holds ``paths``, and the place of ``paths`` in it.
+def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[tuple[np.ndarray, ...], int] | None:
+    """The arrays of the space's own path set that holds ``paths``, and the place of ``paths`` in them.
 
-    A path set is the enumerated table (place 0) or the strata of the space's
-    current draw (place = start state), told apart by identity.  Any other
-    array has none: a copy of the table, another space's table, or a stratum
-    of a draw the space has since replaced.  Never builds or draws anything.
+    A path set is the enumerated table (one array) or the strata of the
+    space's current draw (place = start state), told apart by identity.  Any
+    other array has none: a copy of the table, another space's table, or a
+    stratum of a draw the space has since replaced.  Never builds or draws
+    anything.
     """
     if _is_table(ps, paths):
-        return paths, 0
-    last = vars(ps).get("_last_draw")
-    if last is not None:
-        for x, stratum in enumerate(last[2]):
-            if paths is stratum:
-                return last[2], x
+        return (paths,), 0
+    strata = kept(ps)
+    for x, stratum in enumerate(strata or ()):
+        if paths is stratum:
+            return strata, x
     return None
 
 
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
     """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform.
 
-    The evaluator keeps the values it computed on the space's own path sets:
-    the enumerated table and the strata of the space's current draw.  A repeat
-    call with the same array returns the kept values, read-only, so the
-    reductions of ``hat_expectation`` and ``path_lp_norm`` evaluate each path
-    set once, with the same bits.  Any other array gets a fresh evaluation.
-    The evaluator holds one path set at a time, so evaluating a stratum of a
-    draw lets the table's values go and the reverse.
+    The evaluator's values are read-only.  On one of the space's own path
+    sets, the enumerated table or the strata of the space's current draw, it
+    evaluates every array of the set at once and keeps the values, keyed on
+    the id of the set's first array, which the kept value holds (see
+    ``lapmult._keep``).  So the reductions of ``hat_expectation`` and
+    ``path_lp_norm`` evaluate each path set once, with the same bits.  Any
+    other array gets a fresh evaluation.
     """
     m = _multiplier_row(m_values, ps.horizon)
     n = ps.n_states
     tables = _transform_tables(reverse_martingale(ps, f), m)
-    kept: tuple[object, dict[int, np.ndarray]] | None = None  # (path set, values per place)
+    held: dict = {}
 
     def evaluate(paths: np.ndarray) -> np.ndarray:
-        return _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
+        values = _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
+        values.setflags(write=False)
+        return values
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
-        nonlocal kept
-        owner = _path_set(ps, paths)
-        if owner is None:
+        found = _path_set(ps, paths)
+        if found is None:
             return evaluate(paths)
-        path_set, place = owner
-        if kept is None or kept[0] is not path_set:
-            kept = (path_set, {})
-        values = kept[1].get(place)
-        if values is None:
-            values = evaluate(paths)
-            values.setflags(write=False)
-            kept[1][place] = values
-        return values
+        arrays, place = found
+        return keep(held, id(arrays[0]), lambda: (arrays, tuple(map(evaluate, arrays))))[1][place]
 
     return PathFunctional(evaluator)
 

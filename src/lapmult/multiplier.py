@@ -203,6 +203,18 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     return MultiplierSymbol(evaluator, error_bound)
 
 
+def symbol_bound(sampled: SampledMultiplier, lam_max: float) -> float:
+    """A bound on |m(lam)|, on error_bound(lam) and on every sum they form, for 0 <= lam <= lam_max.
+
+    Both Simpson sums are at most sup * T in modulus, since their weights sum
+    to T, and the first cell h is at most T / 4; so |m(lam)| <= lam T sup and
+    the error is at most sup (2 + 2.5 lam T).  The sums come before the factor
+    lam, and sup * lam before the factor h, hence max(1, lam) and max(1, T).
+    The bound is inf when the symbol or its error bound may overflow.
+    """
+    return sampled.declared_sup * (2.0 + 3.0 * max(1.0, lam_max) * max(1.0, sampled.truncation))
+
+
 def apply_Tm(dec: SpectralDecomposition, symbol: MultiplierSymbol, f: Field) -> Field:
     """T_m f through the spectral calculus: sum_k m(lam_k) <f, u_k> u_k."""
     return spectral_apply(dec, symbol.evaluator, f)
@@ -213,11 +225,9 @@ def telescoping_Tm(generator: ReversibleGenerator, step: StepMultiplier, f: Fiel
 
     Must agree with apply_Tm(symbol_of_step(step)) to working precision.  The
     two routes share one thing: the decomposition that ``generator`` keeps
-    (see ``decompose``), which every heat kernel here reuses.  Each route
-    would get the same bytes from an eigensolve of its own, so the sharing
-    does not weaken the comparison.  Kernels built by a matrix exponential
-    instead, which avoids the eigensolver, meet the same tolerance on the
-    paper-suite step family.
+    (see ``decompose``), which every heat kernel here reuses.  Kernels built
+    by a matrix exponential instead, which avoids the eigensolver, meet the
+    same tolerance on the paper-suite step family.
     """
     out = np.zeros(generator.space.n, dtype=complex)
     for mi, t0, t1 in zip(step.values, step.breakpoints[:-1], step.breakpoints[1:]):

@@ -27,10 +27,8 @@ class ReversibleGenerator:
     Invariants enforced at construction, to ``generator_roundoff`` (the
     roundoff that ``decompose`` also allows): nonpositive off-diagonal,
     nonnegative diagonal, zero row sums, and detailed balance
-    dx_i A_ij = dx_j A_ji.
-
-    A generator also keeps its decomposition once :func:`decompose` has made
-    it (``_decomposition``); it is read-only and dies with the generator.
+    dx_i A_ij = dx_j A_ji.  A generator keeps its decomposition (see
+    :func:`decompose`).
     """
 
     space: WeightedSpace
@@ -137,9 +135,7 @@ def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
     within max(1e-10, 8 n u max(1, ||tA||_1)), the backward-error bound of
     the spectral route (u the unit roundoff); anything larger signals a
     broken generator and raises.  Every call on one generator shares the
-    decomposition that the generator keeps (see :func:`decompose`), so only
-    the first call ever runs the eigensolver; the kernel is byte-identical to
-    one built from a fresh decomposition.
+    decomposition that the generator keeps (see :func:`decompose`).
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("time must be a finite nonnegative real")

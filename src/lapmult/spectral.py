@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._keep import keep
 from .space import Field, WeightedSpace, same_space
 
 __all__ = [
@@ -76,18 +77,13 @@ def decompose(generator) -> SpectralDecomposition:
     Eigenvalues in [-generator_roundoff(A), 0) are clamped to zero; anything
     below that range means the generator is not nonnegative and raises.
 
-    The generator keeps its decomposition (``_decomposition`` in its instance
-    dict): a repeat call on the same object returns the same decomposition
-    without running the eigensolver, however many other generators were
-    decomposed in between, while an equal but distinct generator gets its own.  A failure is never
-    kept, so a generator that raises raises on every call.  Generators are
-    frozen and the eigensolver is deterministic, so the kept result is
-    byte-identical to a fresh one.  It dies with its generator.  Threads that
-    race on one generator can at worst decompose it twice.
+    The generator keeps its decomposition under a constant key (see
+    ``lapmult._keep``), so an equal but distinct generator gets its own.
     """
-    held = vars(generator).get("_decomposition")
-    if held is not None:
-        return held
+    return keep(generator, None, lambda: _eigensolve(generator))
+
+
+def _eigensolve(generator) -> SpectralDecomposition:
     w = generator.space.weights
     s = np.sqrt(w)
     sym = generator.entries * s[:, None] / s[None, :]
@@ -100,9 +96,7 @@ def decompose(generator) -> SpectralDecomposition:
     if lam[0] < -floor:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     lam = np.where(lam < 0.0, 0.0, lam)
-    dec = SpectralDecomposition(generator.space, lam, v / s[:, None])
-    vars(generator)["_decomposition"] = dec
-    return dec
+    return SpectralDecomposition(generator.space, lam, v / s[:, None])
 
 
 def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex]) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._keep import keep
 from .dilation import (
     PathSpace,
     dilation_identity_check,
@@ -97,10 +98,8 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-# The last ((seed, count, max_n, max_pieces), family) pair that
-# step_instance_family returned.  It is read and replaced as one tuple, so
-# threads that race on it can at worst build the same family twice.
-_last_family: tuple[tuple, tuple] | None = None
+# The owner of the last family step_instance_family returned.
+_FAMILY_OWNER: dict = {}
 
 
 def step_instance_family(
@@ -111,18 +110,16 @@ def step_instance_family(
 ) -> tuple[tuple[ReversibleGenerator, StepMultiplier, Field], ...]:
     """Random chains with complex-valued step multipliers and complex probe fields.
 
-    The last family is kept: a repeat call with the same arguments returns
-    the same tuple without building it, so consecutive suites on one family
-    share its generators and, through them, the decompositions that
-    :func:`decompose` keeps with each.  Any other arguments build a new family
-    and replace the old one, so at most one family is held.  Every member is
-    frozen, so a shared family is byte-identical to a fresh one.
+    The last family is kept, keyed on the four arguments (see
+    ``lapmult._keep``), so consecutive suites on one family share its
+    generators and, through them, the decompositions that :func:`decompose`
+    keeps with each.
     """
-    global _last_family
-    key = (seed, count, max_n, max_pieces)
-    last = _last_family
-    if last is not None and last[0] == key:
-        return last[1]
+    return keep(_FAMILY_OWNER, (seed, count, max_n, max_pieces),
+                lambda: _build_step_family(seed, count, max_n, max_pieces))
+
+
+def _build_step_family(seed: int, count: int, max_n: int, max_pieces: int) -> tuple:
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
@@ -133,9 +130,7 @@ def step_instance_family(
         step = StepMultiplier(breakpoints, _random_complex(rng, pieces))
         probe = Field(space, _random_complex(rng, n))
         out.append((gen, step, probe))
-    family = tuple(out)
-    _last_family = (key, family)
-    return family
+    return tuple(out)
 
 
 def dilation_instance_family(

@@ -14,17 +14,13 @@ def two_state():
 
 
 @pytest.fixture
-def cold_step_family(monkeypatch):
+def cold_step_family():
     """A function that drops the family ``step_instance_family`` keeps.
 
     A run that follows it builds its step families, and decomposes their
     generators, from scratch.
     """
-
-    def clear():
-        monkeypatch.setattr(suites, "_last_family", None)
-
-    return clear
+    return suites._FAMILY_OWNER.clear
 
 
 @pytest.fixture

@@ -25,6 +25,12 @@ MINIMAL = {
 }
 
 
+def single_state_crosscheck(horizon):
+    return {"schema": "lapmult-config-1", "suites": [
+        {"check": "mc_crosscheck", "seed": 1, "n": 1,
+         "dilation": {"horizon": horizon, "epsilon": 0.8, "mode": "mc", "samples": 10, "seed": 2}}]}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -371,6 +377,48 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert "llogl_chain: n = 4 and horizon = 10 give 4194304 paths" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("horizon", [70, 63])
+    def test_horizon_past_the_table_limit_is_a_config_error(self, tmp_path, capsys, horizon):
+        # one state gives one path, within any budget, but the table has a horizon limit
+        cfg_path = write_config(tmp_path, single_state_crosscheck(horizon))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"horizon = {horizon} is past the path table's limit of 62" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_horizon_at_the_table_limit_runs(self, tmp_path):
+        cfg_path = write_config(tmp_path, single_state_crosscheck(62))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("suite", [
+        {"check": "multiplier_pnorm", "multiplier": {"type": "sampled", "name": "exp", "t_max": 1e300, "grid": 9},
+         "p_grid": [1.5], "probes": 1, "ascent_steps": 0, "probe_seed": 1},
+        {"check": "imaginary_powers", "gammas": [1.0], "t_max": 1e300, "grid": 9},
+    ])
+    def test_overflowing_quadrature_window_is_a_config_error(self, tmp_path, capsys, suite):
+        suite = {**suite, "chain": {"seed": 0, "n": 3, "conductance_scale": 1e12}}
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [suite]})
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "t_max = 1e+300 on a chain with eigenvalues up to" in err
+        assert "overflows the quadrature symbol or its error bound" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_large_but_finite_quadrature_window_still_reports(self, tmp_path):
+        suite = {"check": "multiplier_pnorm", "chain": {"seed": 0, "n": 3, "conductance_scale": 1e16},
+                 "multiplier": {"type": "sampled", "name": "exp", "t_max": 1e16, "grid": 9},
+                 "p_grid": [1.5], "probes": 1, "ascent_steps": 0, "probe_seed": 1}
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [suite]})
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) in (EXIT_OK, EXIT_CHECK_FAILURE)
+        assert (out_dir / "report.json").exists()
 
     def test_list_presets_includes_paper_suite_and_is_stable(self, capsys):
         assert main(["list-presets"]) == EXIT_OK

@@ -30,6 +30,7 @@ from lapmult import (
     transition_products,
 )
 from lapmult import dilation
+from lapmult._keep import kept
 from lapmult.dilation import (
     PathFunctional,
     _increment_tables,
@@ -77,6 +78,12 @@ class TestPathSpace:
             all_paths(ps)
         with pytest.raises(EnumerationBudgetError):
             ExactPaths(ps)
+
+    def test_horizon_limit(self):
+        kernel = MarkovKernel(WeightedSpace([1.0]), [[1.0]], step=1.0)
+        assert all_paths(PathSpace(kernel, dilation.MAX_TABLE_HORIZON)).shape == (1, 63)
+        with pytest.raises(ValueError, match="horizon 63 is past the path table's limit of 62"):
+            all_paths(PathSpace(kernel, 63))
 
     def test_path_measure_is_probability(self):
         _, _, ps = make_path_space()
@@ -255,7 +262,7 @@ class TestMonteCarloArguments:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="integer seed and a positive integer sample count"):
                 reduce(ps, functional, mode="mc", seed=seed, samples=samples)
-        assert "_last_draw" not in vars(ps)
+        assert kept(ps) is None
 
     @MC_REDUCTIONS
     def test_numpy_integers_accepted(self, reduce):
@@ -336,15 +343,14 @@ class TestSharedDraw:
     def test_space_holds_one_draw(self):
         _, _, ps = make_path_space(n=4, horizon=3)
         first = self._seen(ps, hat_expectation, seed=5)
-        self._seen(ps, hat_expectation, seed=6)
-        assert [key for key in vars(ps) if key not in ("kernel", "horizon")] == ["_last_draw"]
-        assert vars(ps)["_last_draw"][:2] == (6, 300)
+        second = self._seen(ps, hat_expectation, seed=6)
+        assert [a is b for a, b in zip(kept(ps), second)] == [True] * ps.n_states
         # the first draw was let go, so asking for it again draws it anew, equal
         again = self._seen(ps, hat_expectation, seed=5)
         for a, b in zip(first, again):
             assert a is not b
             assert np.array_equal(a, b)
-        assert vars(ps)["_last_draw"][0] == 5
+        assert [a is b for a, b in zip(kept(ps), again)] == [True] * ps.n_states
 
     def test_order_of_calls_gives_the_same_bytes(self):
         space, _, ps = make_path_space(n=4, horizon=4)

@@ -1,11 +1,13 @@
 """Imports inside the package follow one direction: no module reaches up.
 
-The order is space -> spectral -> semigroup -> multiplier -> dilation ->
-inequalities -> suites -> config/runner -> cli; a module may import its own
-rank or below, and only at module level, never deferred inside a function.
-No module takes another module's private (underscore) name.  The package
-publishes the ``__all__`` of the six layers below the suites, and nothing else.
-Outside the package, a module imports numpy and the standard library only.
+The order is _keep -> space -> spectral -> semigroup -> multiplier ->
+dilation -> inequalities -> suites -> config/runner -> cli; a module may import
+its own rank or below, and only at module level, never deferred inside a
+function.  No module takes another module's private (underscore) name.  The
+package publishes the ``__all__`` of the six layers below the suites, and
+nothing else.  Outside the package, a module imports numpy and the standard
+library only.  Only ``_keep`` keeps state between calls by rebinding a name or
+writing an instance dict.
 """
 
 import ast
@@ -22,7 +24,7 @@ import lapmult
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lapmult"
 
 RANK = {
-    "space": 0, "spectral": 1, "semigroup": 2, "multiplier": 3, "dilation": 4,
+    "_keep": -1, "space": 0, "spectral": 1, "semigroup": 2, "multiplier": 3, "dilation": 4,
     "inequalities": 5, "suites": 6, "config": 7, "runner": 7, "cli": 8,
 }
 
@@ -74,6 +76,29 @@ def test_no_import_is_deferred():
     deferred = [f"{module}.py:{line} imports {target} inside {function}()"
                 for module, function, target, line in _package_imports() if function is not None]
     assert not deferred, deferred
+
+
+def _is_vars_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars"
+
+
+def test_only_the_keep_module_holds_state_by_hand():
+    # every keyed cache goes through lapmult._keep: elsewhere no `global` or
+    # `nonlocal` statement, and no write through `vars(...)`
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "_keep":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{path.stem}.py:{node.lineno} {type(node).__name__.lower()}")
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                if _is_vars_call(node.value):
+                    found.append(f"{path.stem}.py:{node.lineno} writes through vars()")
+            elif isinstance(node, ast.Attribute) and _is_vars_call(node.value):
+                if node.attr in {"update", "setdefault", "pop", "popitem", "clear"}:
+                    found.append(f"{path.stem}.py:{node.lineno} writes through vars()")
+    assert not found, found
 
 
 # A sampled multiplier (with Gamma(1 - i gamma) behind the imaginary power) and

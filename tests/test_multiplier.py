@@ -22,7 +22,7 @@ from lapmult import (
     symbol_of_step,
     telescoping_Tm,
 )
-from lapmult.multiplier import MultiplierSymbol, _complex_gamma, _nonzero_prefix, _simpson_weights
+from lapmult.multiplier import symbol_bound, MultiplierSymbol, _complex_gamma, _nonzero_prefix, _simpson_weights
 from lapmult.suites import step_instance_family, suite_step_convergence
 
 from conftest import random_field
@@ -138,6 +138,28 @@ class TestSampledSymbol:
         quad = symbol_of_sampled(sampled)
         for lam in (0.3, 1.0, 2.5, 6.0):
             assert abs(quad.evaluator(lam) - closed.evaluator(lam)) <= quad.error_bound(lam)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SampledMultiplier(exp_sampler, 1e-3, 9, 1.0),
+        lambda: SampledMultiplier(exp_sampler, 40.0, 4001, 1.0),
+        lambda: SampledMultiplier(exp_sampler, 1e16, 9, 1.0),
+        lambda: imaginary_power_preset(10.0, 1e300, 9),
+    ])
+    def test_symbol_bound_holds_on_its_window(self, make):
+        sampled = make()
+        symbol = symbol_of_sampled(sampled)
+        for lam_max in (1e-300, 0.7, 1e4, 1e16):
+            bound = symbol_bound(sampled, lam_max)
+            if not math.isfinite(bound):
+                continue
+            for lam in np.geomspace(1e-300, lam_max, 25):
+                assert abs(symbol.evaluator(float(lam))) <= bound, (lam_max, lam)
+                assert symbol.error_bound(float(lam)) <= bound, (lam_max, lam)
+
+    def test_symbol_bound_overflows_with_the_window(self):
+        sampled = SampledMultiplier(exp_sampler, 1e300, 9, 1.0)
+        assert math.isfinite(symbol_bound(sampled, 1.0))
+        assert symbol_bound(sampled, 1e12) == math.inf
 
     def test_grid_off_simpson_pairs_rejected(self):
         # rounding a size up to 4m+1 would run a grid the caller did not ask for
