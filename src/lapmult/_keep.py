@@ -15,8 +15,9 @@ worst build the same value twice.  Every build is deterministic, so a kept
 value has the bytes of a fresh one.
 
 The owners are a generator (its decomposition), a path space (its last
-stratified draw), ``suites`` (its last step-instance family) and a martingale
-transform (its values on one path set).  Two caches keep other rules:
+stratified draw), ``suites`` (its last step-instance family), a martingale
+transform (its values on one path set) and a step family member's multiplier
+(its spectral-route T_m f).  Two caches keep other rules:
 
 - ``functools.cached_property`` attributes, such as a path space's table and
   the weights and measure of ``ExactPaths``, are built once and have no key:

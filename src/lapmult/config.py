@@ -127,9 +127,19 @@ def _list_of(item: Kind) -> Kind:
     return nonempty
 
 
+# The largest exponent, p or its conjugate p/(p-1), that a check may raise
+# moduli to: |x|**64 stays finite for every |x| below 2**16, so the norms and
+# the probe ascent of fields of that size cannot overflow.
+_MAX_EXPONENT = 64.0
+
+
 def _exponent(value: Any, what: str) -> float:
     p = _number(value, what)
     _require(1.0 < p < math.inf, f"{what} must lie in (1, inf)")
+    low = _MAX_EXPONENT / (_MAX_EXPONENT - 1.0)
+    _require(low <= p <= _MAX_EXPONENT,
+             f"{what} = {p:g} is outside [{low:.6g}, {_MAX_EXPONENT:g}], where p and its conjugate "
+             f"p/(p-1) are both at most {_MAX_EXPONENT:g}")
     return p
 
 
@@ -205,6 +215,15 @@ def _sampled(spec: Any, what: str) -> SampledMultiplier:
     return multiplier
 
 
+# Bits of the double range that Check._check_powers leaves free.
+_POWER_HEADROOM = 256
+
+
+def _eigenvalue_bound(chain: ReversibleGenerator) -> float:
+    """2 max_i A_ii, Gershgorin's bound on every eigenvalue of A."""
+    return 2.0 * float(np.diag(chain.entries).max())
+
+
 # Kinds of every key a dilation block may hold; each check maps a subset of them
 # onto its runner's keyword arguments.  "mode" only selects, and is not passed on.
 _DILATION = {"epsilon": _positive, "horizon": _COUNT, "seed": _SEED, "samples": _COUNT}
@@ -251,24 +270,64 @@ class Check:
         _require(horizon <= limit, f"{name}: horizon = {horizon} is past the path table's limit of {limit}")
 
     def _check_symbols(self, kwargs: dict, name: str) -> None:
-        """Refuse a sampled symbol whose value or error bound may overflow on the chain's spectrum.
+        """Refuse a multiplier whose symbol may overflow on the chain's spectrum.
 
         Gershgorin bounds every eigenvalue of A by 2 max_i A_ii, so no
-        eigensolve runs at parse time.
+        eigensolve runs at parse time.  There a sampled symbol's
+        ``symbol_bound`` must be finite, and so must a step symbol's exponents
+        lam t_i.
         """
+        lam_max = _eigenvalue_bound(kwargs["chain"])
         if "gammas" in kwargs:
             t_max = kwargs.get("t_max", inspect.signature(self.run).parameters["t_max"].default)
             # symbol_bound reads only sup|M| and t_max, so the coarsest grid will do
             sampled = [imaginary_power_preset(gamma, t_max, 5) for gamma in kwargs["gammas"]]
-        elif isinstance(kwargs.get("multiplier"), SampledMultiplier):
+        elif isinstance(kwargs["multiplier"], SampledMultiplier):
             sampled = [kwargs["multiplier"]]
         else:
-            return
-        lam_max = 2.0 * float(np.diag(kwargs["chain"].entries).max())
+            last = float(kwargs["multiplier"].breakpoints[-1])
+            _require(math.isfinite(lam_max * last),
+                     f"{name}: a breakpoint at {last:g} on a chain with eigenvalues up to {lam_max:.3g} "
+                     f"overflows the step symbol's exponent")
+            sampled = []
         for multiplier in sampled:
             _require(math.isfinite(symbol_bound(multiplier, lam_max)),
                      f"{name}: t_max = {multiplier.truncation:g} on a chain with eigenvalues up to "
                      f"{lam_max:.3g} overflows the quadrature symbol or its error bound")
+
+    def _check_powers(self, kwargs: dict, name: str) -> None:
+        """Refuse a multiplier and field whose T_m f may overflow in the powers the check takes of it.
+
+        On the chain's spectrum (see ``_check_symbols``) a step symbol is at
+        most sup|M| and a sampled one at most ``symbol_bound``.  Any |m| <= B
+        makes every entry of T_m f at most B max|f| sqrt(W / w_min), with W
+        the total and w_min the least weight.  With F = max(1, B)
+        max(1, max|f|) sqrt(W / w_min), a check that raises moduli to the
+        power e forms nothing larger than W F**e.  The power e is 2 on
+        ``step_convergence``, max(2, p) on ``approximation_limit``, and
+        p * p/(p-1) at the grid's worst p on the probe ascent, whose pullback
+        raises |T f|**(p-1) to the conjugate power.  W F**e must stay below
+        2**(1024 - _POWER_HEADROOM): the free bits cover sums and rounding,
+        and the standard normal draws of seeded fields and probes, which count
+        as modulus 1 here.
+        """
+        multiplier = kwargs["multiplier"]
+        if isinstance(multiplier, StepMultiplier):
+            bound = multiplier.sup_norm
+        else:
+            bound = symbol_bound(multiplier, _eigenvalue_bound(kwargs["chain"]))
+        params = inspect.signature(self.run).parameters
+        if "p_grid" in kwargs:
+            power = max(p * p / (p - 1.0) for p in kwargs["p_grid"])
+        elif "p" in params:
+            power = max(2.0, kwargs.get("p", params["p"].default))
+        else:
+            power = 2.0
+        field = float(np.abs(kwargs.get("field", [0.0])).max())
+        weights = kwargs["chain"].space.weights
+        size = max(1.0, bound) * max(1.0, field) * math.sqrt(weights.sum() / weights.min())
+        _require(math.log2(weights.sum()) + power * math.log2(size) <= 1024 - _POWER_HEADROOM,
+                 f"{name}: entries of T_m f may reach {size:.3g}, and their power {power:.3g} overflows")
 
     def parse(self, entry: dict, name: str) -> dict:
         kinds = {"check": _string, **self.params}
@@ -288,8 +347,10 @@ class Check:
                 _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
         if self.enumerates:
             self._check_budget(kwargs, name)
-        if "chain" in kwargs:
+        if "gammas" in kwargs or "multiplier" in kwargs:
             self._check_symbols(kwargs, name)
+        if "multiplier" in kwargs:
+            self._check_powers(kwargs, name)
         return kwargs
 
 

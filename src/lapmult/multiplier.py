@@ -163,15 +163,16 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
 
     Each lam's pair of Simpson sums is computed once and kept by the symbol,
     so its value and its error bound share it; the table holds one pair of
-    complex numbers per distinct lam.
+    complex numbers per distinct lam.  The weights are held complex, with zero
+    imaginary parts, so no sum casts them again; the products are unchanged.
     """
     t = sampled._grid
     mv = sampled._grid_values
     h = float(t[1] - t[0])
     sup = sampled.declared_sup
     tmax = sampled.truncation
-    w_full = _simpson_weights(t.size, h)
-    w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h)
+    w_full = _simpson_weights(t.size, h).astype(complex)
+    w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h).astype(complex)
     pairs: dict[float, tuple[complex, complex]] = {}
 
     def _quadratures(lam: float) -> tuple[complex, complex]:

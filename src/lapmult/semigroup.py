@@ -141,7 +141,8 @@ def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
         raise ValueError("time must be a finite nonnegative real")
     dec = decompose(generator)
     m = operator_matrix(dec, lambda lam: math.exp(-t * lam)).real
-    ta_norm = float(np.linalg.norm(t * generator.entries, 1))
+    # t times the norm, not the norm of t A: a product past the double range is inf, with no warning
+    ta_norm = t * float(np.linalg.norm(generator.entries, 1))
     tol = max(_HEAT_TOL, 8 * generator.space.n * np.finfo(float).eps * max(1.0, ta_norm))
     worst = float(m.min())
     if worst < -tol:

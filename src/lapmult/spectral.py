@@ -100,7 +100,7 @@ def _eigensolve(generator) -> SpectralDecomposition:
 
 
 def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex]) -> np.ndarray:
-    vals = np.asarray([phi(float(lam)) for lam in dec.eigenvalues])
+    vals = np.asarray([phi(lam) for lam in dec.eigenvalues.tolist()])
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi returned a non-finite value at an eigenvalue")
     return vals

@@ -420,6 +420,52 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) in (EXIT_OK, EXIT_CHECK_FAILURE)
         assert (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("suite,message", [
+        # p = 3.5e15 overflowed |z|**p in the probe ascent
+        ({"check": "multiplier_pnorm_family", "seed": 2, "instances": 2, "max_n": 2, "max_pieces": 1,
+          "p_grid": [3456402610759701.0], "probes": 3, "ascent_steps": 1, "probe_seed": 0},
+         "p_grid entry = 3.4564e+15 is outside [1.01587, 64]"),
+        # the conjugate of p is 4.5e15, the power the ascent's pullback takes
+        ({"check": "transform_pnorm", "seed": 1, "instances": 1, "max_horizon": 1,
+          "p_grid": [1.0000000000000002], "dilation": {"epsilon": 0.8}},
+         "p_grid entry = 1 is outside [1.01587, 64]"),
+        # T_m f reaches about 1e154 and its square overflowed in lp_norm
+        ({"check": "approximation_limit", "chain": {"seed": 0, "n": 3}, "piece_counts": [1], "field_seed": 0,
+          "multiplier": {"type": "sampled", "name": "exp", "t_max": 7.595803854684681e+154, "grid": 5}},
+         "and their power 2 overflows"),
+        # T_m f itself overflowed: the run died with "field values must be finite"
+        ({"check": "step_convergence", "chain": {"n": 3, "seed": 2}, "piece_counts": [4, 1, 4],
+          "multiplier": {"type": "sampled", "name": "exp", "t_max": 5.002352859469343e+299, "grid": 17},
+          "field": [[0.0, 0.0], -1e-300, -7.151768886244289e+299]},
+         "and their power 2 overflows"),
+        ({"check": "multiplier_pnorm", "chain": {"seed": 0, "n": 3},
+          "multiplier": {"type": "step", "breakpoints": [0, 1], "values": [1e200]},
+          "p_grid": [2], "probes": 1, "ascent_steps": 1, "probe_seed": 1},
+         "entries of T_m f may reach"),
+        # lam * t overflowed in the step symbol's exponent
+        ({"check": "multiplier_pnorm", "chain": {"seed": 1, "n": 3, "conductance_scale": 2e261},
+          "multiplier": {"type": "step", "breakpoints": [0, 7.5e299], "values": [1e-300]},
+          "p_grid": [2], "probes": 1, "ascent_steps": 1, "probe_seed": 1},
+         "a breakpoint at 7.5e+299 on a chain with eigenvalues up to"),
+    ])
+    def test_overflowing_powers_are_a_config_error(self, tmp_path, capsys, suite, message):
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [suite]})
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_heat_kernel_at_an_overflowing_time_reports(self, tmp_path):
+        # t * A overflowed, with a warning, in the kernel's roundoff allowance, which is then inf
+        suite = {"check": "markov_conditions", "time": 1.9731300074493424e+298,
+                 "chain": {"seed": 0, "n": 2, "unit_mass": True, "conductance_scale": 7.855371398117801e+238}}
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [suite]})
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) in (EXIT_OK, EXIT_CHECK_FAILURE)
+        assert (out_dir / "report.json").exists()
+
     def test_list_presets_includes_paper_suite_and_is_stable(self, capsys):
         assert main(["list-presets"]) == EXIT_OK
         first = capsys.readouterr().out

@@ -227,10 +227,19 @@ def test_mc_crosscheck_needs_mc_mode(dilation):
     ("llogl_chain", "n", 1),
     ("llogl_chain", "horizon", 0),
     ("llogl_chain", "stability_doubling", 1),
+    ("multiplier_pnorm", "p_grid", [1.5, 65.0]),
+    ("multiplier_pnorm", "p_grid", [1.015]),
+    ("approximation_limit", "p", 100.0),
 ])
 def test_bounds_are_kept(name, key, value):
     with pytest.raises(ConfigError):
         parse_config(config_of(name, **{**VALID[name], key: value}))
+
+
+def test_exponents_at_both_ends_of_the_range_are_accepted():
+    # p and its conjugate p/(p-1) are both at most 64
+    grid = [64 / 63, 64.0]
+    assert kwargs_of("multiplier_pnorm", **{**VALID["multiplier_pnorm"], "p_grid": grid})["p_grid"] == grid
 
 
 def test_field_literal_must_match_chain_size():

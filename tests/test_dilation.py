@@ -85,6 +85,10 @@ class TestPathSpace:
         with pytest.raises(ValueError, match="horizon 63 is past the path table's limit of 62"):
             all_paths(PathSpace(kernel, 63))
 
+    def test_installed_numpy_holds_the_table_axes(self):
+        # the table's array has horizon + 2 axes; numpy 1 allows 32, numpy 2 allows 64
+        assert np.empty((1,) * (dilation.MAX_TABLE_HORIZON + 2)).size == 1
+
     def test_path_measure_is_probability(self):
         _, _, ps = make_path_space()
         weights = path_measure(ps, all_paths(ps))

@@ -1,4 +1,4 @@
-"""The keep-last rule of ``lapmult._keep``, checked once at each of its four keyed caches.
+"""The keep-last rule of ``lapmult._keep``, checked once at each of its five keyed caches.
 
 Each site names two keys, "a" and "b", the call that returns the kept value
 for a key (building it when the key is new), the same value built with no
@@ -18,14 +18,17 @@ import pytest
 from lapmult import (
     PathSpace,
     ReversibleGenerator,
+    StepMultiplier,
     WeightedSpace,
     all_paths,
+    apply_Tm,
     decompose,
     dilation,
     heat_operator,
     martingale_transform,
     random_reversible_generator,
     suites,
+    symbol_of_step,
 )
 
 from conftest import random_field
@@ -82,6 +85,12 @@ def _transform_setup():
             "paths": {"a": all_paths(ps), "b": ps._draw(5, 300)[0]}}
 
 
+def _route_setup():
+    space, gen = random_reversible_generator(43, 5)
+    step = StepMultiplier([0.0, 0.4, 1.1], [1.0 - 0.5j, 2.0j])
+    return {"gen": gen, "step": step, "a": random_field(space, 1), "b": random_field(space, 2)}
+
+
 SITES = {
     "decompose": Site(
         builder=(np.linalg, "eigh"),
@@ -118,6 +127,15 @@ SITES = {
             ctx["paths"][key].copy()),
         probe=lambda values: values,
         content=lambda values: _arrays(values),
+    ),
+    "spectral_route": Site(
+        builder=(suites, "apply_Tm"),
+        setup=_route_setup,
+        get=lambda ctx, key: suites._spectral_route(ctx["gen"], ctx["step"], ctx[key]),
+        cold=lambda ctx, key: apply_Tm(decompose(_twin(ctx["gen"])), symbol_of_step(ctx["step"]),
+                                       ctx[key]),
+        probe=lambda field: field,
+        content=lambda field: _arrays(field.values),
     ),
 }
 

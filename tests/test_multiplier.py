@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -22,7 +23,9 @@ from lapmult import (
     symbol_of_step,
     telescoping_Tm,
 )
-from lapmult.multiplier import symbol_bound, MultiplierSymbol, _complex_gamma, _nonzero_prefix, _simpson_weights
+from lapmult.multiplier import (
+    symbol_bound, MultiplierSymbol, _EXP_UNDERFLOW, _complex_gamma, _nonzero_prefix, _simpson_weights,
+)
 from lapmult.suites import step_instance_family, suite_step_convergence
 
 from conftest import random_field
@@ -218,6 +221,24 @@ class TestQuadratureReuse:
             stop = _nonzero_prefix(t, float(lam))
             assert stop == t.size or stop % 512 == 0
             assert np.all(np.exp(-lam * t[stop:]) == 0.0), lam
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_complex_weights_give_the_float_weight_pairs(self, case):
+        # the pair the symbol keeps per lam, against products that cast float weights
+        sampled = SAMPLED_CASES[case][0]()
+        t, mv = sampled._grid, sampled._grid_values
+        h = float(t[1] - t[0])
+        w_full = _simpson_weights(t.size, h)
+        w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h)
+        quadratures = inspect.getclosurevars(symbol_of_sampled(sampled).evaluator).nonlocals["_quadratures"]
+        whole_grid = set()
+        for lam in np.geomspace(_EXP_UNDERFLOW / sampled.truncation / 4.0, 1e4, 97).tolist():
+            stop = _nonzero_prefix(t, lam)
+            whole_grid.add(stop == t.size)
+            g = mv[:stop] * np.exp(-lam * t[:stop])
+            want = np.array([w_full[:stop] @ g, w_half[:(stop + 1) // 2] @ g[::2]])
+            assert np.array(quadratures(lam)).tobytes() == want.tobytes(), lam
+        assert whole_grid == {True, False}
 
     def test_full_grid_without_positive_lam(self):
         t = imaginary_power_preset(1.0)._grid

@@ -225,6 +225,15 @@ class TestSpectralApply:
             assert np.abs(via_calculus.values - via_kernel).max() < 1e-10
 
 
+    def test_phi_receives_each_eigenvalue_as_a_python_float(self):
+        space, gen = random_reversible_generator(11, 9)
+        dec = decompose(gen)
+        seen = []
+        spectral_apply(dec, lambda lam: seen.append(lam) or 1.0, random_field(space, 6))
+        assert all(type(lam) is float for lam in seen)
+        assert [lam.hex() for lam in seen] == [float(lam).hex() for lam in dec.eigenvalues]
+
+
 class TestSpectralMeasure:
     def test_eigenfield_gives_unit_mass(self):
         space, gen = random_reversible_generator(12, 6)

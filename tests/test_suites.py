@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -107,6 +108,25 @@ class TestStepFamilySharing:
         rebuilt = report_json(run_config(config))
         assert len(calls) == 3 * 4
         assert rebuilt == shared
+
+
+    def test_l2_bound_reuses_the_step_identity_spectral_route(self, monkeypatch, cold_step_family):
+        family = (24, 5, 8, 3)
+        cold_step_family()
+        cold = json.dumps(suites.suite_l2_bound(*family).to_dict())
+        cold_step_family()
+        suites.suite_step_identity(*family)
+        apply_tm = suites.apply_Tm
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_tm(*args)
+
+        monkeypatch.setattr(suites, "apply_Tm", counted)
+        shared = json.dumps(suites.suite_l2_bound(*family).to_dict())
+        assert calls == []
+        assert shared == cold
 
 
 def test_step_family_respects_bounds():
