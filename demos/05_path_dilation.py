@@ -51,10 +51,11 @@ exact = path_lp_norm(ps, transform, 2.0)
 estimate, stderr = path_lp_norm(ps, transform, 2.0, mode="mc", seed=11, samples=20000)
 print(f"||S||_2 exact {exact:.6f}, MC {estimate:.6f} +- {stderr:.6f}")
 
-# the square and maximal functions behind the L^1 theory, on every enumerated path
-enumerated = ExactPaths(ps)
+# the square and maximal functions behind the L^1 theory, on every path,
+# folded from per-step tables without enumerating the paths
+exact_paths = ExactPaths(ps)
 levels = reverse_martingale(ps, f)
-print(f"E[square fn] = {enumerated.lp_norm(enumerated.square(levels), 1.0):.6f}, "
-      f"E[maximal fn] = {enumerated.lp_norm(enumerated.maximal(levels), 1.0):.6f}")
+print(f"E[square fn] = {exact_paths.lp_norm(exact_paths.square(levels), 1.0):.6f}, "
+      f"E[maximal fn] = {exact_paths.lp_norm(exact_paths.maximal(levels), 1.0):.6f}")
 conditioned = hat_expectation(ps, transform)
 print("conditioned transform values:", np.array_str(conditioned.values, precision=4))

@@ -19,9 +19,10 @@ stratified draw), ``suites`` (its last step-instance family), a martingale
 transform (its values on one path set) and a step family member's multiplier
 (its spectral-route T_m f).  Two caches keep other rules:
 
-- ``functools.cached_property`` attributes, such as a path space's table and
-  the weights and measure of ``ExactPaths``, are built once and have no key:
-  the standard library's form of the same rule;
+- ``functools.cached_property`` attributes, such as a path space's table
+  (read only by an arbitrary functional's exact reduction) and the weights
+  and measure of ``ExactPaths``, are built once and have no key: the
+  standard library's form of the same rule;
 - a sampled symbol keeps the Simpson sums of every eigenvalue it has seen.
   ``imaginary_powers`` reads the whole spectrum again through
   ``operator_matrix`` after its per-eigenvalue loop, so keeping only the last

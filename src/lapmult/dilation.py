@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_PATH_BUDGET",
     "MAX_TABLE_HORIZON",
     "all_paths",
-    "path_measure",
     "transition_products",
     "reverse_martingale",
     "hat_expectation",
@@ -42,8 +41,9 @@ __all__ = [
 
 DEFAULT_PATH_BUDGET = 1_000_000
 
-# The path table is built through an array of horizon + 2 axes, and numpy 2
-# allows at most 64, so no table reaches past this horizon.
+# The path table is built through an array of horizon + 2 axes, and the
+# exact reductions fold through one of horizon + 1; numpy 2 allows at most 64,
+# so no exact path reduction reaches past this horizon.
 MAX_TABLE_HORIZON = 62
 
 
@@ -56,8 +56,10 @@ class PathSpace:
     """Kernel Q, horizon N, and the stationary initial law nu = weights / total mass.
 
     A space also keeps the paths it has made: the enumerated table
-    (``_table``, built on first use) and its last stratified Monte Carlo draw
-    (``_draw``).  Both are read-only.
+    (``_table``, built on the first :func:`all_paths` call) and its last
+    stratified Monte Carlo draw (``_draw``).  Both are read-only.  Only an
+    arbitrary functional's exact reduction reads the table; ``ExactPaths``
+    folds per-step tables and builds none.
     """
 
     kernel: MarkovKernel
@@ -81,21 +83,17 @@ class PathSpace:
         return self.n_states ** (self.horizon + 1)
 
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every path and its weight conditional on its start, built once, read-only.
+    def _table(self) -> np.ndarray:
+        """Every path, built once, read-only.
 
         The kernel entries are frozen, so the table can never go stale; callers
         check the enumeration budget before touching it.  Code that holds many
-        path spaces holds all their tables.  The weights are the kernel's
-        products ((1 q_0) q_1) ... folded down the path tree, bit for bit the
-        per-path product.
+        path spaces holds all their tables.
         """
         steps = self.horizon + 1
         paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
-        weights = _fold(np.ones(self.n_states), [self.kernel.entries] * self.horizon, np.multiply)
         paths.setflags(write=False)
-        weights.setflags(write=False)
-        return paths, weights
+        return paths
 
     def _draw(self, seed: int, samples: int) -> tuple[np.ndarray, ...]:
         """The stratified sample for ``(seed, samples)``: one read-only path array per start state.
@@ -125,9 +123,19 @@ def all_paths(ps: PathSpace) -> np.ndarray:
     paths from each start state form one contiguous block of n^N rows.  The
     array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
 
-    ``DEFAULT_PATH_BUDGET`` is read and checked on every call, and then
-    ``MAX_TABLE_HORIZON``; the table itself is built on the first call within
-    both and the same array is returned thereafter.
+    The limits are checked on every call (:func:`_check_enumerable`); the
+    table itself is built on the first call within them and the same array is
+    returned thereafter.
+    """
+    _check_enumerable(ps)
+    return ps._table
+
+
+def _check_enumerable(ps: PathSpace) -> None:
+    """Raise unless every path of ``ps`` may be enumerated or folded.
+
+    ``DEFAULT_PATH_BUDGET`` is read at call time and checked first, then
+    ``MAX_TABLE_HORIZON``.
     """
     count = ps.path_count
     if count > DEFAULT_PATH_BUDGET:
@@ -136,13 +144,11 @@ def all_paths(ps: PathSpace) -> np.ndarray:
         )
     if ps.horizon > MAX_TABLE_HORIZON:
         raise ValueError(f"horizon {ps.horizon} is past the path table's limit of {MAX_TABLE_HORIZON}")
-    return ps._table[0]
 
 
 def _is_table(ps: PathSpace, paths: np.ndarray) -> bool:
     """Whether ``paths`` is the table :func:`all_paths` returned; never builds one."""
-    table = vars(ps).get("_table")
-    return table is not None and paths is table[0]
+    return paths is vars(ps).get("_table")
 
 
 def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
@@ -166,8 +172,9 @@ def _along_paths(
     """acc = start[x_0], then acc = ufunc(acc, tables[k][x_k, x_{k+1}]) at each step k, per path.
 
     The cached table folds down the path tree (:func:`_fold`); any other path
-    array gathers each flat (n, n) table at x_k * n + x_{k+1} in place.  Both
-    apply the same operations in the same order, so every path keeps its bits.
+    array gathers each flat (n, n) complex table at x_k * n + x_{k+1} in
+    place.  Both apply the same operations in the same order, so every path
+    keeps its bits.
     """
     if _is_table(ps, paths):
         return _fold(start, tables, ufunc)
@@ -178,20 +185,14 @@ def _along_paths(
     return acc
 
 
-def transition_products(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
-    """prod_k Q(x_k, x_{k+1}): the path weight conditional on its start.
+def transition_products(ps: PathSpace) -> np.ndarray:
+    """prod_k Q(x_k, x_{k+1}), each path's weight conditional on its start, in :func:`all_paths` order.
 
-    For the table returned by :func:`all_paths` this is the read-only array
-    cached with it; any other path array gets a freshly computed product.
+    The kernel's products ((1 q_0) q_1) ... fold down the path tree, bit for
+    bit the per-path product; no path table is built.
     """
-    if _is_table(ps, paths):
-        return ps._table[1]
-    return _along_paths(ps, paths, np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply)
-
-
-def path_measure(ps: PathSpace, paths: np.ndarray) -> np.ndarray:
-    """P(omega) = nu(x_0) * prod_k Q(x_k, x_{k+1})."""
-    return ps.initial_law[paths[:, 0]] * transition_products(ps, paths)
+    _check_enumerable(ps)
+    return _fold(np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply)
 
 
 def reverse_martingale(ps: PathSpace, f: Field) -> np.ndarray:
@@ -235,49 +236,53 @@ def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
 
 
 class ExactPaths:
-    """Every path of one path space and the exact reductions over them.
+    """The exact reductions over every path of one path space, in :func:`all_paths` order.
 
     This is the one exact route: exact-mode ``hat_expectation`` and
     ``path_lp_norm``, both identity checks and the batched transform and
-    L log L checks all go through it.  The constructor fetches the path table,
-    so the enumeration budget is checked before anything else is built.  The
-    conditional weights and the path measure are each built on first use and
-    kept by this object, never by the space.
+    L log L checks all go through it.  It holds no path array: the
+    constructor checks the enumeration limits (:func:`_check_enumerable`)
+    and builds nothing, and only an arbitrary functional, which
+    ``hat_expectation`` and ``path_lp_norm`` evaluate on :func:`all_paths`,
+    reads the path table.  The conditional weights and the path measure are
+    each built on first use and kept by this object, never by the space.
 
-    Every reduction gives the same bits as a per-path evaluation.  The table
-    lists each start state's paths as one contiguous block, so E[S | x_0] is a
-    running sum along each block, which adds the paths in the order a
-    per-state accumulation would.  The transform, the square function and the
-    maximal function fold per-step tables down the path tree (:func:`_fold`):
-    M_i (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
-    |g_{k+1}| per state.  That is the table side of :func:`_along_paths`,
-    the one per-step rule that also gathers weights and transforms on sampled
-    paths; this object holds the table by construction and the maximal
-    function's tables are 1-d, so it calls :func:`_fold` directly.  Each path
-    still sees the operations of a per-path gather in step order.  An L^p
-    norm stays one dot product per functional: a gemv, an ``einsum`` or a
+    Every reduction gives the same bits as a per-path evaluation.  Each start
+    state's paths form one contiguous block, so E[S | x_0] is a running sum
+    along each block, which adds the paths in the order a per-state
+    accumulation would, and the measure is nu(x_0) repeated over its block
+    times the weights.  Level k repeats g_k(y) over the n^{N-k} paths that
+    continue a prefix ending at y, and tiles that over the n^k prefixes.  The
+    weights, the transform, the square function and the maximal function
+    fold per-step tables down the path tree (:func:`_fold`): Q, M_i
+    (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
+    |g_{k+1}| per state.  That is the table side of :func:`_along_paths`, the
+    one per-step rule that also gathers transforms on sampled paths.  Each
+    path still sees the operations of a per-path gather in step order.  An
+    L^p norm stays one dot product per functional: a gemv, an ``einsum`` or a
     ``sum`` over a (functionals x paths) block changes last bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
+        _check_enumerable(ps)
         self.ps = ps
-        self.paths = all_paths(ps)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """Each path's weight conditional on its start."""
-        return transition_products(self.ps, self.paths)
+        return transition_products(self.ps)
 
     @functools.cached_property
     def measure(self) -> np.ndarray:
-        """Each path's probability P(omega)."""
-        return path_measure(self.ps, self.paths)
+        """Each path's probability P(omega) = nu(x_0) * prod_k Q(x_k, x_{k+1})."""
+        return np.repeat(self.ps.initial_law, self.ps.n_states**self.ps.horizon) * self.weights
 
     def level(self, levels: np.ndarray, k: int) -> np.ndarray:
         """The level-k martingale value f_k(omega) = g_k(x_k) on every path."""
         if not 0 <= k <= self.ps.horizon:
             raise ValueError("level outside the horizon")
-        return levels[k][self.paths[:, k]]
+        n = self.ps.n_states
+        return np.tile(np.repeat(levels[k], n ** (self.ps.horizon - k)), n**k)
 
     def transform(self, levels: np.ndarray, m_values: Sequence[complex]) -> np.ndarray:
         """S = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)) on every path."""
@@ -380,10 +385,13 @@ def _sampled_strata(
         yield x, len(paths), _finite(np.asarray(functional.evaluator(paths)))
 
 
-def _exact_paths(ps: PathSpace, seed: int | None, samples: int | None) -> ExactPaths:
+def _exact_values(
+    ps: PathSpace, functional: PathFunctional, seed: int | None, samples: int | None
+) -> tuple[np.ndarray, ExactPaths]:
+    """The functional's values on the path table, which only this reads, and the exact route."""
     if seed is not None or samples is not None:
         raise ValueError("seed and samples apply to Monte Carlo mode only")
-    return ExactPaths(ps)
+    return np.asarray(functional.evaluator(all_paths(ps))), ExactPaths(ps)
 
 
 def hat_expectation(
@@ -396,19 +404,21 @@ def hat_expectation(
 ) -> Field | tuple[Field, np.ndarray]:
     """The conditional expectation x -> E[S | pi_0 = x].
 
-    Exact mode enumerates every path; Monte Carlo stratifies on the initial
-    state (allocation proportional to nu, at least two samples each) and
-    returns (estimate, per-state standard errors), the errors from the sample
-    variances (ddof 1).  ``seed`` and ``samples`` are integers; the space
-    keeps its last draw, so a ``path_lp_norm`` with the same pair reuses it.
-    Exact mode takes neither.  A :func:`martingale_transform` keeps its values
-    on the space's table and current draw, so a ``path_lp_norm`` on the same
-    path set reuses them rather than evaluating the transform again.
+    Exact mode evaluates the functional on the path table (:func:`all_paths`)
+    and conditions through :class:`ExactPaths`; Monte Carlo stratifies on the
+    initial state (allocation proportional to nu, at least two samples each)
+    and returns (estimate, per-state standard errors), the errors from the
+    sample variances (ddof 1).  ``seed`` and ``samples`` are integers; the
+    space keeps its last draw, so a ``path_lp_norm`` with the same pair
+    reuses it.  Exact mode takes neither.  A :func:`martingale_transform`
+    keeps its values on the space's table and current draw, so a
+    ``path_lp_norm`` on the same path set reuses them rather than evaluating
+    the transform again.
     """
     space = ps.kernel.space
     if mode == "exact":
-        exact = _exact_paths(ps, seed, samples)
-        return Field(space, exact.conditioned(functional.evaluator(exact.paths)))
+        values, exact = _exact_values(ps, functional, seed, samples)
+        return Field(space, exact.conditioned(values))
     if mode == "mc":
         means = np.empty(space.n, dtype=complex)
         stderr = np.empty(space.n)
@@ -435,15 +445,17 @@ def path_lp_norm(
     p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
     power; it requires finite p and integer ``seed`` and ``samples``, and
     reuses the space's last draw when the pair matches, as ``hat_expectation``
-    does.  Exact mode takes neither ``seed`` nor ``samples``.  On a path set
-    that a :func:`martingale_transform` has already seen, the table or the
-    current draw, the transform's kept values are reused, with the same bits.
+    does.  Exact mode evaluates the functional on the path table
+    (:func:`all_paths`) and takes neither ``seed`` nor ``samples``.  On a
+    path set that a :func:`martingale_transform` has already seen, the table
+    or the current draw, the transform's kept values are reused, with the
+    same bits.
     """
     if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
     if mode == "exact":
-        exact = _exact_paths(ps, seed, samples)
-        return exact.lp_norm(np.abs(np.asarray(functional.evaluator(exact.paths))), p)
+        values, exact = _exact_values(ps, functional, seed, samples)
+        return exact.lp_norm(np.abs(values), p)
     if mode == "mc":
         if math.isinf(p):
             raise ValueError("Monte Carlo mode supports finite p only")
@@ -468,7 +480,7 @@ def dilation_identity_check(
     f: Field,
     generator: ReversibleGenerator | None = None,
 ) -> tuple[float, float | None]:
-    """Check E[f_k | x_0] = Q^{2k} f by exact enumeration at every level k = 0..N.
+    """Check E[f_k | x_0] = Q^{2k} f over every path at every level k = 0..N.
 
     When the kernel was built as Q = T^{eps/2} from ``generator`` (so the
     kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the

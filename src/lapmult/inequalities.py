@@ -444,8 +444,9 @@ def llogl_chain_check(
     corollary of Doob's inequality), and end-to-end ||E[S | x_0]||_1 vs
     sup|M| ||f||_{L log L}.  Multiplier values are normalized to sup 1; the
     empirical ratios stand in for the unspecified universal constant, so every
-    threshold is report-only.  The pairs share the space's path table and
-    weights, and their L log L norms share one bisection.
+    threshold is report-only.  The pairs share one :class:`ExactPaths`, so
+    its weights and path measure are folded once, and their L log L norms
+    share one bisection.
     """
     space = ps.kernel.space
     if abs(space.total_mass - 1.0) > 1e-9:

@@ -120,10 +120,12 @@ def random_reversible_generator(
     if unit_mass:
         w = w / w.sum()
     c = np.triu(rng.uniform(0.0, conductance_scale, size=(n, n)), 1)
-    c = c + c.T
-    a = -c / w[:, None]
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
+    # an overflow surfaces as ReversibleGenerator's "entries must be finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c + c.T
+        a = -c / w[:, None]
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -a.sum(axis=1))
     space = WeightedSpace(w)
     return space, ReversibleGenerator(space, a)
 

@@ -152,7 +152,8 @@ def dilation_instance_family(
     """Random chains dilated with kernel Q = T^{eps/2} and a random horizon.
 
     Instances are yielded one at a time, so a caller that iterates keeps at
-    most one path space (and its cached path table) alive.
+    most one path space alive; the family checks fold without enumerating,
+    so no path table is built on it.
     """
     for i in range(count):
         rng = np.random.default_rng([seed, i])

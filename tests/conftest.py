@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapmult import Field, ReversibleGenerator, WeightedSpace, inequalities, suites
+from lapmult import Field, ReversibleGenerator, WeightedSpace, dilation, inequalities, suites
 
 
 @pytest.fixture
@@ -34,6 +34,20 @@ def counted_ascents(monkeypatch):
         return ascent(op, space, p, probes, ascent_steps, seed)
 
     monkeypatch.setattr(inequalities, "opnorm_lower_estimate", counting)
+    return calls
+
+
+@pytest.fixture
+def counted_tables(monkeypatch):
+    """The path space of every path-table fetch (``dilation.all_paths``) made while the test runs."""
+    calls = []
+    fetch = dilation.all_paths
+
+    def counting(ps):
+        calls.append(ps)
+        return fetch(ps)
+
+    monkeypatch.setattr(dilation, "all_paths", counting)
     return calls
 
 

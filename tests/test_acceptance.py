@@ -172,25 +172,32 @@ def test_criterion_9_imaginary_powers():
 # Of the family's 50 members x 4 values of p other than 2, the Riesz-Thorin
 # upper bound leaves 60 that could set a worst row; only those run an ascent.
 PAPER_SUITE_ASCENTS = 60
+# Only an arbitrary functional's exact reduction reads the path table:
+# mc_crosscheck's exact hat_expectation and path_lp_norm.  The family checks
+# fold without enumerating.
+PAPER_SUITE_TABLE_FETCHES = 2
 
 
-def test_criterion_10_reproducible_paper_suite(tmp_path, cold_step_family, counted_ascents):
+def test_criterion_10_reproducible_paper_suite(tmp_path, cold_step_family, counted_ascents, counted_tables):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cold_step_family()
     code1 = main(["run", "paper-suite", "--out", str(out1)])
-    ascents1 = len(counted_ascents)
+    ascents1, tables1 = len(counted_ascents), len(counted_tables)
     counted_ascents.clear()
+    counted_tables.clear()
     cold_step_family()
     code2 = main(["run", "paper-suite", "--out", str(out2)])
     ascents = (ascents1, len(counted_ascents))
+    tables = (tables1, len(counted_tables))
     first = (out1 / "report.json").read_bytes()
     second = (out2 / "report.json").read_bytes()
     identical = first == second
     overall = json.loads(first)["overall_pass"]
     announce(10, code1 == EXIT_OK and code2 == EXIT_OK and identical,
              f"exit codes ({code1}, {code2}), byte-identical reports: {identical}, "
-             f"overall_pass: {overall}, probe ascents: {ascents}")
+             f"overall_pass: {overall}, probe ascents: {ascents}, path-table fetches: {tables}")
     assert code1 == EXIT_OK and code2 == EXIT_OK
     assert identical, "reports differ between runs"
     assert overall
     assert ascents == (PAPER_SUITE_ASCENTS, PAPER_SUITE_ASCENTS)
+    assert tables == (PAPER_SUITE_TABLE_FETCHES, PAPER_SUITE_TABLE_FETCHES)

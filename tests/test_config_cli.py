@@ -560,9 +560,7 @@ class TestCli:
                         "chain": {"seed": 1, "n": 4, "conductance_scale": 1e308}}],
         }
         out_dir = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)])
-        assert code == EXIT_CONFIG_ERROR
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
 
     def test_step_convergence_passes_on_a_zero_field(self, tmp_path):

@@ -23,7 +23,6 @@ from lapmult import (
     lp_norm,
     martingale_transform,
     path_lp_norm,
-    path_measure,
     random_reversible_generator,
     reverse_martingale,
     transform_expectation_identity,
@@ -91,14 +90,14 @@ class TestPathSpace:
 
     def test_path_measure_is_probability(self):
         _, _, ps = make_path_space()
-        weights = path_measure(ps, all_paths(ps))
+        weights = ExactPaths(ps).measure
         assert weights.min() >= 0.0
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_initial_law_is_marginal_of_pi0(self):
         _, _, ps = make_path_space(n=3, horizon=4)
         paths = all_paths(ps)
-        marginal = np.bincount(paths[:, 0], weights=path_measure(ps, paths), minlength=3)
+        marginal = np.bincount(paths[:, 0], weights=ExactPaths(ps).measure, minlength=3)
         assert np.abs(marginal - ps.initial_law).max() < 1e-12
 
     def test_negative_horizon_rejected(self):
@@ -158,7 +157,7 @@ class TestReverseMartingale:
             assert np.abs(q @ levels[k] - levels[k + 1]).max() < 1e-12
 
         paths = all_paths(ps)
-        weights = path_measure(ps, paths)
+        weights = ExactPaths(ps).measure
         k = 1
         values_k = levels[k][paths[:, k]]
         suffix_code = paths[:, k + 1]
@@ -298,7 +297,7 @@ class TestNanExponent:
         calls = [
             lambda p: path_lp_norm(ps, functional, p),
             lambda p: path_lp_norm(ps, functional, p, mode="mc", seed=1, samples=50),
-            lambda p: exact.lp_norm(np.abs(functional.evaluator(exact.paths)), p),
+            lambda p: exact.lp_norm(np.abs(functional.evaluator(all_paths(ps))), p),
         ]
         for call in calls:
             for p in (math.nan, -math.inf, 0.5):
@@ -619,7 +618,7 @@ class TestSquareAndMaximal:
         f = Field(space, [1.0, -1.0])
         levels = reverse_martingale(ps, f)
         exact = ExactPaths(ps)
-        paths = exact.paths
+        paths = all_paths(ps)
         g1 = (1 - 2 * q) * np.array([1.0, -1.0])
         sq_expected = np.abs(g1[paths[:, 1]] - f.values[paths[:, 0]])
         mx_expected = np.maximum(np.abs(f.values[paths[:, 0]]), np.abs(g1[paths[:, 1]]))
@@ -632,7 +631,7 @@ class TestSquareAndMaximal:
         f = random_field(space, 14)
         exact = ExactPaths(ps)
         transform = martingale_transform(ps, np.ones(ps.horizon), f)
-        lhs = np.abs(transform.evaluator(exact.paths))
+        lhs = np.abs(transform.evaluator(all_paths(ps)))
         rhs = math.sqrt(ps.horizon) * exact.square(reverse_martingale(ps, f))
         assert np.all(lhs <= rhs + 1e-12)
 
@@ -640,7 +639,7 @@ class TestSquareAndMaximal:
 class TestExactPaths:
     def test_reductions_build_only_what_they_read(self, monkeypatch):
         # an exact hat_expectation needs the conditional weights alone, an
-        # exact path_lp_norm the path measure alone
+        # exact path_lp_norm the path measure, which it builds from the weights
         built = []
 
         class Recording(ExactPaths):
@@ -655,8 +654,9 @@ class TestExactPaths:
         path_lp_norm(ps, functional, 2.0)
         hat, norm = built
         assert {"weights", "measure"} & set(vars(hat)) == {"weights"}
-        assert hat.weights is transition_products(ps, all_paths(ps))
-        assert {"weights", "measure"} & set(vars(norm)) == {"measure"}
+        assert_same_bits(hat.weights, transition_products(ps))
+        assert {"weights", "measure"} & set(vars(norm)) == {"weights", "measure"}
+        assert_same_bits(norm.measure, np.repeat(ps.initial_law, ps.n_states**ps.horizon) * norm.weights)
 
 
 def mc_sampled_paths(ps, seed=5, samples=300):
@@ -705,21 +705,12 @@ class TestPathTableCache:
         monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", ps.path_count)
         assert all_paths(ps).shape == (ps.path_count, ps.horizon + 1)
 
-    def test_cached_weights_are_read_only_step_products(self):
+    def test_exact_weights_are_kept_step_products(self):
         _, _, ps = make_path_space(n=4, horizon=3)
-        paths = all_paths(ps)
-        weights = transition_products(ps, paths)
-        assert transition_products(ps, paths) is weights
-        assert not weights.flags.writeable
-        assert np.array_equal(weights, per_step_products(ps, paths))
-
-    def test_other_path_arrays_get_the_step_product(self):
-        _, _, ps = make_path_space(n=4, horizon=3)
-        paths = all_paths(ps)
-        for other in (paths.copy(), paths[::-1].copy()):
-            assert np.array_equal(transition_products(ps, other), per_step_products(ps, other))
-        for sample in mc_sampled_paths(ps):
-            assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
+        exact = ExactPaths(ps)
+        weights = exact.weights
+        assert exact.weights is weights
+        assert np.array_equal(weights, per_step_products(ps, all_paths(ps)))
 
     @pytest.mark.parametrize("n,horizon", [(1, 0), (1, 5), (2, 1), (3, 4), (5, 3), (7, 2)])
     def test_table_is_the_int32_enumeration(self, n, horizon):
@@ -731,14 +722,14 @@ class TestPathTableCache:
         assert paths.shape == (n**steps, steps)
         assert np.array_equal(paths, expected)
         assert all(paths[:, k].flags.c_contiguous for k in range(steps))
-        assert np.array_equal(transition_products(ps, paths), per_step_products(ps, paths))
+        assert np.array_equal(transition_products(ps), per_step_products(ps, paths))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("horizon", [0, 1, 4])
     def test_block_sums_equal_bincount(self, n, horizon):
         _, _, ps = make_path_space(seed=n * horizon + 3, n=n, horizon=horizon)
         exact = ExactPaths(ps)
-        paths = exact.paths
+        paths = all_paths(ps)
         count = len(paths)
         rng = np.random.default_rng([n, horizon])
         table_weights = exact.weights
@@ -762,8 +753,8 @@ class TestPathTableCache:
 
     def test_products_before_any_table_build_nothing(self):
         _, _, ps = make_path_space(n=3, horizon=2)
-        sample = mc_sampled_paths(ps)[0]
-        assert np.array_equal(transition_products(ps, sample), per_step_products(ps, sample))
+        table = all_paths(PathSpace(ps.kernel, ps.horizon))
+        assert np.array_equal(transition_products(ps), per_step_products(ps, table))
         assert "_table" not in vars(ps)
 
 
@@ -878,15 +869,16 @@ class TestEvaluatorOracle:
         transform = seed_transform(ps, m_values, f)
         square, maximal = seed_square_and_maximal(ps, levels)
         exact = ExactPaths(ps)
+        table = all_paths(ps)
         pairs = [
-            (exact.transform(levels, m_values), transform(exact.paths)),
-            (exact.square(levels), square(exact.paths)),
-            (exact.maximal(levels), maximal(exact.paths)),
-            *((exact.level(levels, k), levels[k][exact.paths[:, k]]) for k in range(horizon + 1)),
+            (exact.transform(levels, m_values), transform(table)),
+            (exact.square(levels), square(table)),
+            (exact.maximal(levels), maximal(table)),
+            *((exact.level(levels, k), levels[k][table[:, k]]) for k in range(horizon + 1)),
         ]
         # Monte Carlo evaluates the transform alone, on the sampled paths
         sampled = martingale_transform(ps, m_values, f).evaluator
-        for paths in [exact.paths, *mc_sampled_paths(ps, seed=horizon, samples=200)]:
+        for paths in [table, *mc_sampled_paths(ps, seed=horizon, samples=200)]:
             pairs.append((sampled(paths), transform(paths)))
         for got, want in pairs:
             assert got.dtype == want.dtype
@@ -900,7 +892,8 @@ def assert_same_bits(got, want):
 
 
 class TestFoldMatchesGathers:
-    """One per-step reduction folds on the cached table and gathers on any
+    """The exact route folds per-step tables without a path array, and the
+    transform's one per-step rule folds on the cached table and gathers on any
     other path array; every route must keep the bits of a per-path gather."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -913,7 +906,7 @@ class TestFoldMatchesGathers:
         m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
         levels = reverse_martingale(ps, f)
         exact = ExactPaths(ps)
-        table = exact.paths
+        table = all_paths(ps)
         zeros = np.zeros(n, dtype=complex)
         transform_tables = _transform_tables(levels, m_values)
         squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
@@ -923,13 +916,15 @@ class TestFoldMatchesGathers:
                          reference_gather(table, zeros, transform_tables, np.add))
         assert_same_bits(exact.square(levels), np.sqrt(reference_gather(table, np.zeros(n), squares, np.add)))
         assert_same_bits(exact.maximal(levels), maximal(table))
-        assert_same_bits(exact.weights, per_step_products(ps, table))
+        per_step = per_step_products(ps, table)
+        assert_same_bits(exact.weights, per_step)
+        assert_same_bits(exact.measure, ps.initial_law[table[:, 0]] * per_step)
+        for k in range(horizon + 1):
+            assert_same_bits(exact.level(levels, k), levels[k][table[:, k]])
 
-        # the same calls fold on the cached table and gather on a copy or a sample
+        # the transform folds on the cached table and gathers on a copy or a sample
         evaluator = martingale_transform(ps, m_values, f).evaluator
-        assert table is all_paths(ps)
         for paths in [table, table.copy(), *mc_sampled_paths(ps, seed=n + horizon)]:
-            assert_same_bits(transition_products(ps, paths), per_step_products(ps, paths))
             assert_same_bits(evaluator(paths), reference_gather(paths, zeros, transform_tables, np.add))
 
 

@@ -16,6 +16,7 @@ from lapmult import (
     constant_field,
     all_paths,
     decompose,
+    dilation_identity_check,
     heat_operator,
     llogl_chain_check,
     llogl_norm,
@@ -26,10 +27,10 @@ from lapmult import (
     opnorm_exact,
     opnorm_lower_estimate,
     opnorm_upper_bound,
-    path_measure,
     random_reversible_generator,
     reference_constant,
     reverse_martingale,
+    transform_expectation_identity,
     transform_pnorm_check,
     transition_products,
 )
@@ -591,7 +592,7 @@ class TestLloglChainCheck:
 # bit for bit.
 def single_path_lp_norm(ps, functional, p):
     paths = all_paths(ps)
-    weights = path_measure(ps, paths)
+    weights = ps.initial_law[paths[:, 0]] * transition_products(ps)
     avals = np.abs(np.asarray(functional.evaluator(paths)))
     if not np.all(np.isfinite(avals)):
         raise ValueError("path functional returned non-finite values")
@@ -603,7 +604,7 @@ def single_path_lp_norm(ps, functional, p):
 def single_hat_expectation(ps, functional):
     space = ps.kernel.space
     paths = all_paths(ps)
-    weights = transition_products(ps, paths)
+    weights = transition_products(ps)
     svals = np.asarray(functional.evaluator(paths), dtype=complex)
     if not np.all(np.isfinite(svals)):
         raise ValueError("path functional returned non-finite values")
@@ -783,11 +784,25 @@ class TestBatchedCheckBudget:
             transform_pnorm_check(ps, wrong_length, random_field(space, 0), [2.0])
         assert "_table" not in vars(ps)
 
-    def test_batched_checks_cache_nothing_but_the_table(self):
+    def test_batched_checks_cache_nothing(self):
         space, _, ps = unit_mass_path_space(n=3, horizon=4)
         transform_pnorm_check(ps, np.ones(ps.horizon), random_field(space, 1), [1.5, 3.0])
         llogl_chain_check(ps, [(np.ones(ps.horizon), random_field(space, 2))])
-        assert set(vars(ps)) - {"kernel", "horizon"} == {"_table"}
+        assert set(vars(ps)) == {"kernel", "horizon"}
+
+    def test_family_checks_never_enumerate(self, monkeypatch):
+        def refuse(ps):
+            raise AssertionError("a family check fetched the path table")
+
+        monkeypatch.setattr(dilation, "all_paths", refuse)
+        space, gen, ps = unit_mass_path_space(n=3, horizon=4)
+        f = random_field(space, 3)
+        m_values = np.array([1.0, -1.0, 0.5j, 1.0])
+        dilation_identity_check(ps, f, generator=gen)
+        transform_expectation_identity(ps, m_values, f, generator=gen)
+        transform_pnorm_check(ps, m_values, f, [1.5, 3.0])
+        llogl_chain_check(ps, [(m_values, f)])
+        assert "_table" not in vars(ps)
 
 
 class TestApproximationLimit:

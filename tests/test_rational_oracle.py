@@ -27,6 +27,7 @@ from lapmult import (
     PathFunctional,
     PathSpace,
     WeightedSpace,
+    all_paths,
     dilation_identity_check,
     hat_expectation,
     martingale_transform,
@@ -147,7 +148,7 @@ def test_conditioned_transform_gathered_on_a_copy(instance):
     expected = as_complex(conditioned([transform(LEVELS_RE, path) for path in PATHS]),
                           conditioned([transform(LEVELS_IM, path) for path in PATHS])).tolist()
     # a copy of the table is not the cached table, so the evaluator gathers instead of folding
-    gathered = martingale_transform(ps, m, f).evaluator(exact.paths.copy())
+    gathered = martingale_transform(ps, m, f).evaluator(all_paths(ps).copy())
     assert exact.conditioned(gathered).tolist() == expected
 
 
