@@ -10,7 +10,9 @@ onto runner keyword arguments.  A key the table does not name is a config error
 at every level, so a config cannot silently mean something other than what it
 says.  The suite runner's signature settles the rest: a key is required exactly
 when the runner has no default for it, and a key the config omits takes that
-default; this module holds no defaults of its own.
+default; this module holds no defaults of its own.  Nor does it hold the
+path-enumeration limits: a check that enumerates one path space is refused
+by :func:`lapmult.dilation.check_enumerable`, the one statement of them.
 """
 
 from __future__ import annotations
@@ -215,13 +217,27 @@ def _sampled(spec: Any, what: str) -> SampledMultiplier:
     return multiplier
 
 
-# Bits of the double range that Check._check_powers leaves free.
+# Bits of the double range that Check._check_overflow leaves free.
 _POWER_HEADROOM = 256
 
 
-def _eigenvalue_bound(chain: ReversibleGenerator) -> float:
-    """2 max_i A_ii, Gershgorin's bound on every eigenvalue of A."""
-    return 2.0 * float(np.diag(chain.entries).max())
+def _checked_symbol_bound(multiplier: StepMultiplier | SampledMultiplier, lam_max: float, name: str) -> float:
+    """A bound on |m| over a spectrum in [0, lam_max]; a symbol that may overflow there is refused.
+
+    A step symbol is at most sup|M|, and its exponents lam t_i must be finite;
+    a sampled one is at most its ``symbol_bound``, which must be finite.
+    """
+    if isinstance(multiplier, StepMultiplier):
+        last = float(multiplier.breakpoints[-1])
+        _require(math.isfinite(lam_max * last),
+                 f"{name}: a breakpoint at {last:g} on a chain with eigenvalues up to {lam_max:.3g} "
+                 f"overflows the step symbol's exponent")
+        return multiplier.sup_norm
+    bound = symbol_bound(multiplier, lam_max)
+    _require(math.isfinite(bound),
+             f"{name}: t_max = {multiplier.truncation:g} on a chain with eigenvalues up to "
+             f"{lam_max:.3g} overflows the quadrature symbol or its error bound")
+    return bound
 
 
 # Kinds of every key a dilation block may hold; each check maps a subset of them
@@ -235,21 +251,32 @@ class Check:
 
     A top-level key is required exactly when ``run`` has no default for it.
     ``dilation`` maps the keys of the check's required ``dilation`` block onto
-    runner keyword arguments (every key but ``horizon`` is required there), and
-    the block's ``mode`` (default ``"exact"``) must equal ``mode``.
-    ``enumerates`` marks a check that enumerates one path space of ``n``
-    states to ``horizon``: its n**(horizon+1) paths, runner defaults filling
-    what the config omits, must be within ``dilation.DEFAULT_PATH_BUDGET`` at
-    parse time, and its horizon within ``dilation.MAX_TABLE_HORIZON``.
-    Family checks draw their sizes from seeds, so their budget is checked as
-    they run.
+    runner keyword arguments (every key but ``horizon`` is required there).
+    The rest follows from these: the block's ``mode`` (default ``"exact"``)
+    must equal :attr:`mode`, and a check whose runner takes ``n`` and
+    ``horizon`` (:attr:`enumerates`) must pass
+    :func:`lapmult.dilation.check_enumerable` at parse time, runner defaults
+    filling what the config omits.  Family checks draw their sizes from
+    seeds, so their limits are checked as they run.
     """
 
     run: Callable[..., suites.SuiteResult]
     params: dict[str, Kind]
     dilation: dict[str, str] = field(default_factory=dict)
-    mode: str = "exact"
-    enumerates: bool = False
+
+    @property
+    def mode(self) -> str:
+        """``"mc"`` for a check that samples paths, else ``"exact"``."""
+        return "mc" if "samples" in self.dilation else "exact"
+
+    @property
+    def enumerates(self) -> bool:
+        """Whether the check enumerates one path space of ``n`` states to ``horizon``."""
+        return {"n", "horizon"} <= inspect.signature(self.run).parameters.keys()
+
+    def _given(self, kwargs: dict, key: str) -> Any:
+        """The runner argument ``key``: the config's value, or the runner's default."""
+        return kwargs.get(key, inspect.signature(self.run).parameters[key].default)
 
     def _dilation_block(self, spec: Any, what: str) -> dict:
         kinds = {"mode": _string, **{key: _DILATION[key] for key in self.dilation}}
@@ -257,70 +284,34 @@ class Check:
         _require(given.pop("mode", "exact") == self.mode, f"{what}.mode must be {self.mode!r}")
         return given
 
-    def _check_budget(self, kwargs: dict, name: str) -> None:
-        params = inspect.signature(self.run).parameters
-        n, horizon = (kwargs.get(key, params[key].default) for key in ("n", "horizon"))
-        budget, steps = dilation.DEFAULT_PATH_BUDGET, horizon + 1
-        # n >= 2 states give at least 2**steps paths, so a long horizon fails without forming n**steps
-        count = n**steps if n == 1 or steps <= budget.bit_length() else None
-        _require(count is not None and count <= budget,
-                 f"{name}: n = {n} and horizon = {horizon} give {count or f'{n}**{steps}'} paths, "
-                 f"past the enumeration budget of {budget}")
-        limit = dilation.MAX_TABLE_HORIZON
-        _require(horizon <= limit, f"{name}: horizon = {horizon} is past the path table's limit of {limit}")
+    def _check_overflow(self, kwargs: dict, name: str) -> None:
+        """Refuse a multiplier whose symbol, or whose T_m f in the powers the check takes of it, may overflow.
 
-    def _check_symbols(self, kwargs: dict, name: str) -> None:
-        """Refuse a multiplier whose symbol may overflow on the chain's spectrum.
-
-        Gershgorin bounds every eigenvalue of A by 2 max_i A_ii, so no
-        eigensolve runs at parse time.  There a sampled symbol's
-        ``symbol_bound`` must be finite, and so must a step symbol's exponents
-        lam t_i.
+        Gershgorin bounds every eigenvalue of A by lam_max = 2 max_i A_ii, so
+        no eigensolve runs at parse time, and each symbol is bounded on
+        [0, lam_max] once (``_checked_symbol_bound``).  Any |m| <= B makes
+        every entry of T_m f at most B max|f| sqrt(W / w_min), with W the
+        total and w_min the least weight.  With F = max(1, B) max(1, max|f|)
+        sqrt(W / w_min), a check that raises moduli to the power e forms
+        nothing larger than W F**e.  The power e is 2 on ``step_convergence``,
+        max(2, p) on ``approximation_limit``, and p * p/(p-1) at the grid's
+        worst p on the probe ascent, whose pullback raises |T f|**(p-1) to the
+        conjugate power.  W F**e must stay below 2**(1024 - _POWER_HEADROOM):
+        the free bits cover sums and rounding, and the standard normal draws
+        of seeded fields and probes, which count as modulus 1 here.
         """
-        lam_max = _eigenvalue_bound(kwargs["chain"])
+        lam_max = 2.0 * float(np.diag(kwargs["chain"].entries).max())
         if "gammas" in kwargs:
-            t_max = kwargs.get("t_max", inspect.signature(self.run).parameters["t_max"].default)
+            t_max = self._given(kwargs, "t_max")
             # symbol_bound reads only sup|M| and t_max, so the coarsest grid will do
-            sampled = [imaginary_power_preset(gamma, t_max, 5) for gamma in kwargs["gammas"]]
-        elif isinstance(kwargs["multiplier"], SampledMultiplier):
-            sampled = [kwargs["multiplier"]]
-        else:
-            last = float(kwargs["multiplier"].breakpoints[-1])
-            _require(math.isfinite(lam_max * last),
-                     f"{name}: a breakpoint at {last:g} on a chain with eigenvalues up to {lam_max:.3g} "
-                     f"overflows the step symbol's exponent")
-            sampled = []
-        for multiplier in sampled:
-            _require(math.isfinite(symbol_bound(multiplier, lam_max)),
-                     f"{name}: t_max = {multiplier.truncation:g} on a chain with eigenvalues up to "
-                     f"{lam_max:.3g} overflows the quadrature symbol or its error bound")
-
-    def _check_powers(self, kwargs: dict, name: str) -> None:
-        """Refuse a multiplier and field whose T_m f may overflow in the powers the check takes of it.
-
-        On the chain's spectrum (see ``_check_symbols``) a step symbol is at
-        most sup|M| and a sampled one at most ``symbol_bound``.  Any |m| <= B
-        makes every entry of T_m f at most B max|f| sqrt(W / w_min), with W
-        the total and w_min the least weight.  With F = max(1, B)
-        max(1, max|f|) sqrt(W / w_min), a check that raises moduli to the
-        power e forms nothing larger than W F**e.  The power e is 2 on
-        ``step_convergence``, max(2, p) on ``approximation_limit``, and
-        p * p/(p-1) at the grid's worst p on the probe ascent, whose pullback
-        raises |T f|**(p-1) to the conjugate power.  W F**e must stay below
-        2**(1024 - _POWER_HEADROOM): the free bits cover sums and rounding,
-        and the standard normal draws of seeded fields and probes, which count
-        as modulus 1 here.
-        """
-        multiplier = kwargs["multiplier"]
-        if isinstance(multiplier, StepMultiplier):
-            bound = multiplier.sup_norm
-        else:
-            bound = symbol_bound(multiplier, _eigenvalue_bound(kwargs["chain"]))
-        params = inspect.signature(self.run).parameters
+            for gamma in kwargs["gammas"]:
+                _checked_symbol_bound(imaginary_power_preset(gamma, t_max, 5), lam_max, name)
+            return
+        bound = _checked_symbol_bound(kwargs["multiplier"], lam_max, name)
         if "p_grid" in kwargs:
             power = max(p * p / (p - 1.0) for p in kwargs["p_grid"])
-        elif "p" in params:
-            power = max(2.0, kwargs.get("p", params["p"].default))
+        elif "p" in self.params:
+            power = max(2.0, self._given(kwargs, "p"))
         else:
             power = 2.0
         field = float(np.abs(kwargs.get("field", [0.0])).max())
@@ -346,11 +337,12 @@ class Check:
                 n = kwargs["chain"].space.n
                 _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
         if self.enumerates:
-            self._check_budget(kwargs, name)
+            try:
+                dilation.check_enumerable(self._given(kwargs, "n"), self._given(kwargs, "horizon"))
+            except (dilation.EnumerationBudgetError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if "gammas" in kwargs or "multiplier" in kwargs:
-            self._check_symbols(kwargs, name)
-        if "multiplier" in kwargs:
-            self._check_powers(kwargs, name)
+            self._check_overflow(kwargs, name)
         return kwargs
 
 
@@ -383,7 +375,7 @@ CHECKS: dict[str, Check] = {
         suites.suite_llogl_chain,
         {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
          "stability_doubling": _boolean, "stability_rel": _positive},
-        _PATH_DILATION, enumerates=True),
+        _PATH_DILATION),
     "imaginary_powers": Check(
         suites.suite_imaginary_powers,
         {"chain": _chain, "gammas": _list_of(_gamma), "t_max": _positive, "grid": _simpson_grid}),
@@ -391,8 +383,7 @@ CHECKS: dict[str, Check] = {
         suites.suite_approximation_limit, {**_PROBED, "p": _exponent, "tol": _positive}),
     "mc_crosscheck": Check(
         suites.suite_mc_crosscheck, {"seed": _SEED, "n": _COUNT},
-        {"epsilon": "epsilon", "horizon": "horizon", "seed": "mc_seed", "samples": "samples"},
-        mode="mc", enumerates=True),
+        {"epsilon": "epsilon", "horizon": "horizon", "seed": "mc_seed", "samples": "samples"}),
 }
 
 KNOWN_CHECKS = tuple(CHECKS)

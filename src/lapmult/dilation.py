@@ -29,6 +29,7 @@ __all__ = [
     "EnumerationBudgetError",
     "DEFAULT_PATH_BUDGET",
     "MAX_TABLE_HORIZON",
+    "check_enumerable",
     "all_paths",
     "transition_products",
     "reverse_martingale",
@@ -123,27 +124,32 @@ def all_paths(ps: PathSpace) -> np.ndarray:
     paths from each start state form one contiguous block of n^N rows.  The
     array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
 
-    The limits are checked on every call (:func:`_check_enumerable`); the
+    The limits are checked on every call (:func:`check_enumerable`); the
     table itself is built on the first call within them and the same array is
     returned thereafter.
     """
-    _check_enumerable(ps)
+    check_enumerable(ps.n_states, ps.horizon)
     return ps._table
 
 
-def _check_enumerable(ps: PathSpace) -> None:
-    """Raise unless every path of ``ps`` may be enumerated or folded.
+def check_enumerable(n: int, horizon: int) -> None:
+    """Raise unless every path of ``n`` states to ``horizon`` may be enumerated or folded.
 
-    ``DEFAULT_PATH_BUDGET`` is read at call time and checked first, then
-    ``MAX_TABLE_HORIZON``.
+    This is the one statement of the limits: at most ``DEFAULT_PATH_BUDGET``
+    paths (read at call time and checked first; ``EnumerationBudgetError``),
+    then a horizon of at most ``MAX_TABLE_HORIZON`` (``ValueError``).  Two or
+    more states give at least 2**steps paths, so past the budget's bit length
+    the count is reported as n**steps and never formed.
     """
-    count = ps.path_count
-    if count > DEFAULT_PATH_BUDGET:
+    budget, steps = DEFAULT_PATH_BUDGET, horizon + 1
+    count = n**steps if n < 2 or steps <= budget.bit_length() else None
+    if count is None or count > budget:
         raise EnumerationBudgetError(
-            f"{count} paths exceed the enumeration budget of {DEFAULT_PATH_BUDGET}"
+            f"n = {n} and horizon = {horizon} give {f'{n}**{steps}' if count is None else count} paths, "
+            f"past the enumeration budget of {budget}"
         )
-    if ps.horizon > MAX_TABLE_HORIZON:
-        raise ValueError(f"horizon {ps.horizon} is past the path table's limit of {MAX_TABLE_HORIZON}")
+    if horizon > MAX_TABLE_HORIZON:
+        raise ValueError(f"horizon = {horizon} is past the path table's limit of {MAX_TABLE_HORIZON}")
 
 
 def _is_table(ps: PathSpace, paths: np.ndarray) -> bool:
@@ -191,7 +197,7 @@ def transition_products(ps: PathSpace) -> np.ndarray:
     The kernel's products ((1 q_0) q_1) ... fold down the path tree, bit for
     bit the per-path product; no path table is built.
     """
-    _check_enumerable(ps)
+    check_enumerable(ps.n_states, ps.horizon)
     return _fold(np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply)
 
 
@@ -241,7 +247,7 @@ class ExactPaths:
     This is the one exact route: exact-mode ``hat_expectation`` and
     ``path_lp_norm``, both identity checks and the batched transform and
     L log L checks all go through it.  It holds no path array: the
-    constructor checks the enumeration limits (:func:`_check_enumerable`)
+    constructor checks the enumeration limits (:func:`check_enumerable`)
     and builds nothing, and only an arbitrary functional, which
     ``hat_expectation`` and ``path_lp_norm`` evaluate on :func:`all_paths`,
     reads the path table.  The conditional weights and the path measure are
@@ -264,7 +270,7 @@ class ExactPaths:
     """
 
     def __init__(self, ps: PathSpace) -> None:
-        _check_enumerable(ps)
+        check_enumerable(ps.n_states, ps.horizon)
         self.ps = ps
 
     @functools.cached_property

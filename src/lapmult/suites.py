@@ -16,6 +16,7 @@ import numpy as np
 from ._keep import keep
 from .dilation import (
     PathSpace,
+    check_enumerable,
     dilation_identity_check,
     hat_expectation,
     martingale_transform,
@@ -153,12 +154,15 @@ def dilation_instance_family(
 
     Instances are yielded one at a time, so a caller that iterates keeps at
     most one path space alive; the family checks fold without enumerating,
-    so no path table is built on it.
+    so no path table is built on it.  Each instance's size is checked
+    (:func:`~lapmult.dilation.check_enumerable`) before its chain is built,
+    so a horizon past the limits costs no chain and no per-step draw.
     """
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(2, max_n + 1))
         horizon = int(rng.integers(1, max_horizon + 1))
+        check_enumerable(n, horizon)
         space, gen = random_reversible_generator([seed, i, 1], n)
         kernel = heat_operator(gen, epsilon / 2.0)
         probe = Field(space, _random_complex(rng, n))

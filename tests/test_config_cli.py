@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from lapmult.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
-from lapmult.config import ConfigError, parse_config
+from lapmult.config import CHECKS, ConfigError, parse_config
 from lapmult.multiplier import SampledMultiplier, StepMultiplier
 from lapmult.runner import inequalities_csv, report_json, run_config
+
+from test_config_table import VALID
+
+# Every family check that draws a random horizon up to max_horizon.
+PATH_FAMILIES = [name for name, check in CHECKS.items() if "max_horizon" in check.params]
 
 MINIMAL = {
     "schema": "lapmult-config-1",
@@ -353,6 +358,19 @@ class TestCli:
         cfg_path = write_config(tmp_path, payload)
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", PATH_FAMILIES)
+    def test_a_huge_family_horizon_exits_budget_without_a_traceback(self, tmp_path, capsys, name):
+        # the path count n**(horizon + 1) is never formed, let alone printed
+        payload = {"schema": "lapmult-config-1",
+                   "suites": [{"check": name, **VALID[name], "max_horizon": 10**8}]}
+        cfg_path = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err) < 300, err[:300]
         assert not out_dir.exists()
 
     def test_llogl_chain_over_budget_is_a_config_error(self, tmp_path, capsys):

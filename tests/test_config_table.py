@@ -278,3 +278,31 @@ def test_a_long_horizon_is_refused_without_forming_the_path_count():
     entry = {**VALID["llogl_chain"], "horizon": 10**12}
     with pytest.raises(ConfigError, match=r"give 4\*\*1000000000001 paths"):
         parse_config(config_of("llogl_chain", **entry))
+
+
+def test_only_the_cross_check_samples_paths():
+    assert {name for name, check in CHECKS.items() if check.mode == "mc"} == {"mc_crosscheck"}
+
+
+def test_the_checks_that_enumerate_one_path_space_are_checked_with_runner_defaults(monkeypatch):
+    # the limits live in dilation.check_enumerable alone; the parser calls it
+    # for the checks whose runner takes n and horizon, and for no other
+    calls = []
+    monkeypatch.setattr(dilation, "check_enumerable", lambda n, horizon: calls.append((n, horizon)))
+    recorded = {}
+    for name, entry in VALID.items():
+        calls.clear()
+        parse_config(config_of(name, **entry))
+        if calls:
+            recorded[name] = list(calls)
+    expected = {}
+    for name in ("llogl_chain", "mc_crosscheck"):
+        params = inspect.signature(CHECKS[name].run).parameters
+        expected[name] = [(params["n"].default, params["horizon"].default)]
+    assert recorded == expected
+    # a value the config gives is the one checked
+    calls.clear()
+    parse_config(config_of("llogl_chain", **VALID["llogl_chain"], n=3, horizon=2))
+    mc = VALID["mc_crosscheck"]
+    parse_config(config_of("mc_crosscheck", **{**mc, "dilation": {**mc["dilation"], "horizon": 3}}))
+    assert calls == [(3, 2), (expected["mc_crosscheck"][0][0], 3)]

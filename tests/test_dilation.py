@@ -81,8 +81,15 @@ class TestPathSpace:
     def test_horizon_limit(self):
         kernel = MarkovKernel(WeightedSpace([1.0]), [[1.0]], step=1.0)
         assert all_paths(PathSpace(kernel, dilation.MAX_TABLE_HORIZON)).shape == (1, 63)
-        with pytest.raises(ValueError, match="horizon 63 is past the path table's limit of 62"):
+        with pytest.raises(ValueError, match="horizon = 63 is past the path table's limit of 62"):
             all_paths(PathSpace(kernel, 63))
+
+    def test_a_huge_horizon_is_refused_without_forming_the_path_count(self):
+        # 2**(10**8 + 1) has about 3e7 digits: printing it would pass Python's
+        # int-to-string limit, so the count must be stated as a power
+        kernel = MarkovKernel(WeightedSpace([1.0, 1.0]), [[0.5, 0.5], [0.5, 0.5]], step=1.0)
+        with pytest.raises(EnumerationBudgetError, match=r"give 2\*\*100000001 paths"):
+            ExactPaths(PathSpace(kernel, 10**8))
 
     def test_installed_numpy_holds_the_table_axes(self):
         # the table's array has horizon + 2 axes; numpy 1 allows 32, numpy 2 allows 64

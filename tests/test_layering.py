@@ -202,3 +202,28 @@ def test_package_exports_exactly_the_layers_public_names():
     for module in layers:
         for name in module.__all__:
             assert getattr(lapmult, name) is getattr(module, name), name
+
+
+LIMITS = {"DEFAULT_PATH_BUDGET", "MAX_TABLE_HORIZON"}
+
+
+def test_only_the_dilation_module_states_the_path_limits():
+    # every other module asks dilation.check_enumerable, so the limits cannot
+    # drift apart again; docstrings may name them, code (a name, an attribute
+    # or an import) may not
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "dilation":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in LIMITS:
+                found.append(f"{path.stem}.py:{node.lineno} names {name}")
+    assert not found, found

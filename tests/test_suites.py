@@ -21,7 +21,7 @@ from lapmult.suites import (
     suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
-from lapmult import SampledMultiplier, decompose, random_reversible_generator, suites
+from lapmult import EnumerationBudgetError, SampledMultiplier, decompose, random_reversible_generator, suites
 from lapmult.config import parse_config
 from lapmult.inequalities import make_report
 from lapmult.runner import report_json, run_config
@@ -52,6 +52,17 @@ def test_dilation_family_keeps_one_instance_alive():
     gc.collect()
     assert first() is None
     assert second.horizon >= 1
+
+
+def test_dilation_family_refuses_a_member_before_building_it(monkeypatch):
+    # a member past the path limits stops the family before its chain, and the
+    # check's per-step draws of horizon length, are made
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a chain was built for a member past the path limits")
+
+    monkeypatch.setattr(suites, "random_reversible_generator", unbuilt)
+    with pytest.raises(EnumerationBudgetError, match=r"give \d+\*\*\d+ paths"):
+        next(dilation_instance_family(1, 1, max_horizon=10**8))
 
 
 class TestStepFamilySharing:
