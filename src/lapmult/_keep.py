@@ -6,7 +6,7 @@ An owner keeps at most one entry, a ``(key, value)`` pair:
   builds the value, stores ``(key, value)`` whole in place of the old entry,
   and returns it.  A build that raises stores nothing, so the old entry stays
   and a failing build fails on every call;
-- :func:`kept` returns the kept value, or None, and never builds.
+- :func:`kept` returns the kept entry, key included, or None, and never builds.
 
 The owner holds the entry: an object keeps it in its instance dict, a dict in
 itself.  It lives as long as the owner, and a replaced entry is let go.  The
@@ -14,19 +14,16 @@ entry is read once and written once, so threads that race on one owner can at
 worst build the same value twice.  Every build is deterministic, so a kept
 value has the bytes of a fresh one.
 
-The owners are a generator (its decomposition), a path space (its last
-stratified draw), ``suites`` (its last step-instance family), a martingale
-transform (its values on one path set) and a step family member's multiplier
-(its spectral-route T_m f).  Two caches keep other rules:
+The owners, and what each keeps:
 
-- ``functools.cached_property`` attributes, such as a path space's table
-  (read only by an arbitrary functional's exact reduction) and the weights
-  and measure of ``ExactPaths``, are built once and have no key: the
-  standard library's form of the same rule;
-- a sampled symbol keeps the Simpson sums of every eigenvalue it has seen.
-  ``imaginary_powers`` reads the whole spectrum again through
-  ``operator_matrix`` after its per-eigenvalue loop, so keeping only the last
-  one would compute every sum twice.
+- a generator: its decomposition;
+- a path space: one path set, its enumerated table (key None) or its last
+  stratified draw (key ``(seed, samples)``);
+- an ``ExactPaths``: its path measure;
+- ``suites``: its last step-instance family;
+- a step family member's multiplier: its spectral-route T_m f;
+- a martingale transform: its values on one of its space's path sets;
+- a sampled symbol: the Simpson sums of the last eigenvalue it saw.
 """
 
 _ENTRY = "_kept"
@@ -46,5 +43,5 @@ def keep(owner, key, build):
 
 
 def kept(owner):
-    """The value ``owner`` keeps, whatever its key, or None; never builds."""
-    return _slots(owner).get(_ENTRY, (None, None))[1]
+    """The ``(key, value)`` entry ``owner`` keeps, or None; never builds."""
+    return _slots(owner).get(_ENTRY)

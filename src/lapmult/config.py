@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dilation, suites
 from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset, symbol_bound
-from .semigroup import ReversibleGenerator, random_reversible_generator
+from .semigroup import MAX_STATES, ReversibleGenerator, random_reversible_generator
 from .space import WeightedSpace
 
 __all__ = ["ConfigError", "SuiteSpec", "ExperimentConfig", "Check", "CHECKS", "parse_config"]
@@ -104,6 +104,16 @@ def _at_least(low: int) -> Kind:
 _SEED, _COUNT = _at_least(0), _at_least(1)
 
 
+def _states(low: int) -> Kind:
+    """A state count: an integer >= ``low`` within the dense-state limit ``MAX_STATES``."""
+    def count(value: Any, what: str) -> int:
+        _require(_at_least(low)(value, what) <= MAX_STATES,
+                 f"{what} = {value} is past the dense-state limit of {MAX_STATES} states")
+        return value
+
+    return count
+
+
 def _simpson_grid(value: Any, what: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool)
              and value >= 5 and (value - 1) % 4 == 0,
@@ -165,7 +175,7 @@ def _schema(value: Any, what: str) -> str:
     return value
 
 
-_SEEDED_CHAIN = {"seed": _SEED, "n": _COUNT, "conductance_scale": _positive, "unit_mass": _boolean}
+_SEEDED_CHAIN = {"seed": _SEED, "n": _states(1), "conductance_scale": _positive, "unit_mass": _boolean}
 _NUMBERS = _list_of(_number)
 _EXPLICIT_CHAIN = {"weights": _NUMBERS, "generator": _list_of(_NUMBERS)}
 
@@ -347,7 +357,7 @@ class Check:
 
 
 _FAMILY = {"seed": _SEED, "instances": _COUNT, "max_n": _at_least(2)}
-_STEP_FAMILY = {**_FAMILY, "max_pieces": _COUNT}
+_STEP_FAMILY = {**_FAMILY, "max_n": _states(2), "max_pieces": _COUNT}
 _PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT}
 _ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_least(0),
            "probe_seed": _SEED}

@@ -9,7 +9,6 @@ coordinate realizes even kernel powers: E[f_k | x_0] = Q^{2k} f.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,11 +55,14 @@ class EnumerationBudgetError(RuntimeError):
 class PathSpace:
     """Kernel Q, horizon N, and the stationary initial law nu = weights / total mass.
 
-    A space also keeps the paths it has made: the enumerated table
-    (``_table``, built on the first :func:`all_paths` call) and its last
-    stratified Monte Carlo draw (``_draw``).  Both are read-only.  Only an
-    arbitrary functional's exact reduction reads the table; ``ExactPaths``
-    folds per-step tables and builds none.
+    A space keeps one read-only path set (see ``lapmult._keep``): the
+    enumerated table, as a one-array set under the key None
+    (:func:`all_paths`), or its last stratified Monte Carlo draw, under the
+    key ``(seed, samples)`` (``_draw``).  Each replaces the other, so a
+    caller that alternates exact and Monte Carlo reductions on one space
+    rebuilds the table or the draw at each switch.  Only an arbitrary
+    functional's exact reduction reads the table; ``ExactPaths`` folds
+    per-step tables and builds none.
     """
 
     kernel: MarkovKernel
@@ -83,25 +85,11 @@ class PathSpace:
     def path_count(self) -> int:
         return self.n_states ** (self.horizon + 1)
 
-    @functools.cached_property
-    def _table(self) -> np.ndarray:
-        """Every path, built once, read-only.
-
-        The kernel entries are frozen, so the table can never go stale; callers
-        check the enumeration budget before touching it.  Code that holds many
-        path spaces holds all their tables.
-        """
-        steps = self.horizon + 1
-        paths = np.indices((self.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
-        paths.setflags(write=False)
-        return paths
-
     def _draw(self, seed: int, samples: int) -> tuple[np.ndarray, ...]:
         """The stratified sample for ``(seed, samples)``: one read-only path array per start state.
 
         The strata come from one ``default_rng(seed)`` stream, in state order.
-        The space keeps its last draw, keyed on ``(seed, samples)`` (see
-        ``lapmult._keep``).
+        The space keeps the draw as its path set, keyed on ``(seed, samples)``.
         """
         return keep(self, (seed, samples), lambda: _sample_strata(self, seed, samples))
 
@@ -124,12 +112,20 @@ def all_paths(ps: PathSpace) -> np.ndarray:
     paths from each start state form one contiguous block of n^N rows.  The
     array is column-major, so each coordinate ``paths[:, k]`` is contiguous.
 
-    The limits are checked on every call (:func:`check_enumerable`); the
-    table itself is built on the first call within them and the same array is
-    returned thereafter.
+    The limits are checked on every call (:func:`check_enumerable`).  The
+    space keeps the table as its path set, so calls return the same array
+    until a Monte Carlo draw replaces it; the next call then builds an equal
+    one.
     """
     check_enumerable(ps.n_states, ps.horizon)
-    return ps._table
+    return keep(ps, None, lambda: (_enumerate(ps),))[0]
+
+
+def _enumerate(ps: PathSpace) -> np.ndarray:
+    steps = ps.horizon + 1
+    paths = np.indices((ps.n_states,) * steps, dtype=np.int32).reshape(steps, -1).T
+    paths.setflags(write=False)
+    return paths
 
 
 def check_enumerable(n: int, horizon: int) -> None:
@@ -152,11 +148,6 @@ def check_enumerable(n: int, horizon: int) -> None:
         raise ValueError(f"horizon = {horizon} is past the path table's limit of {MAX_TABLE_HORIZON}")
 
 
-def _is_table(ps: PathSpace, paths: np.ndarray) -> bool:
-    """Whether ``paths`` is the table :func:`all_paths` returned; never builds one."""
-    return paths is vars(ps).get("_table")
-
-
 def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     """Fold per-step tables down the path tree, in :func:`all_paths` order.
 
@@ -172,23 +163,32 @@ def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> n
     return acc.ravel()
 
 
-def _along_paths(
-    ps: PathSpace, paths: np.ndarray, start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc
-) -> np.ndarray:
-    """acc = start[x_0], then acc = ufunc(acc, tables[k][x_k, x_{k+1}]) at each step k, per path.
+def _along_paths(ps: PathSpace, paths: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """acc = 0, then acc += tables[k][x_k, x_{k+1}] at each step k, per path; read-only.
 
-    The cached table folds down the path tree (:func:`_fold`); any other path
-    array gathers each flat (n, n) complex table at x_k * n + x_{k+1} in
-    place.  Both apply the same operations in the same order, so every path
-    keeps its bits.
+    Each flat (n, n) complex table is gathered at x_k * n + x_{k+1} in place:
+    the operations :func:`_fold` applies to the table from a zero start, in
+    the same order, so every path keeps its bits.
     """
-    if _is_table(ps, paths):
-        return _fold(start, tables, ufunc)
     n = ps.n_states
-    acc = start.take(paths[:, 0])
+    acc = np.zeros(len(paths), dtype=complex)
     for k, table in enumerate(tables):
-        ufunc(acc, table.take(paths[:, k] * n + paths[:, k + 1]), out=acc)
+        acc += table.take(paths[:, k] * n + paths[:, k + 1])
+    acc.setflags(write=False)
     return acc
+
+
+def _along_path_set(ps: PathSpace, key, arrays: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> tuple:
+    """:func:`_along_paths` on each array of the space's path set under ``key``, in order; read-only.
+
+    The key chooses once for the whole set: the table (key None) folds down
+    the path tree (:func:`_fold`), and each stratum of a draw gathers.
+    """
+    if key is not None:
+        return tuple(_along_paths(ps, paths, tables) for paths in arrays)
+    values = _fold(np.zeros(ps.n_states, dtype=complex), tables, np.add)
+    values.setflags(write=False)
+    return (values,)
 
 
 def transition_products(ps: PathSpace) -> np.ndarray:
@@ -248,10 +248,11 @@ class ExactPaths:
     ``path_lp_norm``, both identity checks and the batched transform and
     L log L checks all go through it.  It holds no path array: the
     constructor checks the enumeration limits (:func:`check_enumerable`)
-    and builds nothing, and only an arbitrary functional, which
-    ``hat_expectation`` and ``path_lp_norm`` evaluate on :func:`all_paths`,
-    reads the path table.  The conditional weights and the path measure are
-    each built on first use and kept by this object, never by the space.
+    and folds the conditional weights, which every reduction reads; the path
+    measure is built on first use and kept by this object (see
+    ``lapmult._keep``), never by the space.  Only an arbitrary functional,
+    which ``hat_expectation`` and ``path_lp_norm`` evaluate on
+    :func:`all_paths`, reads the path table.
 
     Every reduction gives the same bits as a per-path evaluation.  Each start
     state's paths form one contiguous block, so E[S | x_0] is a running sum
@@ -262,26 +263,22 @@ class ExactPaths:
     weights, the transform, the square function and the maximal function
     fold per-step tables down the path tree (:func:`_fold`): Q, M_i
     (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
-    |g_{k+1}| per state.  That is the table side of :func:`_along_paths`, the
-    one per-step rule that also gathers transforms on sampled paths.  Each
-    path still sees the operations of a per-path gather in step order.  An
+    |g_{k+1}| per state.  A transform folds the same way on the table and
+    gathers the same per-step rule on sampled paths (:func:`_along_paths`).
+    Each path still sees the operations of a per-path gather in step order.  An
     L^p norm stays one dot product per functional: a gemv, an ``einsum`` or a
     ``sum`` over a (functionals x paths) block changes last bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
-        check_enumerable(ps.n_states, ps.horizon)
         self.ps = ps
+        self.weights = transition_products(ps)  # each path's weight conditional on its start
 
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Each path's weight conditional on its start."""
-        return transition_products(self.ps)
-
-    @functools.cached_property
+    @property
     def measure(self) -> np.ndarray:
         """Each path's probability P(omega) = nu(x_0) * prod_k Q(x_k, x_{k+1})."""
-        return np.repeat(self.ps.initial_law, self.ps.n_states**self.ps.horizon) * self.weights
+        ps = self.ps
+        return keep(self, None, lambda: np.repeat(ps.initial_law, ps.n_states**ps.horizon) * self.weights)
 
     def level(self, levels: np.ndarray, k: int) -> np.ndarray:
         """The level-k martingale value f_k(omega) = g_k(x_k) on every path."""
@@ -415,11 +412,10 @@ def hat_expectation(
     initial state (allocation proportional to nu, at least two samples each)
     and returns (estimate, per-state standard errors), the errors from the
     sample variances (ddof 1).  ``seed`` and ``samples`` are integers; the
-    space keeps its last draw, so a ``path_lp_norm`` with the same pair
-    reuses it.  Exact mode takes neither.  A :func:`martingale_transform`
-    keeps its values on the space's table and current draw, so a
-    ``path_lp_norm`` on the same path set reuses them rather than evaluating
-    the transform again.
+    space keeps the draw as its path set, so a ``path_lp_norm`` with the same
+    pair reuses it.  Exact mode takes neither.  A :func:`martingale_transform`
+    keeps its values on the space's path set, so a ``path_lp_norm`` on the
+    same path set reuses them rather than evaluating the transform again.
     """
     space = ps.kernel.space
     if mode == "exact":
@@ -450,12 +446,11 @@ def path_lp_norm(
     Monte Carlo mode returns (estimate, standard error) with the error of the
     p-th-moment estimate (sample variances, ddof 1) propagated through the 1/p
     power; it requires finite p and integer ``seed`` and ``samples``, and
-    reuses the space's last draw when the pair matches, as ``hat_expectation``
+    reuses the space's draw when the pair matches, as ``hat_expectation``
     does.  Exact mode evaluates the functional on the path table
-    (:func:`all_paths`) and takes neither ``seed`` nor ``samples``.  On a
-    path set that a :func:`martingale_transform` has already seen, the table
-    or the current draw, the transform's kept values are reused, with the
-    same bits.
+    (:func:`all_paths`) and takes neither ``seed`` nor ``samples``.  On the
+    space's path set, once a :func:`martingale_transform` has seen it, the
+    transform's kept values are reused, with the same bits.
     """
     if not p >= 1.0:
         raise ValueError("p must satisfy p >= 1")
@@ -508,51 +503,43 @@ def dilation_identity_check(
     return dev_power, dev_heat
 
 
-def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[tuple[np.ndarray, ...], int] | None:
-    """The arrays of the space's own path set that holds ``paths``, and the place of ``paths`` in them.
+def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[object, tuple[np.ndarray, ...], int] | None:
+    """The key and arrays of the space's path set when it holds ``paths``, and the place of ``paths`` in them.
 
-    A path set is the enumerated table (one array) or the strata of the
-    space's current draw (place = start state), told apart by identity.  Any
-    other array has none: a copy of the table, another space's table, or a
-    stratum of a draw the space has since replaced.  Never builds or draws
-    anything.
+    ``paths`` must be one of the kept arrays itself: the table (key None,
+    place 0) or a stratum of the current draw (place = start state).  The key
+    tells them apart, never the shape: a stratum can have the table's rows.
+    Any other array has none: a copy of the table, another space's paths, or
+    a path set the space has since replaced.  Never builds or draws anything.
     """
-    if _is_table(ps, paths):
-        return (paths,), 0
-    strata = kept(ps)
-    for x, stratum in enumerate(strata or ()):
-        if paths is stratum:
-            return strata, x
+    key, arrays = kept(ps) or (None, ())
+    for place, array in enumerate(arrays):
+        if paths is array:
+            return key, arrays, place
     return None
 
 
 def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -> PathFunctional:
     """S(omega) = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)): a reverse-martingale transform.
 
-    The evaluator's values are read-only.  On one of the space's own path
-    sets, the enumerated table or the strata of the space's current draw, it
-    evaluates every array of the set at once and keeps the values, keyed on
-    the id of the set's first array, which the kept value holds (see
-    ``lapmult._keep``).  So the reductions of ``hat_expectation`` and
-    ``path_lp_norm`` evaluate each path set once, with the same bits.  Any
-    other array gets a fresh evaluation.
+    The evaluator's values are read-only.  On the space's path set it
+    evaluates every array of the set at once (:func:`_along_path_set`: a
+    fold on the table, a gather on the strata of a draw) and keeps the values
+    under the set's key (see ``lapmult._keep``).  The key fixes the set's
+    bits, so values kept for it also serve the set rebuilt.  So the
+    reductions of ``hat_expectation`` and ``path_lp_norm`` evaluate each path
+    set once, with the same bits.  Any other array gets a fresh gather.
     """
     m = _multiplier_row(m_values, ps.horizon)
-    n = ps.n_states
     tables = _transform_tables(reverse_martingale(ps, f), m)
     held: dict = {}
-
-    def evaluate(paths: np.ndarray) -> np.ndarray:
-        values = _along_paths(ps, paths, np.zeros(n, dtype=complex), tables, np.add)
-        values.setflags(write=False)
-        return values
 
     def evaluator(paths: np.ndarray) -> np.ndarray:
         found = _path_set(ps, paths)
         if found is None:
-            return evaluate(paths)
-        arrays, place = found
-        return keep(held, id(arrays[0]), lambda: (arrays, tuple(map(evaluate, arrays))))[1][place]
+            return _along_paths(ps, paths, tables)
+        key, arrays, place = found
+        return keep(held, key, lambda: _along_path_set(ps, key, arrays, tables))[place]
 
     return PathFunctional(evaluator)
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._keep import keep
 from .semigroup import ReversibleGenerator, heat_operator
 from .space import Field
 from .spectral import SpectralDecomposition, spectral_apply
@@ -161,10 +162,10 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     fl(lam * t) > 745.2, and np.exp rounds every argument below -745.14 to
     exactly 0.0, so every dropped term is an exact zero.
 
-    Each lam's pair of Simpson sums is computed once and kept by the symbol,
-    so its value and its error bound share it; the table holds one pair of
-    complex numbers per distinct lam.  The weights are held complex, with zero
-    imaginary parts, so no sum casts them again; the products are unchanged.
+    The symbol keeps the pair of Simpson sums of the last lam it saw (see
+    ``lapmult._keep``), so a value and then an error bound at one lam share
+    it.  The weights are held complex, with zero imaginary parts, so no sum
+    casts them again; the products are unchanged.
     """
     t = sampled._grid
     mv = sampled._grid_values
@@ -173,27 +174,23 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     tmax = sampled.truncation
     w_full = _simpson_weights(t.size, h).astype(complex)
     w_half = _simpson_weights((t.size + 1) // 2, 2.0 * h).astype(complex)
-    pairs: dict[float, tuple[complex, complex]] = {}
+    held: dict = {}
 
     def _quadratures(lam: float) -> tuple[complex, complex]:
-        pair = pairs.get(lam)
-        if pair is None:
-            stop = _nonzero_prefix(t, lam)
-            g = mv[:stop] * np.exp(-lam * t[:stop])
-            pair = pairs[lam] = (complex(w_full[:stop] @ g),
-                                 complex(w_half[:(stop + 1) // 2] @ g[::2]))
-        return pair
+        stop = _nonzero_prefix(t, lam)
+        g = mv[:stop] * np.exp(-lam * t[:stop])
+        return complex(w_full[:stop] @ g), complex(w_half[:(stop + 1) // 2] @ g[::2])
 
     def evaluator(lam: float) -> complex:
         if lam == 0.0:
             return 0j
-        s_full, _ = _quadratures(lam)
+        s_full, _ = keep(held, lam, lambda: _quadratures(lam))
         return -lam * s_full
 
     def error_bound(lam: float) -> float:
         if lam == 0.0:
             return 0.0
-        s_full, s_half = _quadratures(lam)
+        s_full, s_half = keep(held, lam, lambda: _quadratures(lam))
         richardson = abs(lam) * abs(s_full - s_half)
         first_cell = sup * (1.0 - math.exp(-2.0 * lam * h)) + sup * lam * (h / 3.0) * (
             1.0 + 4.0 * math.exp(-lam * h) + math.exp(-2.0 * lam * h)

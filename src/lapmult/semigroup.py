@@ -15,9 +15,15 @@ __all__ = [
     "MarkovKernel",
     "random_reversible_generator",
     "heat_operator",
+    "MAX_STATES",
 ]
 
 _HEAT_TOL = 1e-10
+
+# The dense-state limit: a chain's dense n x n operators hold n^2 complex
+# entries of 16 bytes, and each must fit in 256 MiB, so n <= 4096.  A seeded
+# chain past it is refused before anything is allocated.
+MAX_STATES = math.isqrt(2**28 // 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +117,10 @@ def random_reversible_generator(
     ``unit_mass``), conductances c_ij = c_ji are uniform on [0, scale], and
     A_ij = -c_ij/dx_i off the diagonal with A_ii = sum_j c_ij/dx_i.  All
     generator invariants then hold by construction, and the output is
-    deterministic in ``seed``.
+    deterministic in ``seed``.  ``n`` lies in [1, ``MAX_STATES``].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_STATES:
+        raise ValueError(f"n = {n} is outside [1, {MAX_STATES}], the dense-state limit")
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 1.5, size=n)
     if unit_mass:

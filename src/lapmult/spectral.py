@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,8 +99,10 @@ def _eigensolve(generator) -> SpectralDecomposition:
     return SpectralDecomposition(generator.space, lam, v / s[:, None])
 
 
-def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex]) -> np.ndarray:
-    vals = np.asarray([phi(lam) for lam in dec.eigenvalues.tolist()])
+def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex] | Sequence[complex]) -> np.ndarray:
+    vals = np.asarray([phi(lam) for lam in dec.eigenvalues.tolist()] if callable(phi) else phi)
+    if vals.shape != dec.eigenvalues.shape:
+        raise ValueError(f"need one value of phi per eigenvalue, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi returned a non-finite value at an eigenvalue")
     return vals
@@ -119,8 +121,11 @@ def spectral_apply(dec: SpectralDecomposition, phi: Callable[[float], complex], 
     return Field(dec.space, dec.eigenfields @ (vals * coefficients(dec, f)))
 
 
-def operator_matrix(dec: SpectralDecomposition, phi: Callable[[float], complex]) -> np.ndarray:
-    """The dense matrix of phi(A) acting on value vectors."""
+def operator_matrix(dec: SpectralDecomposition, phi: Callable[[float], complex] | Sequence[complex]) -> np.ndarray:
+    """The dense matrix of phi(A) acting on value vectors.
+
+    ``phi`` is a function of lam, or its values at the eigenvalues in order.
+    """
     vals = _phi_on_spectrum(dec, phi)
     u = dec.eigenfields
     return (u * vals[None, :]) @ (u.T * dec.space.weights[None, :])

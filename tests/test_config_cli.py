@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lapmult import MAX_STATES
 from lapmult.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
 from lapmult.config import CHECKS, ConfigError, parse_config
 from lapmult.multiplier import SampledMultiplier, StepMultiplier
@@ -594,3 +596,50 @@ class TestCli:
         summary = json.loads((out_dir / "report.json").read_text())["suites"][0]["summary"]
         assert summary["errors"] == [0.0, 0.0]
         assert summary["tol"] == 0.0
+
+
+# Configs and calls past the dense-state limit would ask numpy for terabytes,
+# so they run only in a child whose address space is capped: a regression then
+# fails there with a MemoryError instead of exhausting the host.
+MEMORY_CAP = 2 * 10**9
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def capped_python(code, *args):
+    script = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP}))\n{code}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+class TestDenseStateLimit:
+    def test_the_limit_is_4096_states(self):
+        # n^2 complex entries of 16 bytes within 256 MiB
+        assert MAX_STATES == 4096
+        assert MAX_STATES**2 * 16 == 2**28
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"check": "step_identity", "seed": 1, "instances": 1, "max_n": 10**6}, "step_identity.max_n"),
+        ({"check": "markov_conditions", "chain": {"seed": 1, "n": 10**6}}, "markov_conditions.chain.n"),
+    ], ids=["step-family-max_n", "seeded-chain-n"])
+    def test_a_huge_state_count_exits_config_error_in_one_line(self, tmp_path, entry, key):
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [entry]})
+        out_dir = tmp_path / "out"
+        result = capped_python("import sys\nfrom lapmult.cli import main\nsys.exit(main(sys.argv[1:]))",
+                               "run", str(cfg_path), "--out", str(out_dir))
+        assert result.returncode == EXIT_CONFIG_ERROR, result.stderr[-2000:]
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 300, result.stderr[-2000:]
+        assert f"{key} = 1000000 is past the dense-state limit of {MAX_STATES} states" in lines[0]
+        assert result.stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n", [0, MAX_STATES + 1, 10**6])
+    def test_the_library_refuses_before_allocating(self, n):
+        result = capped_python(
+            "import sys\nfrom lapmult import random_reversible_generator\n"
+            "try:\n    random_reversible_generator(1, int(sys.argv[1]))\n"
+            "except ValueError as exc:\n    print(exc)", str(n))
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == f"n = {n} is outside [1, {MAX_STATES}], the dense-state limit"

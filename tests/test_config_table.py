@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from lapmult import dilation, runner
+from lapmult import MAX_STATES, dilation, runner
 from lapmult.cli import EXIT_CONFIG_ERROR, main
 from lapmult.config import CHECKS, KNOWN_CHECKS, ConfigError, parse_config
 
@@ -234,6 +234,18 @@ def test_mc_crosscheck_needs_mc_mode(dilation):
 def test_bounds_are_kept(name, key, value):
     with pytest.raises(ConfigError):
         parse_config(config_of(name, **{**VALID[name], key: value}))
+
+
+# The checks that draw a step family of chains with up to max_n states.
+STEP_FAMILIES = [name for name, check in CHECKS.items() if "max_pieces" in check.params]
+
+
+@pytest.mark.parametrize("name", STEP_FAMILIES)
+def test_step_family_state_counts_stop_at_the_dense_state_limit(name):
+    # parsing builds no step family, so the limit itself is safe to try here
+    assert kwargs_of(name, **{**VALID[name], "max_n": MAX_STATES})["max_n"] == MAX_STATES
+    with pytest.raises(ConfigError, match=f"{name}.max_n = {MAX_STATES + 1} is past the dense-state limit"):
+        parse_config(config_of(name, **{**VALID[name], "max_n": MAX_STATES + 1}))
 
 
 def test_exponents_at_both_ends_of_the_range_are_accepted():

@@ -37,6 +37,7 @@ from lapmult.dilation import (
     _stratum_counts,
     _transform_tables,
 )
+from lapmult.inequalities import transform_pnorm_check
 from lapmult.suites import suite_mc_crosscheck
 
 from conftest import random_field, seed_square_and_maximal
@@ -291,7 +292,7 @@ class TestMonteCarloArguments:
         functional = PathFunctional(lambda paths: np.ones(len(paths)))
         with pytest.raises(ValueError, match="Monte Carlo mode only"):
             reduce(ps, functional, mode="exact", **given)
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
         reduce(ps, functional, mode="exact", seed=None, samples=None)
 
 
@@ -354,13 +355,35 @@ class TestSharedDraw:
         _, _, ps = make_path_space(n=4, horizon=3)
         first = self._seen(ps, hat_expectation, seed=5)
         second = self._seen(ps, hat_expectation, seed=6)
-        assert [a is b for a, b in zip(kept(ps), second)] == [True] * ps.n_states
+        key, strata = kept(ps)
+        assert key == (6, 300)
+        assert [a is b for a, b in zip(strata, second)] == [True] * ps.n_states
         # the first draw was let go, so asking for it again draws it anew, equal
         again = self._seen(ps, hat_expectation, seed=5)
         for a, b in zip(first, again):
             assert a is not b
             assert np.array_equal(a, b)
-        assert [a is b for a, b in zip(kept(ps), again)] == [True] * ps.n_states
+        key, strata = kept(ps)
+        assert key == (5, 300)
+        assert [a is b for a, b in zip(strata, again)] == [True] * ps.n_states
+
+    def test_space_holds_one_path_set(self):
+        # the table and a draw replace each other; each comes back equal when asked for again
+        _, _, ps = make_path_space(n=3, horizon=3)
+        table = all_paths(ps)
+        assert kept(ps) == (None, (table,))
+        strata = ps._draw(5, 300)
+        key, held = kept(ps)
+        assert key == (5, 300)
+        assert held is strata
+        again = all_paths(ps)
+        assert again is not table
+        assert np.array_equal(again, table)
+        assert kept(ps)[0] is None
+        assert not again.flags.writeable
+        for a, b in zip(ps._draw(5, 300), strata):
+            assert a is not b
+            assert np.array_equal(a, b)
 
     def test_order_of_calls_gives_the_same_bytes(self):
         space, _, ps = make_path_space(n=4, horizon=4)
@@ -611,6 +634,44 @@ def test_non_finite_path_values_rejected(reduce, bad, mode):
             reduce(ps, functional, mode=mode, **sampling)
 
 
+class TestClosedFormL2:
+    """A second route for exact path L^2 norms that enumerates nothing.
+
+    Under the stationary law the reverse-martingale differences
+    d_k = g_{k+1}(x_{k+1}) - g_k(x_k) are orthogonal, with
+    E|d_k|^2 = ||g_k||^2 - ||g_{k+1}||^2 in L^2(nu), so
+    ||sum_k M_k d_k||_2^2 = sum_k |M_k|^2 (||g_k||^2 - ||g_{k+1}||^2); with
+    every M_k = 1 that is the square function's norm.  It checks the exact
+    norm of a transform (``mc_crosscheck``'s ``exact_norm``), the p = 2 row of
+    ``transform_pnorm_check`` and the square function's norm."""
+
+    @staticmethod
+    def closed_form(ps, levels, m_values):
+        energy = np.abs(levels) ** 2 @ ps.initial_law
+        return math.sqrt(float(np.abs(m_values) ** 2 @ (energy[:-1] - energy[1:])))
+
+    @pytest.mark.parametrize("n,horizon", [(4, 6), (5, 5), (3, 9), (2, 1), (1, 3), (6, 4)])
+    def test_transform_and_square_function_norms(self, n, horizon):
+        space, _, ps = make_path_space(seed=5 * n + horizon, n=n, horizon=horizon)
+        f = random_field(space, n + 2 * horizon)
+        rng = np.random.default_rng([n, horizon, 2])
+        m_values = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
+        levels = reverse_martingale(ps, f)
+        exact = ExactPaths(ps)
+        (row, _), = transform_pnorm_check(ps, m_values, f, [2.0])
+        unit = m_values / np.abs(m_values).max()
+        routes = [
+            (path_lp_norm(ps, martingale_transform(ps, m_values, f), 2.0), self.closed_form(ps, levels, m_values)),
+            (row.lhs, self.closed_form(ps, levels, unit)),
+            (exact.lp_norm(exact.square(levels), 2.0), self.closed_form(ps, levels, np.ones(horizon))),
+        ]
+        for enumerated, closed in routes:
+            if closed == 0.0:  # one state: every difference is an exact zero
+                assert enumerated == 0.0
+            else:
+                assert abs(enumerated - closed) <= 1e-13 * closed
+
+
 class TestSquareAndMaximal:
     def test_constant_field(self):
         space, _, ps = make_path_space()
@@ -645,8 +706,9 @@ class TestSquareAndMaximal:
 
 class TestExactPaths:
     def test_reductions_build_only_what_they_read(self, monkeypatch):
-        # an exact hat_expectation needs the conditional weights alone, an
-        # exact path_lp_norm the path measure, which it builds from the weights
+        # every exact reduction reads the conditional weights, which the
+        # constructor folds; only an exact path_lp_norm builds and keeps the
+        # path measure from them
         built = []
 
         class Recording(ExactPaths):
@@ -660,10 +722,12 @@ class TestExactPaths:
         hat_expectation(ps, functional)
         path_lp_norm(ps, functional, 2.0)
         hat, norm = built
-        assert {"weights", "measure"} & set(vars(hat)) == {"weights"}
         assert_same_bits(hat.weights, transition_products(ps))
-        assert {"weights", "measure"} & set(vars(norm)) == {"weights", "measure"}
-        assert_same_bits(norm.measure, np.repeat(ps.initial_law, ps.n_states**ps.horizon) * norm.weights)
+        assert kept(hat) is None
+        key, measure = kept(norm)
+        assert key is None
+        assert norm.measure is measure
+        assert_same_bits(measure, np.repeat(ps.initial_law, ps.n_states**ps.horizon) * norm.weights)
 
 
 def mc_sampled_paths(ps, seed=5, samples=300):
@@ -762,7 +826,7 @@ class TestPathTableCache:
         _, _, ps = make_path_space(n=3, horizon=2)
         table = all_paths(PathSpace(ps.kernel, ps.horizon))
         assert np.array_equal(transition_products(ps), per_step_products(ps, table))
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
 
 
 def seed_exact_hat(paths, weights, values, n):
@@ -929,16 +993,17 @@ class TestFoldMatchesGathers:
         for k in range(horizon + 1):
             assert_same_bits(exact.level(levels, k), levels[k][table[:, k]])
 
-        # the transform folds on the cached table and gathers on a copy or a sample
+        # the transform folds on the kept table and gathers on a copy or a sample
         evaluator = martingale_transform(ps, m_values, f).evaluator
+        assert kept(ps)[0] is None
         for paths in [table, table.copy(), *mc_sampled_paths(ps, seed=n + horizon)]:
             assert_same_bits(evaluator(paths), reference_gather(paths, zeros, transform_tables, np.add))
 
 
 class TestKeptValues:
-    """A transform's evaluator keeps its values on its space's table and on
-    the strata of the space's current draw, one path set at a time, so each
-    path set is evaluated once; any other array is evaluated afresh."""
+    """A transform's evaluator keeps its values on its space's path set, the
+    table or the strata of the current draw, so each path set is evaluated
+    once; any other array is evaluated afresh."""
 
     @staticmethod
     def _transform(n=3, horizon=3):
@@ -949,25 +1014,41 @@ class TestKeptValues:
         return ps, (m_values, f), martingale_transform(ps, m_values, f).evaluator
 
     @staticmethod
-    def _counted(monkeypatch):
-        """The path arrays handed to ``_along_paths`` while the test runs."""
+    def _counted(monkeypatch, name="_along_paths"):
+        """The arguments of each call of the dilation function ``name`` while the test runs."""
         seen = []
-        along_paths = dilation._along_paths
+        original = getattr(dilation, name)
 
-        def counting(ps, paths, start, tables, ufunc):
-            seen.append(paths)
-            return along_paths(ps, paths, start, tables, ufunc)
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(dilation, "_along_paths", counting)
+        monkeypatch.setattr(dilation, name, counting)
         return seen
 
     @pytest.mark.parametrize("n,horizon", [(1, 2), (2, 0), (3, 3), (4, 4)])
     def test_kept_values_have_the_bits_of_a_fresh_transform(self, n, horizon):
+        # one path set at a time: the table, then a draw, which replaces it
         ps, args, evaluator = self._transform(n, horizon)
-        for paths in [all_paths(ps), *ps._draw(5, 300)]:
-            kept = evaluator(paths)
-            assert evaluator(paths) is kept
-            assert_same_bits(kept, martingale_transform(ps, *args).evaluator(paths))
+        for path_set in [lambda: (all_paths(ps),), lambda: ps._draw(5, 300)]:
+            for paths in path_set():
+                values = evaluator(paths)
+                assert evaluator(paths) is values
+                assert_same_bits(values, martingale_transform(ps, *args).evaluator(paths))
+                assert_same_bits(values, martingale_transform(ps, *args).evaluator(paths.copy()))
+
+    def test_the_key_tells_a_stratum_from_the_table(self):
+        # with two states and horizon 1, a stratum of four paths has the table's shape
+        space, ps = two_state_flip_space(0.3, horizon=1)
+        args = (np.array([1.0 - 2.0j]), random_field(space, 8))
+        evaluator = martingale_transform(ps, *args).evaluator
+        table_values = evaluator(all_paths(ps))
+        strata = ps._draw(1, 8)
+        assert strata[0].shape == all_paths(PathSpace(ps.kernel, ps.horizon)).shape
+        assert not np.array_equal(strata[0], all_paths(PathSpace(ps.kernel, ps.horizon)))
+        got = evaluator(strata[0])
+        assert_same_bits(got, martingale_transform(ps, *args).evaluator(strata[0].copy()))
+        assert not np.array_equal(got, table_values)
 
     def test_each_path_array_is_evaluated_once_across_both_reductions(self, monkeypatch):
         ps, _, evaluator = self._transform(n=2, horizon=4)
@@ -978,21 +1059,25 @@ class TestKeptValues:
             return evaluator(paths)
 
         functional = PathFunctional(counting_evaluator)
-        seen = self._counted(monkeypatch)
+        builds = self._counted(monkeypatch, "_along_path_set")
+        gathers = self._counted(monkeypatch)
         hat_expectation(ps, functional)
         path_lp_norm(ps, functional, 2.0)
         hat_expectation(ps, functional, mode="mc", seed=3, samples=500)
         path_lp_norm(ps, functional, 2.0, mode="mc", seed=3, samples=500)
         assert len(calls) == 6
-        path_sets = [all_paths(ps), *ps._draw(3, 500)]
-        assert len(seen) == len(path_sets)
-        assert all(a is b for a, b in zip(seen, path_sets))
+        # the table folds, with no gather; the draw gathers each stratum once
+        assert [key for _, key, _, _ in builds] == [None, (3, 500)]
+        strata = ps._draw(3, 500)
+        assert len(gathers) == len(strata)
+        assert all(args[1] is stratum for args, stratum in zip(gathers, strata))
 
     def test_other_arrays_are_evaluated_afresh(self, monkeypatch):
         ps, args, evaluator = self._transform()
         table = all_paths(ps)
-        old = ps._draw(5, 300)
-        kept = [evaluator(table), evaluator(old[0])]
+        kept = [evaluator(table)]
+        old = ps._draw(5, 300)  # the draw replaces the table
+        kept.append(evaluator(old[0]))
         ps._draw(6, 300)  # another pair replaces the draw
         others = [table.copy(), all_paths(PathSpace(ps.kernel, ps.horizon)), old[0]]
         want = [martingale_transform(ps, *args).evaluator(paths.copy()) for paths in others]
@@ -1004,15 +1089,16 @@ class TestKeptValues:
                 assert_same_bits(got, values)
         expected = [paths for paths in others for _ in range(2)]
         assert len(seen) == len(expected)
-        assert all(a is b for a, b in zip(seen, expected))
+        assert all(call[1] is b for call, b in zip(seen, expected))
 
     def test_kept_arrays_are_read_only(self):
         ps, _, evaluator = self._transform()
-        for paths in [all_paths(ps), *ps._draw(5, 300)]:
-            values = evaluator(paths)
-            assert not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0] = 0.0
+        for path_set in [lambda: (all_paths(ps),), lambda: ps._draw(5, 300)]:
+            for paths in [*path_set(), path_set()[0].copy()]:
+                values = evaluator(paths)
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
 
     def test_one_path_set_is_held_at_a_time(self):
         ps, _, evaluator = self._transform()

@@ -35,6 +35,7 @@ from lapmult import (
     transition_products,
 )
 from lapmult import dilation
+from lapmult._keep import kept
 from lapmult.dilation import PathFunctional, PathSpace
 from lapmult.inequalities import UPPER_BOUND_MARGIN, CONTRACTION_TOL, make_report, pnorm_growth_fit
 from lapmult.space import luxemburg_rows
@@ -737,7 +738,7 @@ class TestBatchedChecksOracle:
             llogl_chain_check(ps, [(np.ones(3), random_field(space, 0))])
         with pytest.raises(ValueError, match="unit-mass"):
             single_llogl_chain_check(ps, np.ones(3), random_field(space, 0))
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
 
     def test_empty_batch(self):
         _, _, ps = unit_mass_path_space(n=3, horizon=2)
@@ -774,7 +775,7 @@ class TestBatchedCheckBudget:
 
         with pytest.raises(EnumerationBudgetError):
             llogl_chain_check(ps, untouchable())
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
 
     def test_transform_pnorm_budget_raised_before_any_field_is_read(self, monkeypatch):
         space, _, ps = unit_mass_path_space(n=3, horizon=4)
@@ -782,7 +783,7 @@ class TestBatchedCheckBudget:
         monkeypatch.setattr(dilation, "DEFAULT_PATH_BUDGET", ps.path_count - 1)
         with pytest.raises(EnumerationBudgetError):
             transform_pnorm_check(ps, wrong_length, random_field(space, 0), [2.0])
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
 
     def test_batched_checks_cache_nothing(self):
         space, _, ps = unit_mass_path_space(n=3, horizon=4)
@@ -802,7 +803,7 @@ class TestBatchedCheckBudget:
         transform_expectation_identity(ps, m_values, f, generator=gen)
         transform_pnorm_check(ps, m_values, f, [1.5, 3.0])
         llogl_chain_check(ps, [(m_values, f)])
-        assert "_table" not in vars(ps)
+        assert kept(ps) is None
 
 
 class TestApproximationLimit:

@@ -1,13 +1,15 @@
-"""The keep-last rule of ``lapmult._keep``, checked once at each of its five keyed caches.
+"""The keep-last rule of ``lapmult._keep``, checked once at each of its owners.
 
 Each site names two keys, "a" and "b", the call that returns the kept value
 for a key (building it when the key is new), the same value built with no
-cache, and the function whose calls count builds.  A generator's key is
-constant, so there the two keys are two equal but distinct generators, each
-the owner of its own entry.
+cache, and the function whose calls count builds.  The keys of a generator
+and of an ``ExactPaths`` are constant, so there the two keys are two owners,
+each holding its own entry.  A path space has two sites: its draws, and its
+one path set, where the table replaces a draw.
 """
 
 import gc
+import inspect
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from lapmult import (
+    ExactPaths,
     PathSpace,
     ReversibleGenerator,
     StepMultiplier,
@@ -25,11 +28,15 @@ from lapmult import (
     decompose,
     dilation,
     heat_operator,
+    imaginary_power_preset,
     martingale_transform,
+    multiplier,
     random_reversible_generator,
     suites,
+    symbol_of_sampled,
     symbol_of_step,
 )
+from lapmult._keep import kept
 
 from conftest import random_field
 
@@ -44,7 +51,7 @@ class Site:
     setup: Callable[[], dict]  # what the keys refer to
     get: Callable[[dict, str], object]  # the value for key "a" or "b", through the cache
     cold: Callable[[dict, str], object]  # the same value, built with no cache
-    probe: Callable[[object], object]  # a part of a value that a weak reference can follow
+    probe: Callable[[object], object] | None  # a part of a value that a weak reference can follow
     content: Callable[[object], bytes]
     drop_a: Callable[[dict], None] = lambda ctx: None  # lets go of key "a"'s own owner, if any
 
@@ -77,12 +84,34 @@ def _family_setup():
     return {}
 
 
+# A transform's keys are its space's path sets, fetched afresh on each call:
+# the space keeps one set, so the table and a draw replace each other there.
+PATHS = {"a": all_paths, "b": lambda ps: ps._draw(5, 300)[0]}
+
+
 def _transform_setup():
     ps = _path_space()
     space = ps.kernel.space
     args = (np.array([1.0, -0.5j, 2.0]), random_field(space, 3))
-    return {"ps": ps, "args": args, "evaluator": martingale_transform(ps, *args).evaluator,
-            "paths": {"a": all_paths(ps), "b": ps._draw(5, 300)[0]}}
+    return {"ps": ps, "args": args, "evaluator": martingale_transform(ps, *args).evaluator}
+
+
+def _measure_setup():
+    ps = _path_space()
+    return {"a": ExactPaths(ps), "b": ExactPaths(PathSpace(ps.kernel, ps.horizon))}
+
+
+LAMS = {"a": 0.7, "b": 2.3}
+
+
+def _symbol():
+    return symbol_of_sampled(imaginary_power_preset(1.0, 8.0, 401))
+
+
+def _symbol_pair(symbol, key):
+    """The Simpson pair ``symbol`` keeps after a value at key's eigenvalue."""
+    symbol.evaluator(LAMS[key])
+    return kept(inspect.getclosurevars(symbol.evaluator).nonlocals["held"])[1]
 
 
 def _route_setup():
@@ -119,14 +148,39 @@ SITES = {
             _arrays(gen.space.weights, gen.entries, step.breakpoints, step.values, probe.values)
             for gen, step, probe in family),
     ),
+    "path_set": Site(
+        builder=(dilation, "_enumerate"),
+        setup=lambda: {"ps": _path_space()},
+        get=lambda ctx, key: ctx["ps"]._draw(*DRAWS["a"]) if key == "a" else all_paths(ctx["ps"]),
+        cold=lambda ctx, key: all_paths(PathSpace(ctx["ps"].kernel, ctx["ps"].horizon)),
+        probe=lambda paths: paths[0] if isinstance(paths, tuple) else paths,
+        content=lambda paths: _arrays(*paths) if isinstance(paths, tuple) else _arrays(paths),
+    ),
     "transform": Site(
-        builder=(dilation, "_along_paths"),
+        builder=(dilation, "_along_path_set"),
         setup=_transform_setup,
-        get=lambda ctx, key: ctx["evaluator"](ctx["paths"][key]),
+        get=lambda ctx, key: ctx["evaluator"](PATHS[key](ctx["ps"])),
         cold=lambda ctx, key: martingale_transform(ctx["ps"], *ctx["args"]).evaluator(
-            ctx["paths"][key].copy()),
+            PATHS[key](ctx["ps"]).copy()),
         probe=lambda values: values,
         content=lambda values: _arrays(values),
+    ),
+    "measure": Site(
+        builder=(np, "repeat"),
+        setup=_measure_setup,
+        get=lambda ctx, key: ctx[key].measure,
+        cold=lambda ctx, key: ExactPaths(ctx[key].ps).measure,
+        probe=lambda measure: measure,
+        content=lambda measure: _arrays(measure),
+        drop_a=lambda ctx: ctx.pop("a"),
+    ),
+    "symbol": Site(
+        builder=(multiplier, "_nonzero_prefix"),
+        setup=lambda: {"symbol": _symbol()},
+        get=lambda ctx, key: _symbol_pair(ctx["symbol"], key),
+        cold=lambda ctx, key: _symbol_pair(_symbol(), key),
+        probe=None,  # a pair of complex numbers: no weak reference can follow it
+        content=lambda pair: np.array(pair).tobytes(),
     ),
     "spectral_route": Site(
         builder=(suites, "apply_Tm"),
@@ -182,9 +236,9 @@ def test_another_key_builds_the_bytes_of_a_cold_build(site, monkeypatch):
 
 def test_one_entry_is_held_and_the_replaced_one_let_go(site, monkeypatch):
     ctx = site.setup()
-    first = weakref.ref(site.probe(site.get(ctx, "a")))
+    first = weakref.ref(site.probe(site.get(ctx, "a"))) if site.probe else lambda: None
     gc.collect()
-    assert first() is not None
+    assert site.probe is None or first() is not None
     second = site.get(ctx, "b")
     site.drop_a(ctx)
     gc.collect()
@@ -192,6 +246,10 @@ def test_one_entry_is_held_and_the_replaced_one_let_go(site, monkeypatch):
     calls = _patch_builder(monkeypatch, site)
     assert site.get(ctx, "b") is second
     assert calls == []
+    if site.probe is None:
+        # no weak reference: the entry for "a" was let go, so "a" builds anew
+        site.get(ctx, "a")
+        assert calls
 
 
 def test_a_build_that_raises_keeps_the_old_entry(site, monkeypatch):

@@ -7,7 +7,8 @@ function.  No module takes another module's private (underscore) name.  The
 package publishes the ``__all__`` of the six layers below the suites, and
 nothing else.  Outside the package, a module imports numpy and the standard
 library only.  Only ``_keep`` keeps state between calls by rebinding a name or
-writing an instance dict.
+writing an instance dict, and no ``functools`` cache keeps values by another
+rule.
 """
 
 import ast
@@ -98,6 +99,24 @@ def test_only_the_keep_module_holds_state_by_hand():
             elif isinstance(node, ast.Attribute) and _is_vars_call(node.value):
                 if node.attr in {"update", "setdefault", "pop", "popitem", "clear"}:
                     found.append(f"{path.stem}.py:{node.lineno} writes through vars()")
+    assert not found, found
+
+
+FUNCTOOLS_CACHES = {"cached_property", "cache", "lru_cache"}
+
+
+def test_no_functools_cache_keeps_values():
+    # a functools cache keeps values by a rule of its own; lapmult._keep is the one rule
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.stem}.py:{node.lineno} {name}" for name in names if name in FUNCTOOLS_CACHES]
     assert not found, found
 
 

@@ -71,6 +71,18 @@ class TestDecompose:
             rebuilt = operator_matrix(dec, lambda lam: lam).real
             assert np.abs(rebuilt - gen.entries).max() < 1e-9
 
+    def test_operator_from_values_at_the_eigenvalues(self):
+        _, gen = random_reversible_generator(3, 6)
+        dec = decompose(gen)
+
+        def phi(lam):
+            return complex(np.exp(-lam), lam)
+
+        values = [phi(lam) for lam in dec.eigenvalues.tolist()]
+        assert operator_matrix(dec, values).tobytes() == operator_matrix(dec, phi).tobytes()
+        with pytest.raises(ValueError, match="one value of phi per eigenvalue"):
+            operator_matrix(dec, values[:1])
+
     def test_weighted_orthonormality(self):
         space, gen = random_reversible_generator(7, 8)
         dec = decompose(gen)

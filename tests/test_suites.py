@@ -21,7 +21,16 @@ from lapmult.suites import (
     suite_transform_pnorm,
 )
 from lapmult.suites import _ROUNDOFF, _SIGMA, _dev_over_se
-from lapmult import EnumerationBudgetError, SampledMultiplier, decompose, random_reversible_generator, suites
+from lapmult import (
+    EnumerationBudgetError,
+    MultiplierSymbol,
+    SampledMultiplier,
+    decompose,
+    multiplier,
+    random_reversible_generator,
+    suites,
+    symbol_of_sampled,
+)
 from lapmult.config import parse_config
 from lapmult.inequalities import make_report
 from lapmult.runner import report_json, run_config
@@ -285,6 +294,42 @@ def test_imaginary_powers_leaves_out_only_the_zero_mode(scale):
     assert len(positive) == 15
     assert positive == decompose(gen).eigenvalues[1:].tolist()
     assert positive[0] > 1e-2 * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_imaginary_powers_forms_one_simpson_pair_per_eigenvalue(monkeypatch, scale):
+    # one walk up the spectrum per gamma: a value at every eigenvalue, an error
+    # bound at every positive one, and one pair of Simpson sums per distinct
+    # nonzero eigenvalue, which the symbol keeps only while it is the last seen
+    _, gen = random_reversible_generator(2, 16, conductance_scale=scale)
+    gammas = [0.5, 2.0]
+    values, bounds, pairs = [], [], []
+    nonzero_prefix = multiplier._nonzero_prefix
+
+    def counted_prefix(t, lam):
+        pairs.append(lam)
+        return nonzero_prefix(t, lam)
+
+    def counted_symbol(sampled):
+        symbol = symbol_of_sampled(sampled)
+
+        def evaluator(lam):
+            values.append(lam)
+            return symbol.evaluator(lam)
+
+        def error_bound(lam):
+            bounds.append(lam)
+            return symbol.error_bound(lam)
+
+        return MultiplierSymbol(evaluator, error_bound)
+
+    monkeypatch.setattr(multiplier, "_nonzero_prefix", counted_prefix)
+    monkeypatch.setattr(suites, "symbol_of_sampled", counted_symbol)
+    result = suite_imaginary_powers(gen, gammas, grid=401)
+    spectrum = decompose(gen).eigenvalues.tolist()
+    assert values == spectrum * len(gammas)
+    assert bounds == result.summary["positive_eigenvalues"] * len(gammas)
+    assert pairs == [lam for lam in dict.fromkeys(spectrum) if lam != 0.0] * len(gammas)
 
 
 def test_markov_conditions_suite_serializes_kernel():
