@@ -58,10 +58,12 @@ for p, (row, excess) in zip((1.5, 3.0), transform_pnorm_check(ps, signs, f, (1.5
           f"{reference_constant(p):g}, contraction excess {excess:.1e}")
 
 # the L^1 chain through square and maximal functions down to L log L, for a
-# batch of (signs, field) pairs sharing one path space
+# batch of (signs, field) pairs sharing one path space; the check takes a
+# list of (path space, batch) chains, and here it is one chain
 g = Field(nspace, rng.standard_normal(4) + 1j * rng.standard_normal(4))
 batch = [(signs, f), (rng.choice([-1.0, 1.0], 5), g)]
-for label, chain in zip(("real f", "complex g"), llogl_chain_check(ps, batch)):
+(chain_rows,) = llogl_chain_check([(ps, batch)])
+for label, chain in zip(("real f", "complex g"), chain_rows):
     print(f"L log L chain for {label}:")
     for report in chain:
         print(f"  {report.name}: {report.lhs:.5f} vs {report.rhs:.5f} "

@@ -12,7 +12,9 @@ says.  The suite runner's signature settles the rest: a key is required exactly
 when the runner has no default for it, and a key the config omits takes that
 default; this module holds no defaults of its own.  Nor does it hold the
 path-enumeration limits: a check that enumerates one path space is refused
-by :func:`lapmult.dilation.check_enumerable`, the one statement of them.
+by :func:`lapmult.dilation.check_enumerable`, the one statement of them.  It
+does hold the size limits, which keep the largest array that a state count,
+grid, piece count, sample count or probe count drives within 256 MiB.
 """
 
 from __future__ import annotations
@@ -104,20 +106,41 @@ def _at_least(low: int) -> Kind:
 _SEED, _COUNT = _at_least(0), _at_least(1)
 
 
-def _states(low: int) -> Kind:
-    """A state count: an integer >= ``low`` within the dense-state limit ``MAX_STATES``."""
+def _up_to(low: int, high: int, limit: str) -> Kind:
+    """An integer in [``low``, ``high``]; past ``high``, the message names ``limit``."""
     def count(value: Any, what: str) -> int:
-        _require(_at_least(low)(value, what) <= MAX_STATES,
-                 f"{what} = {value} is past the dense-state limit of {MAX_STATES} states")
+        _require(_at_least(low)(value, what) <= high, f"{what} = {value} is past the {limit}")
         return value
 
     return count
+
+
+def _states(low: int) -> Kind:
+    """A state count: an integer >= ``low`` within the dense-state limit ``MAX_STATES``."""
+    return _up_to(low, MAX_STATES, f"dense-state limit of {MAX_STATES} states")
+
+
+# The size limits below follow semigroup.MAX_STATES: the largest array that a
+# size key drives must fit in 256 MiB, so a config cannot ask numpy for more.
+# The parser checks each before the suite allocates anything.
+_ARRAY_BYTES = 2**28
+
+# A Simpson grid's sampled values and a step multiplier's piece values are
+# complex, 16 bytes a point or a piece.
+_MAX_GRID = _MAX_PIECES = _ARRAY_BYTES // 16
+
+
+def _within_memory(count: int, item_bytes: int, what: str, items: str) -> None:
+    """Refuse a ``count`` of items of ``item_bytes`` each that would overfill one array of ``_ARRAY_BYTES``."""
+    limit = _ARRAY_BYTES // item_bytes
+    _require(count <= limit, f"{what} = {count} is past the limit of {limit} {items}")
 
 
 def _simpson_grid(value: Any, what: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool)
              and value >= 5 and (value - 1) % 4 == 0,
              f"{what} must be an integer 4m+1 >= 5")
+    _require(value <= _MAX_GRID, f"{what} = {value} is past the Simpson grid limit of {_MAX_GRID} points")
     return value
 
 
@@ -267,7 +290,9 @@ class Check:
     ``horizon`` (:attr:`enumerates`) must pass
     :func:`lapmult.dilation.check_enumerable` at parse time, runner defaults
     filling what the config omits.  Family checks draw their sizes from
-    seeds, so their limits are checked as they run.
+    seeds, so their limits are checked as they run.  A sample count is
+    bounded at the check's horizon and a probe count at its chain's, or its
+    family's largest, state count (``_within_memory``).
     """
 
     run: Callable[..., suites.SuiteResult]
@@ -346,6 +371,15 @@ class Check:
             if "field" in kwargs:
                 n = kwargs["chain"].space.n
                 _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
+        if self.mode == "mc":
+            # the draw holds horizon + 1 int32 states a sample, a transform's values one complex
+            horizon = self._given(kwargs, "horizon")
+            _within_memory(kwargs["samples"], max(4 * (horizon + 1), 16), f"{name}.dilation.samples",
+                           f"samples at horizon {horizon}")
+        if "probes" in self.params:
+            # the ascent's fields and images are n x (2 probes) complex blocks
+            n = kwargs["chain"].space.n if "chain" in kwargs else self._given(kwargs, "max_n")
+            _within_memory(self._given(kwargs, "probes"), 32 * n, f"{name}.probes", f"probes at {n} states")
         if self.enumerates:
             try:
                 dilation.check_enumerable(self._given(kwargs, "n"), self._given(kwargs, "horizon"))
@@ -361,7 +395,8 @@ _STEP_FAMILY = {**_FAMILY, "max_n": _states(2), "max_pieces": _COUNT}
 _PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT}
 _ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_least(0),
            "probe_seed": _SEED}
-_PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_COUNT),
+_PIECES = _up_to(1, _MAX_PIECES, f"step-approximation limit of {_MAX_PIECES} pieces")
+_PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_PIECES),
            "field": _list_of(_scalar), "field_seed": _SEED}
 _PATH_DILATION = {"epsilon": "epsilon"}
 

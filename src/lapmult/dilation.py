@@ -218,13 +218,13 @@ def reverse_martingale(ps: PathSpace, f: Field) -> np.ndarray:
     return levels
 
 
-def _increment_tables(levels: np.ndarray) -> list[np.ndarray]:
-    """Per step i, the n x n table of g_{i+1}[y] - g_i[x] at [x, y] (flat index x*n + y)."""
-    return [levels[i + 1][None, :] - levels[i][:, None] for i in range(len(levels) - 1)]
+def _increment_tables(levels: np.ndarray) -> np.ndarray:
+    """Per step i (axis 0), the n x n table of g_{i+1}[y] - g_i[x] at [x, y] (flat index x*n + y)."""
+    return levels[1:, None, :] - levels[:-1, :, None]
 
 
-def _transform_tables(levels: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
-    return [mi * increment for mi, increment in zip(m, _increment_tables(levels))]
+def _transform_tables(increments: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    return [mi * increment for mi, increment in zip(m, increments)]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -265,9 +265,12 @@ class ExactPaths:
     (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
     |g_{k+1}| per state.  A transform folds the same way on the table and
     gathers the same per-step rule on sampled paths (:func:`_along_paths`).
-    Each path still sees the operations of a per-path gather in step order.  An
-    L^p norm stays one dot product per functional: a gemv, an ``einsum`` or a
-    ``sum`` over a (functionals x paths) block changes last bits.
+    Each path still sees the operations of a per-path gather in step order;
+    ``transform_and_square`` builds the raw increments once for both folds.
+    An L^p norm stays one BLAS dot per functional, ``measure @ |S|**p``, and
+    ``measure @ |S|`` at p = 1, where both powers are identities: a gemv, an
+    ``einsum`` or a ``sum`` over a (functionals x paths) block changes last
+    bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
@@ -290,7 +293,7 @@ class ExactPaths:
     def transform(self, levels: np.ndarray, m_values: Sequence[complex]) -> np.ndarray:
         """S = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)) on every path."""
         m = _multiplier_row(m_values, self.ps.horizon)
-        return _fold(np.zeros(self.ps.n_states, dtype=complex), _transform_tables(levels, m), np.add)
+        return self._transform(_increment_tables(levels), m)
 
     def square(self, levels: np.ndarray) -> np.ndarray:
         """The square function (sum_i |g_{i+1}(x_{i+1}) - g_i(x_i)|^2)^{1/2} on every path.
@@ -298,8 +301,19 @@ class ExactPaths:
         A transform with signs M_i = +-1 has the same square function, so the
         L log L chain needs only the raw increments.
         """
-        squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
-        return np.sqrt(_fold(np.zeros(self.ps.n_states), squares, np.add))
+        return self._square(_increment_tables(levels))
+
+    def transform_and_square(self, levels: np.ndarray, m_values: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+        """``transform`` and ``square``, with their bits, from one build of the increment tables."""
+        m = _multiplier_row(m_values, self.ps.horizon)
+        increments = _increment_tables(levels)
+        return self._transform(increments, m), self._square(increments)
+
+    def _transform(self, increments: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return _fold(np.zeros(self.ps.n_states, dtype=complex), _transform_tables(increments, m), np.add)
+
+    def _square(self, increments: np.ndarray) -> np.ndarray:
+        return np.sqrt(_fold(np.zeros(self.ps.n_states), np.abs(increments) ** 2, np.add))
 
     def maximal(self, levels: np.ndarray) -> np.ndarray:
         """The maximal function max_k |g_k(x_k)| on every path."""
@@ -323,6 +337,8 @@ class ExactPaths:
         _finite(avals)
         if math.isinf(p):
             return float(avals[self.measure > 0.0].max(initial=0.0))
+        if p == 1.0:
+            return float(self.measure @ avals)
         return float((self.measure @ avals**p) ** (1.0 / p))
 
 
@@ -531,7 +547,7 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
     set once, with the same bits.  Any other array gets a fresh gather.
     """
     m = _multiplier_row(m_values, ps.horizon)
-    tables = _transform_tables(reverse_martingale(ps, f), m)
+    tables = _transform_tables(_increment_tables(reverse_martingale(ps, f)), m)
     held: dict = {}
 
     def evaluator(paths: np.ndarray) -> np.ndarray:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dilation import ExactPaths, PathSpace, reverse_martingale
+from .dilation import ExactPaths, PathSpace, check_enumerable, reverse_martingale
 from .multiplier import (
     SampledMultiplier,
     StepMultiplier,
@@ -434,42 +435,63 @@ def transform_pnorm_check(
 
 
 def llogl_chain_check(
-    ps: PathSpace,
-    batch: Sequence[tuple[Sequence[complex], Field]],
-) -> tuple[tuple[InequalityReport, ...], ...]:
-    """The four rows of the L^1 comparison chain for each (multipliers, field) pair on a unit-mass space.
+    chains: Sequence[tuple[PathSpace, Sequence[tuple[Sequence[complex], Field]]]],
+) -> tuple[tuple[tuple[InequalityReport, ...], ...], ...]:
+    """The four rows of the L^1 comparison chain for each (multipliers, field) pair of each chain.
 
+    ``chains`` holds (path space, batch) pairs, each space of unit mass;
+    the result holds, per chain, one tuple of rows per pair, in order.
     Steps, in row order: E|S| vs E[(sum |df_i|^2)^{1/2}] (Davis' theorem), that square
     function vs E[sup_i |f_i|], the maximal function vs ||f||_{L log L} (the
     corollary of Doob's inequality), and end-to-end ||E[S | x_0]||_1 vs
     sup|M| ||f||_{L log L}.  Multiplier values are normalized to sup 1; the
     empirical ratios stand in for the unspecified universal constant, so every
-    threshold is report-only.  The pairs share one :class:`ExactPaths`, so
-    its weights and path measure are folded once, and their L log L norms
-    share one bisection.
+    threshold is report-only.
+
+    Every space's mass and enumeration limits are checked before any batch
+    is read.  The L log L norms of all fields on spaces with the same state
+    count share one bisection (:func:`~lapmult.space.luxemburg_rows`: each
+    row summed against its own space's weights by one BLAS dot through
+    ``np.vecdot``, so with the bits of a bisection of its own).  Then each
+    chain in turn folds its weights and path measure
+    once in one :class:`ExactPaths`, shared by its pairs, and each pair builds
+    its increment tables once for the transform and the square function.
     """
-    space = ps.kernel.space
-    if abs(space.total_mass - 1.0) > 1e-9:
-        raise ValueError("the L log L chain needs a unit-mass space")
-    exact = ExactPaths(ps)
-    pairs = [(_unit_sup(m_values), reverse_martingale(ps, f)) for m_values, f in batch]
-    moduli = np.abs([levels[0] for _, levels in pairs]).reshape(len(pairs), space.n)
-    llogls = luxemburg_rows(moduli, space.weights)
+    chains = list(chains)
+    for ps, _ in chains:
+        if abs(ps.kernel.space.total_mass - 1.0) > 1e-9:
+            raise ValueError("the L log L chain needs a unit-mass space")
+        check_enumerable(ps.n_states, ps.horizon)
+    pairs = [[(_unit_sup(m_values), reverse_martingale(ps, f)) for m_values, f in batch] for ps, batch in chains]
+    llogls: list = [None] * len(chains)
+    for n in sorted({ps.n_states for ps, _ in chains}):
+        members = [c for c, (ps, _) in enumerate(chains) if ps.n_states == n]
+        counts = [len(pairs[c]) for c in members]
+        moduli = np.abs([levels[0] for c in members for _, levels in pairs[c]]).reshape(-1, n)
+        weights = np.repeat([chains[c][0].kernel.space.weights for c in members], counts, axis=0)
+        norms = iter(luxemburg_rows(moduli, weights).tolist())
+        for c, count in zip(members, counts):
+            llogls[c] = list(islice(norms, count))
 
     inf = math.inf
     results = []
-    for (m, levels), llogl in zip(pairs, llogls.tolist()):
-        transform = exact.transform(levels, m)
-        e_transform = exact.lp_norm(np.abs(transform), 1.0)
-        e_square = exact.lp_norm(exact.square(levels), 1.0)
-        e_maximal = exact.lp_norm(exact.maximal(levels), 1.0)
-        end_lhs = lp_norm(Field(space, exact.conditioned(transform)), 1.0)
-        results.append((
-            make_report("davis-step", e_transform, e_square, inf, "report-only"),
-            make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
-            make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
-            make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
-        ))
+    for (ps, _), chain_pairs, chain_llogls in zip(chains, pairs, llogls):
+        space = ps.kernel.space
+        exact = ExactPaths(ps)
+        rows = []
+        for (m, levels), llogl in zip(chain_pairs, chain_llogls):
+            transform, square = exact.transform_and_square(levels, m)
+            e_transform = exact.lp_norm(np.abs(transform), 1.0)
+            e_square = exact.lp_norm(square, 1.0)
+            e_maximal = exact.lp_norm(exact.maximal(levels), 1.0)
+            end_lhs = lp_norm(Field(space, exact.conditioned(transform)), 1.0)
+            rows.append((
+                make_report("davis-step", e_transform, e_square, inf, "report-only"),
+                make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
+                make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
+                make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
+            ))
+        results.append(tuple(rows))
     return tuple(results)
 
 

@@ -2,18 +2,23 @@
 
 Suites may execute on a thread pool, but results are assembled in config order
 and serialized with sorted keys, so two runs of the same config on the same
-environment produce byte-identical reports.
+environment produce byte-identical reports.  A run holds numpy's bundled
+OpenBLAS at one thread, so ``OPENBLAS_NUM_THREADS`` does not move the bits of
+its BLAS reductions either; a numpy built on another BLAS keeps its thread count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,19 +69,50 @@ def _environment_stamp() -> dict:
     }
 
 
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS bundled with numpy, or None without one."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold numpy's bundled OpenBLAS at one thread, where it can be set, and restore its count after."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
 def _run_suite(spec: SuiteSpec) -> SuiteResult:
     return _RUNNERS[spec.check](**spec.kwargs)
 
 
 def run_config(config: ExperimentConfig, threads: int = 1) -> RunOutcome:
-    """Execute every requested suite in order and assemble the report."""
+    """Execute every requested suite in order, on one BLAS thread, and assemble the report."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1:
-        results = [_run_suite(spec) for spec in config.suites]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_suite, config.suites))
+    with _one_blas_thread():
+        if threads == 1:
+            results = [_run_suite(spec) for spec in config.suites]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(_run_suite, config.suites))
     overall = all(r.passed for r in results)
     report = {
         "schema": REPORT_SCHEMA,

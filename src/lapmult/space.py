@@ -116,28 +116,34 @@ _LUXEMBURG_REL_TOL = 1e-10
 
 
 def _orlicz_integrals(a: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_i Phi(a_ri / k_r) w_i for each row r: the elementwise work in one pass, one dot per row."""
+    """sum_i Phi(a_ri / k_r) w_ri for each row r: the elementwise work in one pass, one dot per row."""
     s = a / k[:, None]
     phi = s * np.log(np.e + s)
-    return np.array([row @ w for row in phi])
+    return np.vecdot(phi, w)
 
 
 def luxemburg_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Luxemburg norm of each row of moduli ``a``, each row bisected as on its own.
 
-    Every row takes the same sequence of brackets it would take alone; rows
-    whose bracket has closed drop out of the elementwise passes.
+    ``w`` is one weight row shared by every row of ``a``, or one weight row
+    per row, so rows from spaces of equal size, with different weights, share
+    one bisection.  Every row takes the same sequence of brackets it would
+    take alone; rows whose bracket has closed drop out of the elementwise
+    passes.  Each pass sums each row by one BLAS dot through ``np.vecdot``,
+    which gives the bits of ``row @ w``; a matrix product, ``einsum`` or
+    ``sum`` over the rows would not.
     """
-    lo = np.array([row @ w for row in a])
+    w = np.broadcast_to(w, a.shape)
+    lo = np.vecdot(a, w)
     hi = lo.copy()
     rows = np.flatnonzero(lo != 0.0)
     while rows.size:
-        rows = rows[_orlicz_integrals(a[rows], w, hi[rows]) > 1.0]
+        rows = rows[_orlicz_integrals(a[rows], w[rows], hi[rows]) > 1.0]
         hi[rows] *= 2.0
     rows = np.flatnonzero((hi - lo) > _LUXEMBURG_REL_TOL * hi)
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
-        above = _orlicz_integrals(a[rows], w, mid) > 1.0
+        above = _orlicz_integrals(a[rows], w[rows], mid) > 1.0
         lo[rows[above]] = mid[above]
         hi[rows[~above]] = mid[~above]
         rows = rows[(hi[rows] - lo[rows]) > _LUXEMBURG_REL_TOL * hi[rows]]

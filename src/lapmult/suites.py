@@ -418,6 +418,31 @@ def suite_step_convergence(
     return SuiteResult("step_convergence", passed, summary)
 
 
+# Field rows per llogl_chain_check call: whole chains are passed in blocks of
+# at most this many rows (a chain with more rows goes alone), so a family holds
+# one block's path spaces and level fields at a time.
+_LLOGL_BLOCK_ROWS = 4096
+
+
+def _llogl_blocks(seed: int, count: int, fields: int, n: int, horizon: int, epsilon: float) -> Iterator[list]:
+    """The family's (path space, batch) chains, in order, in blocks of at most ``_LLOGL_BLOCK_ROWS`` field rows."""
+    block: list = []
+    for i in range(count):
+        if block and (len(block) + 1) * fields > _LLOGL_BLOCK_ROWS:
+            yield block
+            block = []
+        space, gen = random_reversible_generator([seed, i, 1], n, unit_mass=True)
+        ps = PathSpace(heat_operator(gen, epsilon / 2.0), horizon)
+        batch = []
+        for j in range(fields):
+            rng = np.random.default_rng([seed, i, j, 2])
+            probe = Field(space, _random_complex(rng, n))
+            batch.append((rng.choice([-1.0, 1.0], horizon), probe))
+        block.append((ps, batch))
+    if block:
+        yield block
+
+
 def suite_llogl_chain(
     seed: int,
     chains: int,
@@ -438,16 +463,9 @@ def suite_llogl_chain(
     total_chains = 2 * chains if stability_doubling else chains
     maxima = {name: [0.0, 0.0] for name in step_names}
     all_finite = True
-    for i in range(total_chains):
-        space, gen = random_reversible_generator([seed, i, 1], n, unit_mass=True)
-        kernel = heat_operator(gen, epsilon / 2.0)
-        ps = PathSpace(kernel, horizon)
-        batch = []
-        for j in range(fields):
-            rng = np.random.default_rng([seed, i, j, 2])
-            probe = Field(space, _random_complex(rng, n))
-            batch.append((rng.choice([-1.0, 1.0], horizon), probe))
-        for rows in llogl_chain_check(ps, batch):
+    blocks = _llogl_blocks(seed, total_chains, fields, n, horizon, epsilon)
+    for i, chain_rows in enumerate(chain_rows for block in blocks for chain_rows in llogl_chain_check(block)):
+        for rows in chain_rows:
             all_finite = all_finite and all(math.isfinite(r.ratio) for r in rows)
             for report in rows:
                 if i < chains:

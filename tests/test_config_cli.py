@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lapmult import MAX_STATES
+from lapmult import MAX_STATES, config
 from lapmult.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
 from lapmult.config import CHECKS, ConfigError, parse_config
 from lapmult.multiplier import SampledMultiplier, StepMultiplier
 from lapmult.runner import inequalities_csv, report_json, run_config
 
-from test_config_table import VALID
+from test_config_table import VALID, config_of
 
 # Every family check that draws a random horizon up to max_horizon.
 PATH_FAMILIES = [name for name, check in CHECKS.items() if "max_horizon" in check.params]
@@ -643,3 +643,98 @@ class TestDenseStateLimit:
             "except ValueError as exc:\n    print(exc)", str(n))
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.strip() == f"n = {n} is outside [1, {MAX_STATES}], the dense-state limit"
+
+
+EXP_129 = {"type": "sampled", "name": "exp", "t_max": 4.0, "grid": 129}
+
+
+class TestSizeLimits:
+    """Each size key is bounded so that the largest array it drives fits in 256 MiB, as the state count is."""
+
+    def test_the_limits(self):
+        # 2^24 complex points or pieces of 16 bytes fill 256 MiB
+        assert config._ARRAY_BYTES == 2**28
+        assert config._MAX_GRID == config._MAX_PIECES == 2**24
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"check": "mc_crosscheck", "seed": 1, "n": 4,
+          "dilation": {"horizon": 4, "epsilon": 0.8, "mode": "mc", "samples": 10**12, "seed": 2}},
+         "mc_crosscheck.dilation.samples = 1000000000000 is past the limit of 13421772 samples at horizon 4"),
+        ({"check": "imaginary_powers", "chain": {"seed": 11, "n": 4}, "gammas": [1.0], "grid": 400000000001},
+         "imaginary_powers.grid = 400000000001 is past the Simpson grid limit of 16777216 points"),
+        ({"check": "approximation_limit", "chain": {"seed": 7, "n": 4}, "field_seed": 5,
+          "multiplier": {**EXP_129, "grid": 400000000001}, "piece_counts": [4]},
+         "approximation_limit.multiplier.grid = 400000000001 is past the Simpson grid limit of 16777216 points"),
+        ({"check": "step_convergence", "chain": {"seed": 7, "n": 4}, "field_seed": 5, "multiplier": EXP_129,
+          "piece_counts": [10**11]},
+         "step_convergence.piece_counts entry = 100000000000 is past the step-approximation limit of "
+         "16777216 pieces"),
+        ({"check": "multiplier_pnorm", "chain": {"seed": 7, "n": 8}, "multiplier": EXP_129, "p_grid": [1.5],
+          "probes": 10**12, "ascent_steps": 1, "probe_seed": 0},
+         "multiplier_pnorm.probes = 1000000000000 is past the limit of 1048576 probes at 8 states"),
+    ], ids=["samples", "imaginary-powers-grid", "sampled-multiplier-grid", "piece-counts", "probes"])
+    def test_a_huge_size_exits_config_error_in_one_line(self, tmp_path, entry, message):
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [entry]})
+        out_dir = tmp_path / "out"
+        result = capped_python("import sys\nfrom lapmult.cli import main\nsys.exit(main(sys.argv[1:]))",
+                               "run", str(cfg_path), "--out", str(out_dir))
+        assert result.returncode == EXIT_CONFIG_ERROR, result.stderr[-2000:]
+        assert result.stderr.splitlines() == [f"config error: {message}"]
+        assert result.stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("check,entry,limit", [
+        # the draw's int32 states and a transform's complex values, per sample
+        ("mc_crosscheck", {"dilation": {**VALID["mc_crosscheck"]["dilation"], "horizon": 4}}, 2**28 // 20),
+        ("mc_crosscheck", {"dilation": {**VALID["mc_crosscheck"]["dilation"], "horizon": 1}}, 2**28 // 16),
+        # the family's largest state count, here the runner's default max_n of 16, or 2
+        ("multiplier_pnorm_family", {}, 2**28 // (32 * 16)),
+        ("multiplier_pnorm_family", {"max_n": 2}, 2**28 // (32 * 2)),
+        ("multiplier_pnorm", {}, 2**28 // (32 * VALID["multiplier_pnorm"]["chain"]["n"])),
+    ], ids=["samples-horizon-4", "samples-horizon-1", "probes-family", "probes-family-max_n-2", "probes-chain"])
+    def test_a_size_limit_depends_on_its_partner_key(self, check, entry, limit):
+        key = "samples" if check == "mc_crosscheck" else "probes"
+
+        def parsed(value):
+            given = {**VALID[check], **entry}
+            if key == "samples":
+                given["dilation"] = {**given["dilation"], "samples": value}
+            else:
+                given[key] = value
+            return parse_config(config_of(check, **given)).suites[0].kwargs[key]
+
+        assert parsed(limit) == limit
+        with pytest.raises(ConfigError, match=f"{key} = {limit + 1} is past the limit of {limit} "):
+            parsed(limit + 1)
+
+    def test_grid_and_piece_limits_are_inclusive(self):
+        # the grid's kind alone, since a parsed multiplier samples its whole grid
+        largest_grid = config._MAX_GRID - 3  # the largest 4m + 1 within the limit
+        assert config._simpson_grid(largest_grid, "grid") == largest_grid
+        with pytest.raises(ConfigError, match="grid = 16777217 is past the Simpson grid limit of 16777216 points"):
+            config._simpson_grid(config._MAX_GRID + 1, "grid")
+        entry = {**VALID["step_convergence"], "piece_counts": [config._MAX_PIECES]}
+        assert parse_config(config_of("step_convergence", **entry))
+        with pytest.raises(ConfigError, match="entry = 16777217 is past the step-approximation limit"):
+            parse_config(config_of("step_convergence", **{**entry, "piece_counts": [config._MAX_PIECES + 1]}))
+
+
+class TestBlasThreads:
+    def test_reports_do_not_depend_on_the_openblas_thread_count(self, tmp_path):
+        # an n = 128 spectral check and a 4^9-path exact norm: both move in
+        # the last bits when the BLAS splits their sums over two threads
+        cfg_path = write_config(tmp_path, {"schema": "lapmult-config-1", "suites": [
+            {"check": "imaginary_powers", "chain": {"seed": 11, "n": 128}, "gammas": [0.5], "grid": 513},
+            {"check": "mc_crosscheck", "seed": 17, "n": 4,
+             "dilation": {"horizon": 8, "epsilon": 0.8, "mode": "mc", "samples": 1000, "seed": 23}},
+        ]})
+        written = []
+        for blas_threads in ("1", "2"):
+            out_dir = tmp_path / f"out{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+            result = subprocess.run([sys.executable, "-m", "lapmult.cli", "run", str(cfg_path), "--out", str(out_dir)],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == EXIT_OK, result.stderr[-2000:]
+            written.append([(out_dir / name).read_bytes() for name in ("report.json", "inequalities.csv")])
+        assert written[0] == written[1]

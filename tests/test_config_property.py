@@ -93,7 +93,7 @@ KIND_STRATEGIES = {
     "_scalar": lambda kind: st.one_of(NUMBER, st.lists(NUMBER, min_size=2, max_size=2)),
     "_at_least.<locals>.integer": lambda kind: st.integers(_nonlocal(kind, "low"),
                                                            _nonlocal(kind, "low") + SPAN),
-    "_states.<locals>.count": lambda kind: st.integers(_nonlocal(kind, "low"), _nonlocal(kind, "low") + SPAN),
+    "_up_to.<locals>.count": lambda kind: st.integers(_nonlocal(kind, "low"), _nonlocal(kind, "low") + SPAN),
     "_list_of.<locals>.nonempty": lambda kind: st.lists(strategy(_nonlocal(kind, "item")),
                                                         min_size=1, max_size=MAX_ITEMS),
     "_chain": _chain,

@@ -979,7 +979,7 @@ class TestFoldMatchesGathers:
         exact = ExactPaths(ps)
         table = all_paths(ps)
         zeros = np.zeros(n, dtype=complex)
-        transform_tables = _transform_tables(levels, m_values)
+        transform_tables = _transform_tables(_increment_tables(levels), m_values)
         squares = [np.abs(increment) ** 2 for increment in _increment_tables(levels)]
         _, maximal = seed_square_and_maximal(ps, levels)
 

@@ -553,7 +553,8 @@ class TestTransformPnormCheck:
 class TestLloglChainCheck:
     def test_constant_field(self):
         space, gen, ps = unit_mass_path_space()
-        ((davis, square, maximal, end),) = llogl_chain_check(ps, [(np.ones(ps.horizon), constant_field(space, 2.0))])
+        (((davis, square, maximal, end),),) = llogl_chain_check(
+            [(ps, [(np.ones(ps.horizon), constant_field(space, 2.0))])])
         assert all(math.isfinite(r.ratio) for r in (davis, square, maximal, end))
         assert davis.name == "davis-step" and square.name == "square-vs-maximal"
         assert davis.lhs == pytest.approx(0.0, abs=1e-12)
@@ -563,7 +564,7 @@ class TestLloglChainCheck:
         space, gen = random_reversible_generator(3, 4)  # total mass well away from 1
         ps = PathSpace(heat_operator(gen, 0.4), 3)
         with pytest.raises(ValueError):
-            llogl_chain_check(ps, [(np.ones(3), random_field(space, 0))])
+            llogl_chain_check([(ps, [(np.ones(3), random_field(space, 0))])])
 
     def test_square_function_pathwise_sanity(self):
         # every increment is at most 2 sup_i |f_i|, so the square function is
@@ -578,7 +579,7 @@ class TestLloglChainCheck:
     def test_random_instance_all_finite(self):
         space, gen, ps = unit_mass_path_space(seed=12, n=4, horizon=4)
         rng = np.random.default_rng(8)
-        (rows,) = llogl_chain_check(ps, [(rng.choice([-1.0, 1.0], 4), random_field(space, 5))])
+        ((rows,),) = llogl_chain_check([(ps, [(rng.choice([-1.0, 1.0], 4), random_field(space, 5))])])
         assert [r.name for r in rows] == ["davis-step", "square-vs-maximal", "maximal-vs-llogl", "end-to-end-llogl"]
         assert all(math.isfinite(r.ratio) for r in rows)
         for report in rows:
@@ -707,12 +708,21 @@ ORACLE_SHAPES = [(n, horizon) for n in (2, 3, 5) for horizon in (1, 3, 5)]
 class TestBatchedChecksOracle:
     @pytest.mark.parametrize("n,horizon", ORACLE_SHAPES)
     def test_llogl_chain_equals_single_field_checks(self, n, horizon):
-        for seed in range(3):
-            space, _, ps = unit_mass_path_space(seed=seed + 20, n=n, horizon=horizon)
-            batch = oracle_batch(space, horizon, seed)
-            results = llogl_chain_check(ps, batch)
-            assert len(results) == len(batch)
-            for (m_values, f), got in zip(batch, results):
+        # one call over three chains of this shape, whose spaces differ in
+        # their weights, and one chain of another state count and horizon:
+        # fields of equal state count share a bisection, and every row must
+        # still carry the bits of the single-field check on its own chain
+        shapes = [(seed, n, horizon) for seed in range(3)]
+        shapes.append((3, {2: 5, 3: 2, 5: 3}[n], {1: 5, 3: 1, 5: 3}[horizon]))
+        chains = []
+        for seed, chain_n, chain_horizon in shapes:
+            space, _, ps = unit_mass_path_space(seed=seed + 20, n=chain_n, horizon=chain_horizon)
+            chains.append((ps, oracle_batch(space, chain_horizon, seed)))
+        results = llogl_chain_check(chains)
+        assert len(results) == len(chains)
+        for (ps, batch), chain_rows in zip(chains, results):
+            assert len(chain_rows) == len(batch)
+            for (m_values, f), got in zip(batch, chain_rows):
                 want = single_llogl_chain_check(ps, m_values, f)
                 assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
@@ -735,19 +745,22 @@ class TestBatchedChecksOracle:
         space, gen = random_reversible_generator(3, 4)
         ps = PathSpace(heat_operator(gen, 0.4), 3)
         with pytest.raises(ValueError, match="unit-mass"):
-            llogl_chain_check(ps, [(np.ones(3), random_field(space, 0))])
+            llogl_chain_check([(ps, [(np.ones(3), random_field(space, 0))])])
         with pytest.raises(ValueError, match="unit-mass"):
             single_llogl_chain_check(ps, np.ones(3), random_field(space, 0))
         assert kept(ps) is None
 
     def test_empty_batch(self):
         _, _, ps = unit_mass_path_space(n=3, horizon=2)
-        assert llogl_chain_check(ps, []) == ()
+        assert llogl_chain_check([]) == ()
+        assert llogl_chain_check([(ps, [])]) == ((),)
         assert transform_pnorm_check(ps, np.ones(2), random_field(ps.kernel.space, 0), []) == ()
 
 
 class TestLuxemburgOracle:
     def test_rows_equal_scalar_bisection(self):
+        # per state count, every case's rows with their own space's weights
+        by_size: dict[int, list] = {}
         for case in range(400):
             rng = np.random.default_rng([case, 5])
             n = int(rng.integers(1, 9))
@@ -758,9 +771,16 @@ class TestLuxemburgOracle:
             if case % 7 == 0:
                 fields.append(constant_field(space, 0.0))
             moduli = np.abs([f.values for f in fields])
+            want = [single_llogl_norm(f) for f in fields]
             got = luxemburg_rows(moduli, space.weights).tolist()
-            assert got == [single_llogl_norm(f) for f in fields]
+            assert got == want
             assert [llogl_norm(f) for f in fields] == got
+            rows = by_size.setdefault(n, [])
+            rows.extend((row, space.weights, norm) for row, norm in zip(moduli, want))
+        # rows from several spaces bisect in one call, each with its own weights
+        for rows in by_size.values():
+            moduli, weights, want = zip(*rows)
+            assert luxemburg_rows(np.array(moduli), np.array(weights)).tolist() == list(want)
 
 
 class TestBatchedCheckBudget:
@@ -774,7 +794,7 @@ class TestBatchedCheckBudget:
             yield
 
         with pytest.raises(EnumerationBudgetError):
-            llogl_chain_check(ps, untouchable())
+            llogl_chain_check([(ps, untouchable())])
         assert kept(ps) is None
 
     def test_transform_pnorm_budget_raised_before_any_field_is_read(self, monkeypatch):
@@ -788,7 +808,7 @@ class TestBatchedCheckBudget:
     def test_batched_checks_cache_nothing(self):
         space, _, ps = unit_mass_path_space(n=3, horizon=4)
         transform_pnorm_check(ps, np.ones(ps.horizon), random_field(space, 1), [1.5, 3.0])
-        llogl_chain_check(ps, [(np.ones(ps.horizon), random_field(space, 2))])
+        llogl_chain_check([(ps, [(np.ones(ps.horizon), random_field(space, 2))])])
         assert set(vars(ps)) == {"kernel", "horizon"}
 
     def test_family_checks_never_enumerate(self, monkeypatch):
@@ -802,7 +822,7 @@ class TestBatchedCheckBudget:
         dilation_identity_check(ps, f, generator=gen)
         transform_expectation_identity(ps, m_values, f, generator=gen)
         transform_pnorm_check(ps, m_values, f, [1.5, 3.0])
-        llogl_chain_check(ps, [(m_values, f)])
+        llogl_chain_check([(ps, [(m_values, f)])])
         assert kept(ps) is None
 
 

@@ -16,6 +16,8 @@ from lapmult import (
     weighted_inner,
 )
 
+from lapmult.space import _orlicz_integrals
+
 from conftest import random_field
 
 # ||f||_1 / ||f||_{L log L} over the seeded probability-space family below;
@@ -184,3 +186,31 @@ class TestLloglNorm:
             worst = max(worst, lp_norm(f, 1.0) / llogl_norm(f))
         assert worst <= 1.0 + 1e-10
         assert worst == pytest.approx(FROZEN_L1_LLOGL_FAMILY_MAX, rel=1e-6)
+
+
+class TestVecdotBits:
+    """``luxemburg_rows`` sums each row through ``np.vecdot``, which must give the bits of ``row @ w``."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 20, 800])
+    def test_vecdot_equals_row_dots(self, rows):
+        for n in range(1, 17):
+            rng = np.random.default_rng([rows, n])
+            a = 10.0 ** rng.uniform(-6, 6, (rows, n))
+            shared = rng.uniform(0.01, 3.0, n)
+            per_row = rng.uniform(0.01, 3.0, (rows, n))
+            assert np.vecdot(a, shared).tolist() == [row @ shared for row in a]
+            assert np.vecdot(a, per_row).tolist() == [row @ w for row, w in zip(a, per_row)]
+            # the bisection's shapes: a gathered subset of rows, weights broadcast and gathered
+            subset = np.flatnonzero(rng.random(rows) < 0.5)
+            assert (np.vecdot(a[subset], np.broadcast_to(shared, a.shape)[subset]).tolist()
+                    == [a[r] @ shared for r in subset])
+
+    def test_each_pass_sums_its_rows_as_row_dots(self):
+        rng = np.random.default_rng(3)
+        a = 10.0 ** rng.uniform(-6, 6, (800, 7))
+        k = 10.0 ** rng.uniform(-3, 3, 800)
+        for w in (rng.uniform(0.01, 3.0, 7), rng.uniform(0.01, 3.0, (800, 7))):
+            weights = np.broadcast_to(w, a.shape)
+            s = a / k[:, None]
+            phi = s * np.log(np.e + s)
+            assert _orlicz_integrals(a, weights, k).tolist() == [row @ wr for row, wr in zip(phi, weights)]

@@ -26,6 +26,8 @@ from lapmult import (
     MultiplierSymbol,
     SampledMultiplier,
     decompose,
+    dilation,
+    inequalities,
     multiplier,
     random_reversible_generator,
     suites,
@@ -345,6 +347,37 @@ def test_llogl_chain_without_doubling():
                                stability_doubling=False)
     assert result.passed
     assert result.summary["all_finite"]
+
+
+def test_llogl_chain_runs_one_bisection_per_block_and_one_increment_build_per_field(monkeypatch):
+    # blocks of two 3-field chains: the doubled family of 4 chains makes two blocks
+    kwargs = dict(seed=21, chains=2, fields=3, n=3, horizon=2)
+    whole = suite_llogl_chain(**kwargs)
+    calls = {"luxemburg_rows": 0, "_increment_tables": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(inequalities, "luxemburg_rows")
+    counted(dilation, "_increment_tables")
+    monkeypatch.setattr(suites, "_LLOGL_BLOCK_ROWS", 6)
+    split = suite_llogl_chain(**kwargs)
+    assert calls == {"luxemburg_rows": 2, "_increment_tables": 4 * 3}
+    assert json.dumps(split.to_dict()) == json.dumps(whole.to_dict())
+
+
+def test_llogl_chain_paper_suite_family_is_one_block():
+    # the preset's 40 chains of 20 fields are 800 rows, within one block of 4096
+    assert suites._LLOGL_BLOCK_ROWS == 4096
+    blocks = list(suites._llogl_blocks(606, 40, 20, 4, 5, 0.8))
+    assert [len(block) for block in blocks] == [40]
+    assert sum(len(batch) for _, batch in blocks[0]) == 800
 
 
 def test_mc_crosscheck_deterministic():
