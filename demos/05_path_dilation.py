@@ -3,8 +3,9 @@
 Paths (x_0, ..., x_N) carry the measure nu(x_0) Q(x_0,x_1) ... Q(x_{N-1},x_N).
 The level fields g_k = Q^k f make f_k = g_k(x_k) a reverse martingale, and
 conditioning on x_0 realizes even kernel powers: E[f_k | x_0] = Q^{2k} f.
-Choosing Q = T^{eps/2} therefore recovers the heat semigroup at times k*eps,
-and conditioned martingale transforms recover the multiplier operators.
+Choosing Q = T^{eps/2}, as ``dilate`` does, therefore recovers the heat
+semigroup at times k*eps, and conditioned martingale transforms recover the
+multiplier operators.
 """
 
 import numpy as np
@@ -12,10 +13,9 @@ import numpy as np
 from lapmult import (
     ExactPaths,
     Field,
-    PathSpace,
+    dilate,
     dilation_identity_check,
     hat_expectation,
-    heat_operator,
     martingale_transform,
     path_lp_norm,
     random_reversible_generator,
@@ -25,8 +25,7 @@ from lapmult import (
 
 epsilon = 0.8
 space, gen = random_reversible_generator(seed=7, n=4)
-kernel = heat_operator(gen, epsilon / 2.0)
-ps = PathSpace(kernel, horizon=5)
+ps = dilate(gen, epsilon, horizon=5)  # the path space of Q = T^(eps/2)
 print(f"{ps.n_states} states, horizon {ps.horizon}: {ps.path_count} paths")
 
 rng = np.random.default_rng(3)

@@ -94,30 +94,23 @@ def _positive(value: Any, what: str) -> float:
     return value
 
 
-def _at_least(low: int) -> Kind:
+def _integer(low: int, high: float = math.inf, limit: str = "") -> Kind:
+    """An integer in [``low``, ``high``]; past ``high``, the message names ``limit``."""
     def integer(value: Any, what: str) -> int:
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
                  f"{what} must be an integer >= {low}")
+        _require(value <= high, f"{what} = {value} is past the {limit}")
         return value
 
     return integer
 
 
-_SEED, _COUNT = _at_least(0), _at_least(1)
-
-
-def _up_to(low: int, high: int, limit: str) -> Kind:
-    """An integer in [``low``, ``high``]; past ``high``, the message names ``limit``."""
-    def count(value: Any, what: str) -> int:
-        _require(_at_least(low)(value, what) <= high, f"{what} = {value} is past the {limit}")
-        return value
-
-    return count
+_SEED, _COUNT = _integer(0), _integer(1)
 
 
 def _states(low: int) -> Kind:
     """A state count: an integer >= ``low`` within the dense-state limit ``MAX_STATES``."""
-    return _up_to(low, MAX_STATES, f"dense-state limit of {MAX_STATES} states")
+    return _integer(low, MAX_STATES, f"dense-state limit of {MAX_STATES} states")
 
 
 # The size limits below follow semigroup.MAX_STATES: the largest array that a
@@ -390,12 +383,12 @@ class Check:
         return kwargs
 
 
-_FAMILY = {"seed": _SEED, "instances": _COUNT, "max_n": _at_least(2)}
+_FAMILY = {"seed": _SEED, "instances": _COUNT, "max_n": _integer(2)}
 _STEP_FAMILY = {**_FAMILY, "max_n": _states(2), "max_pieces": _COUNT}
 _PATH_FAMILY = {**_FAMILY, "max_horizon": _COUNT}
-_ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _at_least(0),
+_ASCENT = {"p_grid": _list_of(_exponent), "probes": _COUNT, "ascent_steps": _integer(0),
            "probe_seed": _SEED}
-_PIECES = _up_to(1, _MAX_PIECES, f"step-approximation limit of {_MAX_PIECES} pieces")
+_PIECES = _integer(1, _MAX_PIECES, f"step-approximation limit of {_MAX_PIECES} pieces")
 _PROBED = {"chain": _chain, "multiplier": _sampled, "piece_counts": _list_of(_PIECES),
            "field": _list_of(_scalar), "field_seed": _SEED}
 _PATH_DILATION = {"epsilon": "epsilon"}
@@ -418,7 +411,7 @@ CHECKS: dict[str, Check] = {
     "step_convergence": Check(suites.suite_step_convergence, {**_PROBED, "rel_tol": _positive}),
     "llogl_chain": Check(
         suites.suite_llogl_chain,
-        {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _at_least(2), "horizon": _COUNT,
+        {"seed": _SEED, "chains": _COUNT, "fields": _COUNT, "n": _integer(2), "horizon": _COUNT,
          "stability_doubling": _boolean, "stability_rel": _positive},
         _PATH_DILATION),
     "imaginary_powers": Check(

@@ -4,7 +4,8 @@ The product space is Omega = X^{N+1} with measure
 P(x_0, ..., x_N) = nu(x_0) Q(x_0, x_1) ... Q(x_{N-1}, x_N), where nu is the
 normalized weight vector.  The coordinate filtration decreasing in k makes
 f_k(omega) = (Q^k f)(x_k) a reverse martingale, and conditioning on the first
-coordinate realizes even kernel powers: E[f_k | x_0] = Q^{2k} f.
+coordinate realizes even kernel powers: E[f_k | x_0] = Q^{2k} f.  With
+Q = T^{eps/2} (:func:`dilate`) these are the heat operators T^{k eps}.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._keep import keep, kept
-from .multiplier import StepMultiplier, telescoping_Tm
 from .semigroup import MarkovKernel, ReversibleGenerator, heat_operator
 from .space import Field, same_space
 
 __all__ = [
     "PathSpace",
+    "dilate",
     "PathFunctional",
     "ExactPaths",
     "EnumerationBudgetError",
@@ -34,9 +35,7 @@ __all__ = [
     "reverse_martingale",
     "hat_expectation",
     "path_lp_norm",
-    "dilation_identity_check",
     "martingale_transform",
-    "transform_expectation_identity",
 ]
 
 DEFAULT_PATH_BUDGET = 1_000_000
@@ -92,6 +91,15 @@ class PathSpace:
         The space keeps the draw as its path set, keyed on ``(seed, samples)``.
         """
         return keep(self, (seed, samples), lambda: _sample_strata(self, seed, samples))
+
+
+def dilate(generator: ReversibleGenerator, epsilon: float, horizon: int) -> PathSpace:
+    """The path space of Q = T^{eps/2} = heat_operator(generator, eps/2) to ``horizon``.
+
+    Its level-k conditional expectations are E[f_k | x_0] = Q^{2k} f = T^{k eps} f,
+    which realizes the semigroup at the breakpoints t_k = k eps.
+    """
+    return PathSpace(heat_operator(generator, epsilon / 2.0), horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,33 +500,6 @@ def path_lp_norm(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def dilation_identity_check(
-    ps: PathSpace,
-    f: Field,
-    generator: ReversibleGenerator | None = None,
-) -> tuple[float, float | None]:
-    """Check E[f_k | x_0] = Q^{2k} f over every path at every level k = 0..N.
-
-    When the kernel was built as Q = T^{eps/2} from ``generator`` (so the
-    kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the
-    heat operator at time 2k*step is compared independently.  Returns the
-    largest deviation from the kernel powers and from the semigroup (None
-    without ``generator``) over all levels.
-    """
-    exact = ExactPaths(ps)
-    levels = reverse_martingale(ps, f)
-    dev_power = 0.0
-    dev_heat = None if generator is None else 0.0
-    for k in range(ps.horizon + 1):
-        conditioned = exact.conditioned(exact.level(levels, k))
-        q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
-        dev_power = max(dev_power, float(np.abs(conditioned - q2k).max()))
-        if generator is not None:
-            heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
-            dev_heat = max(dev_heat, float(np.abs(conditioned - heated).max()))
-    return dev_power, dev_heat
-
-
 def _path_set(ps: PathSpace, paths: np.ndarray) -> tuple[object, tuple[np.ndarray, ...], int] | None:
     """The key and arrays of the space's path set when it holds ``paths``, and the place of ``paths`` in them.
 
@@ -558,39 +539,3 @@ def martingale_transform(ps: PathSpace, m_values: Sequence[complex], f: Field) -
         return keep(held, key, lambda: _along_path_set(ps, key, arrays, tables))[place]
 
     return PathFunctional(evaluator)
-
-
-def transform_expectation_identity(
-    ps: PathSpace,
-    m_values: Sequence[complex],
-    f: Field,
-    generator: ReversibleGenerator | None = None,
-) -> tuple[float, float | None]:
-    """Check E[sum_i M_i (f_{i+1} - f_i) | x_0] = sum_i M_i (Q^{2(i+1)} - Q^{2i}) f.
-
-    With Q = T^{eps/2} and breakpoints t_i = i*eps this also equals the
-    telescoping multiplier operator, which closes the loop with the step-symbol
-    closed form.  Returns the largest deviation from the kernel-power form and
-    from the telescoped operator (None without ``generator``).
-    """
-    exact = ExactPaths(ps)
-    m = np.asarray(m_values, dtype=complex).ravel()
-    conditioned = exact.conditioned(exact.transform(reverse_martingale(ps, f), m))
-
-    q = ps.kernel.entries
-    q2 = q @ q
-    power = np.eye(ps.n_states)
-    rhs = np.zeros(ps.n_states, dtype=complex)
-    for i in range(ps.horizon):
-        nxt = power @ q2
-        rhs += m[i] * ((nxt - power) @ f.values)
-        power = nxt
-    dev_powers = float(np.abs(conditioned - rhs).max())
-
-    dev_tel = None
-    if generator is not None:
-        eps = 2.0 * ps.kernel.step
-        breakpoints = eps * np.arange(ps.horizon + 1)
-        telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)
-        dev_tel = float(np.abs(conditioned - telescoped.values).max())
-    return dev_powers, dev_tel

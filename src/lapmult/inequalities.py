@@ -1,8 +1,9 @@
 """Exact and probe-based weighted operator p-norms, and the checks built on them.
 
 The checks are a kernel's Markov conditions (its endpoint contractions are
-exact norms at p in {1, inf}), the multiplier, transform and L log L
-inequalities, and the step approximants T_{M_n} f of T_M f.
+exact norms at p in {1, inf}), the dilation and transform identities on path
+space, the multiplier, transform and L log L inequalities, and the step
+approximants T_{M_n} f of T_M f.
 
 Upper-bound statements are verified in the sound direction: norms at p in
 {1, 2, inf} are exact (p = 2 by a weighted SVD), and every other p is
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -32,8 +32,9 @@ from .multiplier import (
     approximate_by_steps,
     symbol_of_sampled,
     symbol_of_step,
+    telescoping_Tm,
 )
-from .semigroup import MarkovKernel, ReversibleGenerator
+from .semigroup import MarkovKernel, ReversibleGenerator, heat_operator
 from .space import Field, WeightedSpace, lp_norm, luxemburg_rows
 from .spectral import decompose, operator_matrix
 
@@ -46,6 +47,8 @@ __all__ = [
     "opnorm_upper_bound",
     "multiplier_operator",
     "multiplier_pnorm_family_check",
+    "dilation_identity_check",
+    "transform_expectation_identity",
     "transform_pnorm_check",
     "llogl_chain_check",
     "step_convergence_check",
@@ -106,10 +109,16 @@ def make_report(name: str, lhs: float, rhs: float, threshold: float, provenance:
     return InequalityReport(name, lhs, rhs, ratio, threshold, provenance, passed)
 
 
-def reference_constant(p: float) -> float:
-    """The sharp martingale-transform constant p* - 1, p* = max(p, p/(p-1))."""
+def _interior(p: float) -> float:
+    """``p``, after checking that it lies strictly between 1 and inf."""
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie strictly between 1 and inf")
+    return p
+
+
+def reference_constant(p: float) -> float:
+    """The sharp martingale-transform constant p* - 1, p* = max(p, p/(p-1))."""
+    _interior(p)
     return max(p, p / (p - 1.0)) - 1.0
 
 
@@ -220,8 +229,7 @@ def opnorm_lower_estimate(
     ``tests/test_inequalities.py`` keeps the loop without these shortcuts and
     requires the same value with ``==``.
     """
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must lie strictly between 1 and inf")
+    _interior(p)
     if probes < 1 or ascent_steps < 0:
         raise ValueError("need probes >= 1 and ascent_steps >= 0")
     t = np.asarray(op, dtype=complex)
@@ -299,8 +307,7 @@ def opnorm_upper_bound(op: np.ndarray, space: WeightedSpace, p: float) -> float:
     enlarged by ``UPPER_BOUND_MARGIN``, so it is never below
     ``opnorm_lower_estimate`` at any probe budget.
     """
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must lie strictly between 1 and inf")
+    _interior(p)
     return _interpolate(_endpoint_norms(op, space), p)
 
 
@@ -362,9 +369,7 @@ def multiplier_pnorm_family_check(
     the worst, so it can neither set nor tie it.  A member whose bound ratio
     is not finite, a zero sup included, is always visited.
     """
-    grid = [float(p) for p in p_grid]
-    if not all(1.0 < p < math.inf for p in grid):
-        raise ValueError("p must lie strictly between 1 and inf")
+    grid = [_interior(float(p)) for p in p_grid]
     operators = [(gen.space, *multiplier_operator(gen, m)) for gen, m in members]
     norms = [_endpoint_norms(op, space) for space, op, _ in operators]
     worst: dict[float, InequalityReport] = {}
@@ -389,6 +394,69 @@ def multiplier_pnorm_family_check(
             best = max(best, rows[i].ratio)
         worst[p] = worst_row(rows[i] for i in sorted(rows))
     return tuple(worst[p] for p in grid)
+
+
+def dilation_identity_check(
+    ps: PathSpace,
+    f: Field,
+    generator: ReversibleGenerator | None = None,
+) -> tuple[float, float | None]:
+    """Check E[f_k | x_0] = Q^{2k} f over every path at every level k = 0..N.
+
+    When the kernel was built as Q = T^{eps/2} from ``generator`` (so the
+    kernel's ``step`` is eps/2), the same quantity must equal T^{k eps} f; the
+    heat operator at time 2k*step is compared independently.  Returns the
+    largest deviation from the kernel powers and from the semigroup (None
+    without ``generator``) over all levels.
+    """
+    exact = ExactPaths(ps)
+    levels = reverse_martingale(ps, f)
+    dev_power = 0.0
+    dev_heat = None if generator is None else 0.0
+    for k in range(ps.horizon + 1):
+        conditioned = exact.conditioned(exact.level(levels, k))
+        q2k = np.linalg.matrix_power(ps.kernel.entries, 2 * k) @ f.values
+        dev_power = max(dev_power, float(np.abs(conditioned - q2k).max()))
+        if generator is not None:
+            heated = heat_operator(generator, 2.0 * k * ps.kernel.step).entries @ f.values
+            dev_heat = max(dev_heat, float(np.abs(conditioned - heated).max()))
+    return dev_power, dev_heat
+
+
+def transform_expectation_identity(
+    ps: PathSpace,
+    m_values: Sequence[complex],
+    f: Field,
+    generator: ReversibleGenerator | None = None,
+) -> tuple[float, float | None]:
+    """Check E[sum_i M_i (f_{i+1} - f_i) | x_0] = sum_i M_i (Q^{2(i+1)} - Q^{2i}) f.
+
+    With Q = T^{eps/2} and breakpoints t_i = i*eps this also equals the
+    telescoping multiplier operator, which closes the loop with the step-symbol
+    closed form.  Returns the largest deviation from the kernel-power form and
+    from the telescoped operator (None without ``generator``).
+    """
+    exact = ExactPaths(ps)
+    m = np.asarray(m_values, dtype=complex).ravel()
+    conditioned = exact.conditioned(exact.transform(reverse_martingale(ps, f), m))
+
+    q = ps.kernel.entries
+    q2 = q @ q
+    power = np.eye(ps.n_states)
+    rhs = np.zeros(ps.n_states, dtype=complex)
+    for i in range(ps.horizon):
+        nxt = power @ q2
+        rhs += m[i] * ((nxt - power) @ f.values)
+        power = nxt
+    dev_powers = float(np.abs(conditioned - rhs).max())
+
+    dev_tel = None
+    if generator is not None:
+        eps = 2.0 * ps.kernel.step
+        breakpoints = eps * np.arange(ps.horizon + 1)
+        telescoped = telescoping_Tm(generator, StepMultiplier(breakpoints, m), f)
+        dev_tel = float(np.abs(conditioned - telescoped.values).max())
+    return dev_powers, dev_tel
 
 
 def _unit_sup(m_values: Sequence[complex]) -> np.ndarray:
@@ -439,8 +507,9 @@ def llogl_chain_check(
 ) -> tuple[tuple[tuple[InequalityReport, ...], ...], ...]:
     """The four rows of the L^1 comparison chain for each (multipliers, field) pair of each chain.
 
-    ``chains`` holds (path space, batch) pairs, each space of unit mass;
-    the result holds, per chain, one tuple of rows per pair, in order.
+    ``chains`` holds (path space, batch) pairs, all spaces of unit mass and
+    of one state count (chains of several counts raise ``ValueError``); the
+    result holds, per chain, one tuple of rows per pair, in order.
     Steps, in row order: E|S| vs E[(sum |df_i|^2)^{1/2}] (Davis' theorem), that square
     function vs E[sup_i |f_i|], the maximal function vs ||f||_{L log L} (the
     corollary of Doob's inequality), and end-to-end ||E[S | x_0]||_1 vs
@@ -448,38 +517,37 @@ def llogl_chain_check(
     empirical ratios stand in for the unspecified universal constant, so every
     threshold is report-only.
 
-    Every space's mass and enumeration limits are checked before any batch
-    is read.  The L log L norms of all fields on spaces with the same state
-    count share one bisection (:func:`~lapmult.space.luxemburg_rows`: each
-    row summed against its own space's weights by one BLAS dot through
-    ``np.vecdot``, so with the bits of a bisection of its own).  Then each
-    chain in turn folds its weights and path measure
-    once in one :class:`ExactPaths`, shared by its pairs, and each pair builds
-    its increment tables once for the transform and the square function.
+    The state counts, every space's mass and its enumeration limits are
+    checked before any batch is read.  The L log L norms of all fields share
+    one bisection (:func:`~lapmult.space.luxemburg_rows`: each row summed
+    against its own space's weights by one BLAS dot through ``np.vecdot``,
+    so with the bits of a bisection of its own).  Then each chain in turn
+    folds its weights and path measure once in one :class:`ExactPaths`,
+    shared by its pairs, and each pair builds its increment tables once for
+    the transform and the square function.
     """
     chains = list(chains)
+    counts = sorted({ps.n_states for ps, _ in chains})
+    if len(counts) > 1:
+        raise ValueError(f"the L log L chains must share one state count, got {counts}")
     for ps, _ in chains:
         if abs(ps.kernel.space.total_mass - 1.0) > 1e-9:
             raise ValueError("the L log L chain needs a unit-mass space")
         check_enumerable(ps.n_states, ps.horizon)
+    if not chains:
+        return ()
     pairs = [[(_unit_sup(m_values), reverse_martingale(ps, f)) for m_values, f in batch] for ps, batch in chains]
-    llogls: list = [None] * len(chains)
-    for n in sorted({ps.n_states for ps, _ in chains}):
-        members = [c for c, (ps, _) in enumerate(chains) if ps.n_states == n]
-        counts = [len(pairs[c]) for c in members]
-        moduli = np.abs([levels[0] for c in members for _, levels in pairs[c]]).reshape(-1, n)
-        weights = np.repeat([chains[c][0].kernel.space.weights for c in members], counts, axis=0)
-        norms = iter(luxemburg_rows(moduli, weights).tolist())
-        for c, count in zip(members, counts):
-            llogls[c] = list(islice(norms, count))
+    moduli = np.abs([levels[0] for chain_pairs in pairs for _, levels in chain_pairs]).reshape(-1, counts[0])
+    weights = np.repeat([ps.kernel.space.weights for ps, _ in chains], [len(p) for p in pairs], axis=0)
+    llogls = iter(luxemburg_rows(moduli, weights).tolist())
 
     inf = math.inf
     results = []
-    for (ps, _), chain_pairs, chain_llogls in zip(chains, pairs, llogls):
+    for (ps, _), chain_pairs in zip(chains, pairs):
         space = ps.kernel.space
         exact = ExactPaths(ps)
         rows = []
-        for (m, levels), llogl in zip(chain_pairs, chain_llogls):
+        for (m, levels), llogl in zip(chain_pairs, llogls):
             transform, square = exact.transform_and_square(levels, m)
             e_transform = exact.lp_norm(np.abs(transform), 1.0)
             e_square = exact.lp_norm(square, 1.0)

@@ -76,6 +76,9 @@ def decompose(generator) -> SpectralDecomposition:
 
     Eigenvalues in [-generator_roundoff(A), 0) are clamped to zero; anything
     below that range means the generator is not nonnegative and raises.
+    The result is certified against A itself (``_certify``): a residual or a
+    weighted orthonormality defect past ``_CERTIFICATE_ULPS`` n u raises a
+    ``RuntimeError`` that names the eigendecomposition certificate.
 
     The generator keeps its decomposition under a constant key (see
     ``lapmult._keep``), so an equal but distinct generator gets its own.
@@ -95,8 +98,39 @@ def _eigensolve(generator) -> SpectralDecomposition:
     floor = generator_roundoff(generator.entries)
     if lam[0] < -floor:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
-    lam = np.where(lam < 0.0, 0.0, lam)
-    return SpectralDecomposition(generator.space, lam, v / s[:, None])
+    clamped = lam < 0.0
+    lam = np.where(clamped, 0.0, lam)
+    fields = v / s[:, None]
+    _certify(generator, float(np.abs(sym).sum(axis=1).max()), lam, fields, np.where(clamped, floor, 0.0))
+    return SpectralDecomposition(generator.space, lam, fields)
+
+
+# A backward-stable symmetric eigensolver leaves a residual and a loss of
+# orthonormality of a few n u: over conductance scales from 1e-300 to 1e250
+# and n from 1 to 160, the worst measured were 0.7 n u |A| and 3.6 n u.
+_CERTIFICATE_ULPS = 16.0
+
+
+def _certify(generator, norm: float, lam: np.ndarray, fields: np.ndarray, slack: np.ndarray) -> None:
+    """Raise unless A U = U diag(lam) and U^T D U = I, each within ``_CERTIFICATE_ULPS`` n u.
+
+    U holds the eigenfields as columns.  The residual of each is measured in
+    the weighted sup norm max_i w_i^{1/2} |.|, relative to
+    ``norm`` = ||D^{1/2} A D^{-1/2}||_inf, and a clamped zero mode may miss by
+    its ``slack`` (``generator_roundoff``) more.  A NaN fails the certificate.
+    """
+    w = generator.space.weights
+    n = w.size
+    bound = _CERTIFICATE_ULPS * n * float(np.finfo(float).eps)
+    misses = np.abs(generator.entries @ fields - fields * lam) * np.sqrt(w)[:, None]
+    residual = float((misses.max(axis=0, initial=0.0) - slack).max(initial=0.0))
+    if not residual <= bound * norm:
+        raise RuntimeError(f"eigendecomposition certificate failed: the residual |A u - lam u| = {residual:.3g} "
+                           f"is past {bound:.3g} |A| = {bound * norm:.3g}")
+    defect = float(np.abs((fields.T * w) @ fields - np.eye(n)).max(initial=0.0))
+    if not defect <= bound:
+        raise RuntimeError(f"eigendecomposition certificate failed: the weighted orthonormality defect "
+                           f"|U^T D U - I| = {defect:.3g} is past {bound:.3g}")
 
 
 def _phi_on_spectrum(dec: SpectralDecomposition, phi: Callable[[float], complex] | Sequence[complex]) -> np.ndarray:

@@ -91,9 +91,7 @@ KIND_STRATEGIES = {
     "_boolean": lambda kind: st.booleans(),
     "_simpson_grid": lambda kind: st.sampled_from([5, 9, 13, 17]),
     "_scalar": lambda kind: st.one_of(NUMBER, st.lists(NUMBER, min_size=2, max_size=2)),
-    "_at_least.<locals>.integer": lambda kind: st.integers(_nonlocal(kind, "low"),
-                                                           _nonlocal(kind, "low") + SPAN),
-    "_up_to.<locals>.count": lambda kind: st.integers(_nonlocal(kind, "low"), _nonlocal(kind, "low") + SPAN),
+    "_integer.<locals>.integer": lambda kind: st.integers(_nonlocal(kind, "low"), _nonlocal(kind, "low") + SPAN),
     "_list_of.<locals>.nonempty": lambda kind: st.lists(strategy(_nonlocal(kind, "item")),
                                                         min_size=1, max_size=MAX_ITEMS),
     "_chain": _chain,

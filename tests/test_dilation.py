@@ -17,6 +17,7 @@ from lapmult import (
     WeightedSpace,
     all_paths,
     constant_field,
+    dilate,
     dilation_identity_check,
     hat_expectation,
     heat_operator,
@@ -113,6 +114,15 @@ class TestPathSpace:
         kernel = MarkovKernel(space, [[1.0]])
         with pytest.raises(ValueError):
             PathSpace(kernel, -1)
+
+    @pytest.mark.parametrize("epsilon", [0.8, 1e-3, 3.0])
+    def test_dilate_builds_the_half_step_heat_kernel(self, epsilon):
+        space, gen = random_reversible_generator(7, 4)
+        ps = dilate(gen, epsilon, 5)
+        want = heat_operator(gen, epsilon / 2)
+        assert ps.horizon == 5 and ps.kernel.space is space
+        assert ps.kernel.step == want.step
+        assert ps.kernel.entries.tobytes() == want.entries.tobytes()
 
 
 def seed_level_fields(ps, f):

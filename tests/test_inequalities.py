@@ -709,8 +709,8 @@ class TestBatchedChecksOracle:
     @pytest.mark.parametrize("n,horizon", ORACLE_SHAPES)
     def test_llogl_chain_equals_single_field_checks(self, n, horizon):
         # one call over three chains of this shape, whose spaces differ in
-        # their weights, and one chain of another state count and horizon:
-        # fields of equal state count share a bisection, and every row must
+        # their weights, and one call over a chain of another state count and
+        # horizon: the fields of a call share a bisection, and every row must
         # still carry the bits of the single-field check on its own chain
         shapes = [(seed, n, horizon) for seed in range(3)]
         shapes.append((3, {2: 5, 3: 2, 5: 3}[n], {1: 5, 3: 1, 5: 3}[horizon]))
@@ -718,13 +718,25 @@ class TestBatchedChecksOracle:
         for seed, chain_n, chain_horizon in shapes:
             space, _, ps = unit_mass_path_space(seed=seed + 20, n=chain_n, horizon=chain_horizon)
             chains.append((ps, oracle_batch(space, chain_horizon, seed)))
-        results = llogl_chain_check(chains)
-        assert len(results) == len(chains)
-        for (ps, batch), chain_rows in zip(chains, results):
-            assert len(chain_rows) == len(batch)
-            for (m_values, f), got in zip(batch, chain_rows):
-                want = single_llogl_chain_check(ps, m_values, f)
-                assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        for call in (chains[:3], chains[3:]):
+            results = llogl_chain_check(call)
+            assert len(results) == len(call)
+            for (ps, batch), chain_rows in zip(call, results):
+                assert len(chain_rows) == len(batch)
+                for (m_values, f), got in zip(batch, chain_rows):
+                    want = single_llogl_chain_check(ps, m_values, f)
+                    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+    def test_llogl_chain_refuses_mixed_state_counts_before_any_work(self):
+        # its one suite builds every chain with one state count
+        def untouchable():
+            raise AssertionError("per-field work before the state-count check")
+            yield
+
+        chains = [(unit_mass_path_space(seed=20 + n, n=n, horizon=2)[2], untouchable()) for n in (3, 2, 3)]
+        with pytest.raises(ValueError, match=r"one state count, got \[2, 3\]"):
+            llogl_chain_check(chains)
+        assert all(kept(ps) is None for ps, _ in chains)
 
     @pytest.mark.parametrize("n,horizon", ORACLE_SHAPES)
     def test_transform_pnorm_equals_single_p_checks(self, n, horizon):

@@ -246,3 +246,10 @@ def test_only_the_dilation_module_states_the_path_limits():
             if name in LIMITS:
                 found.append(f"{path.stem}.py:{node.lineno} names {name}")
     assert not found, found
+
+
+def test_the_path_space_does_not_reach_for_multipliers():
+    # dilation builds paths from a kernel; the checks that compare a
+    # conditioned transform with a multiplier operator live in inequalities
+    targets = {target for module, _, target, _ in _package_imports() if module == "dilation"}
+    assert "multiplier" not in targets, targets

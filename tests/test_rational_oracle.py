@@ -84,6 +84,18 @@ def transform(levels, path):
     return sum(m * (levels[i + 1][path[i + 1]] - levels[i][path[i]]) for i, m in enumerate(M))
 
 
+def square_sum(path):
+    """sum_i |d_i|^2 along the path, d_i = g_{i+1}(x_{i+1}) - g_i(x_i)."""
+    return sum(modulus_squared(LEVELS_RE[i + 1][path[i + 1]] - LEVELS_RE[i][path[i]],
+                               LEVELS_IM[i + 1][path[i + 1]] - LEVELS_IM[i][path[i]])
+               for i in range(HORIZON))
+
+
+def level_norm_squared(k):
+    """||g_k||^2 in L^2(nu)."""
+    return sum(nu * modulus_squared(re, im) for nu, re, im in zip(NU, LEVELS_RE[k], LEVELS_IM[k]))
+
+
 def as_complex(re, im):
     return np.array([complex(float(a), float(b)) for a, b in zip(re, im)])
 
@@ -164,13 +176,24 @@ def test_transform_l2_norm(instance):
     assert (row.lhs, excess) == (expected, 0.0)
 
 
+def test_closed_form_l2_routes():
+    # under the stationary law the differences d_k are orthogonal, with
+    # E|d_k|^2 = ||g_k||^2 - ||g_{k+1}||^2: the L^2 norms of the transform and
+    # of the square function need no path, and agree exactly with enumeration
+    drops = [level_norm_squared(k) - level_norm_squared(k + 1) for k in range(HORIZON)]
+    transform_moment = sum(NU[path[0]] * weight(path)
+                           * modulus_squared(transform(LEVELS_RE, path), transform(LEVELS_IM, path))
+                           for path in PATHS)
+    assert transform_moment == sum(abs(m) ** 2 * drop for m, drop in zip(M, drops))
+    square_moment = sum(NU[path[0]] * weight(path) * square_sum(path) for path in PATHS)
+    assert square_moment == sum(drops) == level_norm_squared(0) - level_norm_squared(HORIZON)
+
+
 def test_square_and_maximal_functions(instance):
     ps, f, _ = instance
     exact = ExactPaths(ps)
     levels = reverse_martingale(ps, f)
-    square = [sum(modulus_squared(LEVELS_RE[i + 1][path[i + 1]] - LEVELS_RE[i][path[i]],
-                                  LEVELS_IM[i + 1][path[i + 1]] - LEVELS_IM[i][path[i]])
-                  for i in range(HORIZON)) for path in PATHS]
+    square = [square_sum(path) for path in PATHS]
     maximal = [max(modulus_squared(LEVELS_RE[k][path[k]], LEVELS_IM[k][path[k]])
                    for k in range(HORIZON + 1)) for path in PATHS]
     # np.abs rounds each modulus once, so these agree to a few ulp rather than exactly

@@ -20,6 +20,7 @@ from lapmult import (
     weighted_inner,
 )
 
+from lapmult import cli
 from lapmult.spectral import GENERATOR_TOL, SpectralDecomposition
 from lapmult.suites import step_instance_family
 
@@ -291,3 +292,49 @@ class TestSpectralMeasure:
             f = random_field(space, seed)
             total = sum(m.real for _, m in spectral_measure(dec, f, f))
             assert total == pytest.approx(lp_norm(f, 2.0) ** 2, rel=1e-10)
+
+
+class TestEigenCertificate:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e250])
+    @pytest.mark.parametrize("n", [1, 2, 16, 160])
+    def test_real_decompositions_pass_at_every_scale(self, scale, n):
+        _, gen = random_reversible_generator(3, n, conductance_scale=scale)
+        assert_same_bytes(decompose(gen), reference_decompose(gen))
+
+    @pytest.mark.parametrize("factor", [1.01, 1.0 + 1e-8])
+    def test_scaled_eigenvalues_fail_the_residual(self, monkeypatch, factor):
+        # a consistent fault: every spectral route would agree with the generator factor * A
+        _, gen = random_reversible_generator(39, 6)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (factor * eigh(a)[0], eigh(a)[1]))
+        with pytest.raises(RuntimeError, match=r"eigendecomposition certificate failed: the residual"):
+            decompose(gen)
+
+    def test_scaled_eigenfields_fail_the_orthonormality(self, monkeypatch):
+        _, gen = random_reversible_generator(40, 6)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], (1.0 + 1e-8) * eigh(a)[1]))
+        with pytest.raises(RuntimeError, match=r"certificate failed: the weighted orthonormality defect"):
+            decompose(gen)
+
+    def test_a_clamped_zero_mode_may_miss_by_the_roundoff_allowance(self, monkeypatch):
+        _, gen = random_reversible_generator(41, 6)
+        shift = 0.5 * GENERATOR_TOL * max(1.0, float(np.abs(gen.entries).max()))
+        eigh = np.linalg.eigh
+
+        def negative_zero_mode(a):
+            lam, v = eigh(a)
+            return lam - shift * (np.arange(lam.size) == 0), v
+
+        monkeypatch.setattr(np.linalg, "eigh", negative_zero_mode)
+        dec = decompose(gen)
+        assert dec.eigenvalues[0] == 0.0
+
+    @pytest.mark.parametrize("factor", [1.01, 1.0 + 1e-8])
+    def test_paper_suite_fails_on_a_faulty_eigensolver(self, monkeypatch, tmp_path, factor):
+        # without the certificate every suite of the preset passes under this fault
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (factor * eigh(a)[0], eigh(a)[1]))
+        with pytest.raises(RuntimeError, match="eigendecomposition certificate failed"):
+            cli.main(["run", "paper-suite", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []

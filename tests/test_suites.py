@@ -27,6 +27,7 @@ from lapmult import (
     SampledMultiplier,
     decompose,
     dilation,
+    imaginary_power_preset,
     inequalities,
     multiplier,
     random_reversible_generator,
@@ -36,6 +37,7 @@ from lapmult import (
 from lapmult.config import parse_config
 from lapmult.inequalities import make_report
 from lapmult.runner import report_json, run_config
+from lapmult.spectral import generator_roundoff
 
 
 def test_step_family_prefix_stable():
@@ -412,3 +414,29 @@ def test_dev_over_se_is_zero_where_the_deviation_is():
     ratios = _dev_over_se(np.array([0.0, 1.5, 2.0]), np.array([0.0, 1.5, 1.0]), np.zeros(3))
     assert ratios[0] == ratios[1] == 0.0
     assert ratios[2] == 1.0 / (_ROUNDOFF * 2.0 / _SIGMA)
+
+
+def test_imaginary_powers_checks_every_positive_eigenvalue(monkeypatch):
+    # an error bound below the deviation at an eigenvalue whose deviation is
+    # not the largest: a row at the largest deviation alone would still pass
+    _, gen = random_reversible_generator(11, 8)
+    gamma, grid = 1.0, 401
+    symbol = symbol_of_sampled(imaginary_power_preset(gamma, 48.0, grid))
+    floor = generator_roundoff(gen.entries)
+    devs = {lam: abs(symbol.evaluator(lam) - np.exp(1j * gamma * math.log(lam)))
+            for lam in decompose(gen).eigenvalues.tolist() if lam > floor}
+    worst = max(devs, key=devs.get)
+    target = min((lam for lam in devs if lam != worst), key=devs.get)
+    assert 0.0 < devs[target] < devs[worst]
+
+    def shrunk(sampled):
+        real = symbol_of_sampled(sampled)
+        return MultiplierSymbol(real.evaluator,
+                                lambda lam: 0.5 * devs[target] if lam == target else real.error_bound(lam))
+
+    assert suite_imaginary_powers(gen, [gamma], grid=grid).passed
+    monkeypatch.setattr(suites, "symbol_of_sampled", shrunk)
+    result = suite_imaginary_powers(gen, [gamma], grid=grid)
+    assert not result.passed
+    row = result.inequalities[0]
+    assert (row.lhs, row.rhs, row.passed) == (devs[target], 0.5 * devs[target], False)
