@@ -76,9 +76,10 @@ def decompose(generator) -> SpectralDecomposition:
 
     Eigenvalues in [-generator_roundoff(A), 0) are clamped to zero; anything
     below that range means the generator is not nonnegative and raises.
-    The result is certified against A itself (``_certify``): a residual or a
-    weighted orthonormality defect past ``_CERTIFICATE_ULPS`` n u raises a
-    ``RuntimeError`` that names the eigendecomposition certificate.
+    The result is certified against the symmetric matrix that was decomposed
+    (``_certify``): a residual or an orthonormality defect past
+    ``_CERTIFICATE_ULPS`` n u raises a ``RuntimeError`` that names the
+    eigendecomposition certificate.
 
     The generator keeps its decomposition under a constant key (see
     ``lapmult._keep``), so an equal but distinct generator gets its own.
@@ -100,34 +101,42 @@ def _eigensolve(generator) -> SpectralDecomposition:
         raise ValueError(f"generator has an eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     clamped = lam < 0.0
     lam = np.where(clamped, 0.0, lam)
-    fields = v / s[:, None]
-    _certify(generator, float(np.abs(sym).sum(axis=1).max()), lam, fields, np.where(clamped, floor, 0.0))
-    return SpectralDecomposition(generator.space, lam, fields)
+    _certify(sym, lam, v, np.where(clamped, floor, 0.0))
+    return SpectralDecomposition(generator.space, lam, v / s[:, None])
 
 
 # A backward-stable symmetric eigensolver leaves a residual and a loss of
 # orthonormality of a few n u: over conductance scales from 1e-300 to 1e250
-# and n from 1 to 160, the worst measured were 0.7 n u |A| and 3.6 n u.
+# and n from 1 to 160, the worst measured were 0.76 n u |S| and 2.0 n u.
 _CERTIFICATE_ULPS = 16.0
 
 
-def _certify(generator, norm: float, lam: np.ndarray, fields: np.ndarray, slack: np.ndarray) -> None:
-    """Raise unless A U = U diag(lam) and U^T D U = I, each within ``_CERTIFICATE_ULPS`` n u.
+def _certify(sym: np.ndarray, lam: np.ndarray, v: np.ndarray, slack: np.ndarray) -> None:
+    """Raise unless S V = V diag(lam) and V^T V = I, each within ``_CERTIFICATE_ULPS`` n u.
 
-    U holds the eigenfields as columns.  The residual of each is measured in
-    the weighted sup norm max_i w_i^{1/2} |.|, relative to
-    ``norm`` = ||D^{1/2} A D^{-1/2}||_inf, and a clamped zero mode may miss by
-    its ``slack`` (``generator_roundoff``) more.  A NaN fails the certificate.
+    S is the symmetrized D^{1/2} A D^{-1/2} that the eigensolver was given and
+    V its orthonormal eigenvectors, so the eigenfields U = D^{-1/2} V have
+    U^T D U = V^T V and the weighted sup norm of A U - U diag(lam) is the sup
+    norm of S V - V diag(lam), up to A's detailed-balance defect, which the
+    generator already bounds by ``generator_roundoff``.  Each residual is
+    relative to ||S||_inf, and a clamped zero mode may miss by its ``slack``
+    (``generator_roundoff``) more.  A NaN fails the certificate.  Each check
+    holds one n x n array; the residual briefly holds a second.
     """
-    w = generator.space.weights
-    n = w.size
+    n = lam.size
     bound = _CERTIFICATE_ULPS * n * float(np.finfo(float).eps)
-    misses = np.abs(generator.entries @ fields - fields * lam) * np.sqrt(w)[:, None]
-    residual = float((misses.max(axis=0, initial=0.0) - slack).max(initial=0.0))
+    norm = float(np.linalg.norm(sym, np.inf))
+    work = sym @ v
+    work -= v * lam
+    np.abs(work, out=work)
+    residual = float((work.max(axis=0, initial=0.0) - slack).max(initial=0.0))
     if not residual <= bound * norm:
-        raise RuntimeError(f"eigendecomposition certificate failed: the residual |A u - lam u| = {residual:.3g} "
-                           f"is past {bound:.3g} |A| = {bound * norm:.3g}")
-    defect = float(np.abs((fields.T * w) @ fields - np.eye(n)).max(initial=0.0))
+        raise RuntimeError(f"eigendecomposition certificate failed: the residual |S v - lam v| = {residual:.3g} "
+                           f"is past {bound:.3g} |S| = {bound * norm:.3g}")
+    np.matmul(v.T, v, out=work)
+    work.flat[::n + 1] -= 1.0
+    np.abs(work, out=work)
+    defect = float(work.max(initial=0.0))
     if not defect <= bound:
         raise RuntimeError(f"eigendecomposition certificate failed: the weighted orthonormality defect "
                            f"|U^T D U - I| = {defect:.3g} is past {bound:.3g}")

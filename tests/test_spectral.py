@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -300,6 +301,15 @@ class TestEigenCertificate:
     def test_real_decompositions_pass_at_every_scale(self, scale, n):
         _, gen = random_reversible_generator(3, n, conductance_scale=scale)
         assert_same_bytes(decompose(gen), reference_decompose(gen))
+
+    def test_a_detailed_balance_defect_within_roundoff_runs(self, tmp_path):
+        # w_0 A_01 - w_1 A_10 = -1e-11: the generator accepts it, and eigh sees only the symmetrized part
+        chain = {"weights": [1, 1], "generator": [[1, -1], [-0.99999999999, 0.99999999999]]}
+        payload = {"schema": "lapmult-config-1", "suites": [{"check": "markov_conditions", "chain": chain}]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["overall_pass"] is True
 
     @pytest.mark.parametrize("factor", [1.01, 1.0 + 1e-8])
     def test_scaled_eigenvalues_fail_the_residual(self, monkeypatch, factor):
