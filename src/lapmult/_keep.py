@@ -19,6 +19,7 @@ The owners, and what each keeps:
 - a generator: its decomposition;
 - a path space: one path set, its enumerated table (key None) or its last
   stratified draw (key ``(seed, samples)``);
+- a kernel: its conditional path weights for the last horizon;
 - an ``ExactPaths``: its path measure;
 - ``suites``: its last step-instance family;
 - a step family member's multiplier: its spectral-route T_m f;

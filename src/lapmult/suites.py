@@ -100,6 +100,20 @@ def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _random_signs(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` signs +-1: the values ``rng.choice([-1.0, 1.0], count)`` gives, and its stream.
+
+    With no weights, numpy's ``choice`` draws ``integers(0, 2, size=count)``
+    and indexes the population with them; drawing the integers directly
+    skips its argument handling (5.0 us against 9.5 us per draw of five,
+    ``timeit``, numpy 2.4).
+    """
+    return _SIGNS[rng.integers(0, 2, size=count)]
+
+
 # The owner of the last family step_instance_family returned.
 _FAMILY_OWNER: dict = {}
 
@@ -365,7 +379,7 @@ def suite_transform_pnorm(
         dilation_instance_family(seed, instances, max_n, max_horizon, epsilon)
     ):
         rng = np.random.default_rng([seed, i, 3])
-        signs = rng.choice([-1.0, 1.0], ps.horizon)
+        signs = _random_signs(rng, ps.horizon)
         checked = transform_pnorm_check(ps, signs, probe, grid)
         row_lists.append([row for row, _ in checked])
         for _, excess in checked:
@@ -436,7 +450,7 @@ def _llogl_blocks(seed: int, count: int, fields: int, n: int, horizon: int, epsi
         for j in range(fields):
             rng = np.random.default_rng([seed, i, j, 2])
             probe = Field(space, _random_complex(rng, n))
-            batch.append((rng.choice([-1.0, 1.0], horizon), probe))
+            batch.append((_random_signs(rng, horizon), probe))
         block.append((ps, batch))
     if block:
         yield block
@@ -609,7 +623,7 @@ def suite_mc_crosscheck(
     ps = dilate(gen, epsilon, horizon)
     rng = np.random.default_rng([seed, 2])
     probe = Field(space, _random_complex(rng, n))
-    signs = rng.choice([-1.0, 1.0], horizon)
+    signs = _random_signs(rng, horizon)
     functional = martingale_transform(ps, signs, probe)
 
     # the functional keeps one path set's values at a time: use the table's, then the draw's

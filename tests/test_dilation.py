@@ -38,7 +38,9 @@ from lapmult.dilation import (
     _stratum_counts,
     _transform_tables,
 )
+from lapmult.config import parse_config
 from lapmult.inequalities import transform_pnorm_check
+from lapmult.runner import report_json, run_config
 from lapmult.suites import suite_mc_crosscheck
 
 from conftest import random_field, seed_square_and_maximal
@@ -883,7 +885,7 @@ def assert_same_paths_as_seed_sampler(ps, seed=9, samples=400):
 
 class TestSamplerStream:
     @pytest.mark.parametrize(
-        "n,horizon", [(1, 2), (3, 0), (4, 4), *itertools.product((1, 2, 5, 7), (0, 1, 6))]
+        "n,horizon", [(1, 2), (1, 3), (3, 0), (4, 4), *itertools.product((1, 2, 5, 7), (0, 1, 6))]
     )
     def test_same_paths_as_seed_sampler(self, n, horizon):
         _, _, ps = make_path_space(seed=n + horizon, n=n, horizon=horizon)
@@ -912,12 +914,44 @@ class TestSamplerStream:
         assert paths.shape == (50, 4)
         assert all(paths[:, k].flags.c_contiguous for k in range(4))
 
+    def test_more_states_than_a_byte_counts(self):
+        # 300 states need a 16-bit count: a heat kernel that mixes well sends
+        # draws to states 256 and up, which an 8-bit count would wrap
+        _, _, ps = make_path_space(seed=3, n=300, horizon=2)
+        assert max(int(paths.max()) for paths in mc_sampled_paths(ps, seed=9, samples=400)) >= 256
+        assert_same_paths_as_seed_sampler(ps)
+
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_one_state_has_no_column_to_count(self, horizon):
+        _, _, ps = make_path_space(n=1, horizon=horizon)
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        paths = _sample_stratum(ps, rng, 5, 0)
+        twin.random((horizon, 5))
+        assert paths.dtype == np.int32
+        assert np.array_equal(paths, np.zeros((5, horizon + 1), dtype=np.int32))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("samples", [1, 8])
     def test_every_stratum_gets_two_samples(self, samples):
         _, _, ps = make_path_space(n=4, horizon=3)
         counts = _stratum_counts(ps, samples)
         assert counts.min() == 2
         assert [len(paths) for paths in mc_sampled_paths(ps, samples=samples)] == list(counts)
+
+
+def test_path_mc_bytes_match_the_seed_sampler_and_fresh_folds(monkeypatch):
+    # the path-mc workload's shape, cut down: the counting sampler and the
+    # kept weights change no report byte
+    config = parse_config({"schema": "lapmult-config-1", "suites": [
+        {"check": "mc_crosscheck", "seed": 17 + i, "n": 4,
+         "dilation": {"horizon": 6, "epsilon": 0.8, "mode": "mc", "samples": 20000, "seed": 23 + i}}
+        for i in range(2)
+    ]})
+    library = report_json(run_config(config))
+    monkeypatch.setattr(dilation, "_sample_stratum", seed_sample_stratum)
+    monkeypatch.setattr(dilation, "transition_products", lambda ps: dilation._fold(
+        np.ones(ps.n_states), [ps.kernel.entries] * ps.horizon, np.multiply))
+    assert report_json(run_config(config)) == library
 
 
 # The path functionals as first written, one gather per level and step (the

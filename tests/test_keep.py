@@ -4,8 +4,9 @@ Each site names two keys, "a" and "b", the call that returns the kept value
 for a key (building it when the key is new), the same value built with no
 cache, and the function whose calls count builds.  The keys of a generator
 and of an ``ExactPaths`` are constant, so there the two keys are two owners,
-each holding its own entry.  A path space has two sites: its draws, and its
-one path set, where the table replaces a draw.
+each holding its own entry; a kernel's two keys are two horizons.  A path
+space has two sites: its draws, and its one path set, where the table
+replaces a draw.
 """
 
 import gc
@@ -19,6 +20,7 @@ import pytest
 
 from lapmult import (
     ExactPaths,
+    MarkovKernel,
     PathSpace,
     ReversibleGenerator,
     StepMultiplier,
@@ -35,6 +37,7 @@ from lapmult import (
     suites,
     symbol_of_sampled,
     symbol_of_step,
+    transition_products,
 )
 from lapmult._keep import kept
 
@@ -94,6 +97,17 @@ def _transform_setup():
     space = ps.kernel.space
     args = (np.array([1.0, -0.5j, 2.0]), random_field(space, 3))
     return {"ps": ps, "args": args, "evaluator": martingale_transform(ps, *args).evaluator}
+
+
+HORIZONS = {"a": 3, "b": 4}
+
+
+def _weights(kernel, key):
+    return transition_products(PathSpace(kernel, HORIZONS[key]))
+
+
+def _fresh_kernel(kernel):
+    return MarkovKernel(kernel.space, kernel.entries, kernel.step)
 
 
 def _measure_setup():
@@ -164,6 +178,14 @@ SITES = {
             PATHS[key](ctx["ps"]).copy()),
         probe=lambda values: values,
         content=lambda values: _arrays(values),
+    ),
+    "weights": Site(
+        builder=(dilation, "_fold_weights"),
+        setup=lambda: {"kernel": _path_space().kernel},
+        get=lambda ctx, key: _weights(ctx["kernel"], key),
+        cold=lambda ctx, key: _weights(_fresh_kernel(ctx["kernel"]), key),
+        probe=lambda weights: weights,
+        content=lambda weights: _arrays(weights),
     ),
     "measure": Site(
         builder=(np, "repeat"),

@@ -382,6 +382,30 @@ def test_llogl_chain_paper_suite_family_is_one_block():
     assert sum(len(batch) for _, batch in blocks[0]) == 800
 
 
+def test_mc_crosscheck_folds_the_path_weights_once(monkeypatch):
+    # both exact reductions read the weights through transition_products, the
+    # call the benchmark counts, and the kernel keeps them after the first fold
+    folds, calls = [], []
+    fold, products = dilation._fold_weights, dilation.transition_products
+    monkeypatch.setattr(dilation, "_fold_weights", lambda *args: folds.append(args) or fold(*args))
+    monkeypatch.setattr(dilation, "transition_products", lambda ps: calls.append(ps) or products(ps))
+    suite_mc_crosscheck(17, samples=2000, mc_seed=23, horizon=5)
+    assert len(calls) == 2
+    assert len(folds) == 1
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 5, 9, 63])
+def test_sign_draws_are_the_values_and_stream_of_choice(horizon):
+    # a numpy whose choice draws otherwise fails here rather than moving report bytes
+    for i, j in [(0, 0), (3, 7), (19, 19)]:
+        ours, theirs = np.random.default_rng([606, i, j, 2]), np.random.default_rng([606, i, j, 2])
+        signs, chosen = suites._random_signs(ours, horizon), theirs.choice([-1.0, 1.0], horizon)
+        assert signs.dtype == chosen.dtype and signs.shape == chosen.shape
+        assert signs.tobytes() == chosen.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+
 def test_mc_crosscheck_deterministic():
     a = suite_mc_crosscheck(17, samples=5000, mc_seed=23)
     b = suite_mc_crosscheck(17, samples=5000, mc_seed=23)
