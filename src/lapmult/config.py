@@ -12,9 +12,13 @@ says.  The suite runner's signature settles the rest: a key is required exactly
 when the runner has no default for it, and a key the config omits takes that
 default; this module holds no defaults of its own.  Nor does it hold the
 path-enumeration limits: a check that enumerates one path space is refused
-by :func:`lapmult.dilation.check_enumerable`, the one statement of them.  It
-does hold the size limits, which keep the largest array that a state count,
-grid, piece count, sample count or probe count drives within 256 MiB.
+by :func:`lapmult.dilation.check_enumerable`, the one statement of them.
+Likewise a symbol that may overflow is refused by
+:func:`lapmult.multiplier.symbol_bound`, and a literal or seeded field by
+:func:`lapmult.suites.probe_field`; ``_ask`` turns each refusal into a
+ConfigError.  This module does hold the size limits, which keep the largest
+array that a grid, piece count, sample count or probe count drives within the
+bytes of one dense complex matrix at the state limit ``MAX_STATES``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import dilation, suites
-from .multiplier import SampledMultiplier, StepMultiplier, imaginary_power_preset, symbol_bound
+from . import dilation, multiplier, suites
+from .multiplier import SampledMultiplier, imaginary_power_preset, symbol_bound
 from .semigroup import MAX_STATES, ReversibleGenerator, random_reversible_generator
 from .space import WeightedSpace
 
@@ -64,6 +68,14 @@ Kind = Callable[[Any, str], Any]
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _ask(name: str, rule: Callable[..., Any], *args) -> Any:
+    """``rule(*args)``, a limit stated by the layer that owns it; its refusal is a ConfigError naming ``name``."""
+    try:
+        return rule(*args)
+    except (dilation.EnumerationBudgetError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _fields(spec: Any, kinds: dict[str, Kind], required, where: str) -> dict:
@@ -114,9 +126,10 @@ def _states(low: int) -> Kind:
 
 
 # The size limits below follow semigroup.MAX_STATES: the largest array that a
-# size key drives must fit in 256 MiB, so a config cannot ask numpy for more.
-# The parser checks each before the suite allocates anything.
-_ARRAY_BYTES = 2**28
+# size key drives must fit in the bytes of a dense complex matrix at the state
+# limit, so a config cannot ask numpy for more.  The parser checks each before
+# the suite allocates anything.
+_ARRAY_BYTES = 16 * MAX_STATES**2
 
 # A Simpson grid's sampled values and a step multiplier's piece values are
 # complex, 16 bytes a point or a piece.
@@ -163,7 +176,6 @@ _MAX_EXPONENT = 64.0
 
 def _exponent(value: Any, what: str) -> float:
     p = _number(value, what)
-    _require(1.0 < p < math.inf, f"{what} must lie in (1, inf)")
     low = _MAX_EXPONENT / (_MAX_EXPONENT - 1.0)
     _require(low <= p <= _MAX_EXPONENT,
              f"{what} = {p:g} is outside [{low:.6g}, {_MAX_EXPONENT:g}], where p and its conjugate "
@@ -216,14 +228,14 @@ _STEP = {"type": _string, "breakpoints": _NUMBERS, "values": _list_of(_scalar)}
 _SAMPLED = {"type": _string, "name": _string, "t_max": _positive, "grid": _simpson_grid}
 
 
-def _multiplier(spec: Any, what: str) -> StepMultiplier | SampledMultiplier:
+def _multiplier(spec: Any, what: str) -> multiplier.StepMultiplier | SampledMultiplier:
     _require(isinstance(spec, dict), f"{what} must be an object")
     kind, name = spec.get("type"), spec.get("name")
     if kind == "step":
         given = _fields(spec, _STEP, tuple(_STEP), what)
         try:
-            return StepMultiplier(np.asarray(given["breakpoints"], dtype=float),
-                                  np.asarray(given["values"]))
+            return multiplier.StepMultiplier(np.asarray(given["breakpoints"], dtype=float),
+                                             np.asarray(given["values"]))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{what}: invalid step multiplier: {exc}") from exc
     _require(kind == "sampled", f"{what}.type must be 'step' or 'sampled'")
@@ -238,32 +250,13 @@ def _multiplier(spec: Any, what: str) -> StepMultiplier | SampledMultiplier:
 
 
 def _sampled(spec: Any, what: str) -> SampledMultiplier:
-    multiplier = _multiplier(spec, what)
-    _require(isinstance(multiplier, SampledMultiplier), f"{what} must be a sampled multiplier")
-    return multiplier
+    sampled = _multiplier(spec, what)
+    _require(isinstance(sampled, SampledMultiplier), f"{what} must be a sampled multiplier")
+    return sampled
 
 
 # Bits of the double range that Check._check_overflow leaves free.
 _POWER_HEADROOM = 256
-
-
-def _checked_symbol_bound(multiplier: StepMultiplier | SampledMultiplier, lam_max: float, name: str) -> float:
-    """A bound on |m| over a spectrum in [0, lam_max]; a symbol that may overflow there is refused.
-
-    A step symbol is at most sup|M|, and its exponents lam t_i must be finite;
-    a sampled one is at most its ``symbol_bound``, which must be finite.
-    """
-    if isinstance(multiplier, StepMultiplier):
-        last = float(multiplier.breakpoints[-1])
-        _require(math.isfinite(lam_max * last),
-                 f"{name}: a breakpoint at {last:g} on a chain with eigenvalues up to {lam_max:.3g} "
-                 f"overflows the step symbol's exponent")
-        return multiplier.sup_norm
-    bound = symbol_bound(multiplier, lam_max)
-    _require(math.isfinite(bound),
-             f"{name}: t_max = {multiplier.truncation:g} on a chain with eigenvalues up to "
-             f"{lam_max:.3g} overflows the quadrature symbol or its error bound")
-    return bound
 
 
 # Kinds of every key a dilation block may hold; each check maps a subset of them
@@ -317,7 +310,7 @@ class Check:
 
         Gershgorin bounds every eigenvalue of A by lam_max = 2 max_i A_ii, so
         no eigensolve runs at parse time, and each symbol is bounded on
-        [0, lam_max] once (``_checked_symbol_bound``).  Any |m| <= B makes
+        [0, lam_max] once (``symbol_bound``).  Any |m| <= B makes
         every entry of T_m f at most B max|f| sqrt(W / w_min), with W the
         total and w_min the least weight.  With F = max(1, B) max(1, max|f|)
         sqrt(W / w_min), a check that raises moduli to the power e forms
@@ -333,9 +326,9 @@ class Check:
             t_max = self._given(kwargs, "t_max")
             # symbol_bound reads only sup|M| and t_max, so the coarsest grid will do
             for gamma in kwargs["gammas"]:
-                _checked_symbol_bound(imaginary_power_preset(gamma, t_max, 5), lam_max, name)
+                _ask(name, symbol_bound, imaginary_power_preset(gamma, t_max, 5), lam_max)
             return
-        bound = _checked_symbol_bound(kwargs["multiplier"], lam_max, name)
+        bound = _ask(name, symbol_bound, kwargs["multiplier"], lam_max)
         if "p_grid" in kwargs:
             power = max(p * p / (p - 1.0) for p in kwargs["p_grid"])
         elif "p" in self.params:
@@ -359,11 +352,7 @@ class Check:
         for key, value in kwargs.pop("dilation", {}).items():
             kwargs[self.dilation[key]] = value
         if "field" in self.params:
-            _require(("field" in kwargs) != ("field_seed" in kwargs),
-                     f"{name}: give exactly one of 'field' (literal values) or 'field_seed'")
-            if "field" in kwargs:
-                n = kwargs["chain"].space.n
-                _require(len(kwargs["field"]) == n, f"{name}.field must have {n} entries")
+            _ask(name, suites.probe_field, kwargs["chain"], kwargs.get("field_seed"), kwargs.get("field"))
         if self.mode == "mc":
             # the draw holds horizon + 1 int32 states a sample, a transform's values one complex
             horizon = self._given(kwargs, "horizon")
@@ -374,10 +363,7 @@ class Check:
             n = kwargs["chain"].space.n if "chain" in kwargs else self._given(kwargs, "max_n")
             _within_memory(self._given(kwargs, "probes"), 32 * n, f"{name}.probes", f"probes at {n} states")
         if self.enumerates:
-            try:
-                dilation.check_enumerable(self._given(kwargs, "n"), self._given(kwargs, "horizon"))
-            except (dilation.EnumerationBudgetError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+            _ask(name, dilation.check_enumerable, self._given(kwargs, "n"), self._given(kwargs, "horizon"))
         if "gammas" in kwargs or "multiplier" in kwargs:
             self._check_overflow(kwargs, name)
         return kwargs

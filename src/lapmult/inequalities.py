@@ -96,6 +96,7 @@ class InequalityReport:
 
 
 def make_report(name: str, lhs: float, rhs: float, threshold: float, provenance: str) -> InequalityReport:
+    """The row lhs <= threshold * rhs; a report-only row (threshold inf) passes iff its ratio is finite."""
     if lhs == 0.0:
         ratio = 0.0
     elif rhs == 0.0:
@@ -103,7 +104,7 @@ def make_report(name: str, lhs: float, rhs: float, threshold: float, provenance:
     else:
         ratio = lhs / rhs
     if math.isinf(threshold):
-        passed = math.isfinite(lhs)
+        passed = math.isfinite(ratio)
     else:
         passed = lhs <= threshold * rhs * (1.0 + PASS_SLACK)
     return InequalityReport(name, lhs, rhs, ratio, threshold, provenance, passed)

@@ -201,16 +201,28 @@ def symbol_of_sampled(sampled: SampledMultiplier) -> MultiplierSymbol:
     return MultiplierSymbol(evaluator, error_bound)
 
 
-def symbol_bound(sampled: SampledMultiplier, lam_max: float) -> float:
+def symbol_bound(multiplier: StepMultiplier | SampledMultiplier, lam_max: float) -> float:
     """A bound on |m(lam)|, on error_bound(lam) and on every sum they form, for 0 <= lam <= lam_max.
 
-    Both Simpson sums are at most sup * T in modulus, since their weights sum
-    to T, and the first cell h is at most T / 4; so |m(lam)| <= lam T sup and
-    the error is at most sup (2 + 2.5 lam T).  The sums come before the factor
-    lam, and sup * lam before the factor h, hence max(1, lam) and max(1, T).
-    The bound is inf when the symbol or its error bound may overflow.
+    A step symbol is at most sup|M|, and is refused when an exponent lam t_i
+    may overflow.  For a sampled one, both Simpson sums are at most sup * T
+    in modulus, since their weights sum to T, and the first cell h is at most
+    T / 4; so |m(lam)| <= lam T sup and the error is at most
+    sup (2 + 2.5 lam T).  The sums come before the factor lam, and sup * lam
+    before the factor h, hence max(1, lam) and max(1, T).  A symbol or error
+    bound that may overflow is a ValueError.
     """
-    return sampled.declared_sup * (2.0 + 3.0 * max(1.0, lam_max) * max(1.0, sampled.truncation))
+    if isinstance(multiplier, StepMultiplier):
+        last = float(multiplier.breakpoints[-1])
+        if not math.isfinite(lam_max * last):
+            raise ValueError(f"a breakpoint at {last:g} on a chain with eigenvalues up to {lam_max:.3g} "
+                             f"overflows the step symbol's exponent")
+        return multiplier.sup_norm
+    bound = multiplier.declared_sup * (2.0 + 3.0 * max(1.0, lam_max) * max(1.0, multiplier.truncation))
+    if not math.isfinite(bound):
+        raise ValueError(f"t_max = {multiplier.truncation:g} on a chain with eigenvalues up to {lam_max:.3g} "
+                         f"overflows the quadrature symbol or its error bound")
+    return bound
 
 
 def apply_Tm(dec: SpectralDecomposition, symbol: MultiplierSymbol, f: Field) -> Field:

@@ -4,6 +4,7 @@ no key a config gives is silently dropped or overridden."""
 import copy
 import inspect
 import json
+import math
 
 import pytest
 
@@ -258,6 +259,25 @@ def test_field_literal_must_match_chain_size():
     entry = {**VALID["step_convergence"], "field": [1.0, 2.0]}
     del entry["field_seed"]
     with pytest.raises(ConfigError, match="4 entries"):
+        parse_config(config_of("step_convergence", **entry))
+
+
+def test_field_refusals_are_the_probe_fields_own():
+    # suites.probe_field states both rules; the parser prefixes the check's name
+    entry = {**VALID["step_convergence"], "field": [1.0, 2.0]}
+    with pytest.raises(ConfigError, match=r"^step_convergence: give exactly one of field or field_seed$"):
+        parse_config(config_of("step_convergence", **entry))
+    del entry["field_seed"]
+    with pytest.raises(ConfigError, match=r"^step_convergence: field must have 4 entries$"):
+        parse_config(config_of("step_convergence", **entry))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_field_literal_is_refused(value):
+    # Python's json reads NaN and Infinity as numbers; the probe field refuses them before the run
+    entry = {**VALID["step_convergence"], "field": [1.0, value, 2.0, 3.0]}
+    del entry["field_seed"]
+    with pytest.raises(ConfigError, match=r"^step_convergence: field values must be finite$"):
         parse_config(config_of("step_convergence", **entry))
 
 

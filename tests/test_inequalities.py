@@ -78,8 +78,16 @@ class TestReportSemantics:
         assert make_report("x", 1.0, 0.0, 1.0, "paper").ratio == math.inf
         assert make_report("x", 3.0, 2.0, math.inf, "report-only").ratio == 1.5
 
-    def test_report_only_passes_on_finite_lhs(self):
-        assert make_report("x", 5.0, 0.0, math.inf, "report-only").passed
+    def test_report_only_passes_on_finite_ratio(self):
+        assert make_report("x", 5.0, 2.0, math.inf, "report-only").passed
+        assert make_report("x", 0.0, 0.0, math.inf, "report-only").passed
+
+    def test_report_only_fails_on_infinite_ratio(self):
+        # the rule suite_llogl_chain reads: a nonzero lhs over rhs 0 has ratio inf and fails
+        row = make_report("x", 5.0, 0.0, math.inf, "report-only")
+        assert (row.ratio, row.passed) == (math.inf, False)
+        assert not make_report("x", math.inf, 1.0, math.inf, "report-only").passed
+        assert not make_report("x", math.nan, 1.0, math.inf, "report-only").passed
 
 
 class TestOpnormExact:

@@ -248,6 +248,44 @@ def test_only_the_dilation_module_states_the_path_limits():
     assert not found, found
 
 
+def _is_array_budget(node):
+    """Whether ``node`` writes the 2**28-byte array budget: as ``2**28``, ``1 << 28`` or a literal."""
+    if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
+        operands = (node.left.value, node.right.value)
+        return ((isinstance(node.op, ast.Pow) and operands == (2, 28))
+                or (isinstance(node.op, ast.LShift) and operands == (1, 28)))
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool) and node.value == 2**28)
+
+
+def test_only_the_semigroup_module_forms_the_array_budget():
+    # semigroup derives MAX_STATES from the budget; config's size limits take
+    # the budget back from MAX_STATES, so the two cannot drift apart
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "semigroup":
+            continue
+        found += [f"{path.stem}.py:{node.lineno} forms 2**28"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if _is_array_budget(node)]
+    assert not found, found
+
+
+def test_config_leaves_the_symbol_overflow_rule_to_multiplier():
+    # config builds a step multiplier from its spec, but multiplier.symbol_bound
+    # states when a symbol may overflow: config imports no StepMultiplier,
+    # dispatches on no multiplier type and reads no breakpoints or window
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias) and node.name == "StepMultiplier":
+            found.append(f"config.py:{node.lineno} imports StepMultiplier")
+        elif isinstance(node, ast.Attribute) and node.attr in {"breakpoints", "truncation"}:
+            found.append(f"config.py:{node.lineno} reads .{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+              and len(node.args) == 2 and "StepMultiplier" in ast.unparse(node.args[1])):
+            found.append(f"config.py:{node.lineno} dispatches on StepMultiplier")
+    assert not found, found
+
+
 def test_the_path_space_does_not_reach_for_multipliers():
     # dilation builds paths from a kernel; the checks that compare a
     # conditioned transform with a multiplier operator live in inequalities

@@ -152,8 +152,11 @@ class TestSampledSymbol:
         sampled = make()
         symbol = symbol_of_sampled(sampled)
         for lam_max in (1e-300, 0.7, 1e4, 1e16):
-            bound = symbol_bound(sampled, lam_max)
-            if not math.isfinite(bound):
+            try:
+                bound = symbol_bound(sampled, lam_max)
+            except ValueError as exc:
+                # a window on which the symbol or its error bound may overflow is refused
+                assert "overflows the quadrature symbol or its error bound" in str(exc)
                 continue
             for lam in np.geomspace(1e-300, lam_max, 25):
                 assert abs(symbol.evaluator(float(lam))) <= bound, (lam_max, lam)
@@ -162,7 +165,26 @@ class TestSampledSymbol:
     def test_symbol_bound_overflows_with_the_window(self):
         sampled = SampledMultiplier(exp_sampler, 1e300, 9, 1.0)
         assert math.isfinite(symbol_bound(sampled, 1.0))
-        assert symbol_bound(sampled, 1e12) == math.inf
+        with pytest.raises(ValueError, match=r"^t_max = 1e\+300 on a chain with eigenvalues up to 1e\+12 "
+                                             r"overflows the quadrature symbol or its error bound$"):
+            symbol_bound(sampled, 1e12)
+
+    def test_symbol_bound_of_a_step_is_its_sup(self):
+        step = StepMultiplier([0.0, 0.5, 2.0], [1.0 - 2.0j, 0.5])
+        symbol = symbol_of_step(step)
+        lam_max = 5e307
+        bound = symbol_bound(step, lam_max)
+        assert bound == step.sup_norm == abs(1.0 - 2.0j)
+        for lam in np.geomspace(1e-300, lam_max, 25):
+            assert abs(symbol.evaluator(float(lam))) <= bound, lam
+
+    def test_symbol_bound_of_a_step_overflows_with_its_last_breakpoint(self):
+        step = StepMultiplier([0.0, 7.5e299], [1e-300])
+        # lam_max t_N is 7.5e307 and then 7.5e308, past the double range
+        assert symbol_bound(step, 1e8) == 1e-300
+        with pytest.raises(ValueError, match=r"^a breakpoint at 7.5e\+299 on a chain with eigenvalues up to 1e\+09 "
+                                             r"overflows the step symbol's exponent$"):
+            symbol_bound(step, 1e9)
 
     def test_grid_off_simpson_pairs_rejected(self):
         # rounding a size up to 4m+1 would run a grid the caller did not ask for

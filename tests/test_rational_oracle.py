@@ -30,6 +30,7 @@ from lapmult import (
     all_paths,
     dilation_identity_check,
     hat_expectation,
+    llogl_chain_check,
     martingale_transform,
     path_lp_norm,
     reverse_martingale,
@@ -202,6 +203,42 @@ def test_square_and_maximal_functions(instance):
     for got, expected in ((exact.square(levels), expected_square),
                           (exact.maximal(levels), expected_maximal)):
         assert np.abs(got - expected).max() <= 4 * np.spacing(expected.max())
+
+
+def rounded_root(square):
+    """The square root of an exact square, rounded once, as the float route rounds a modulus."""
+    return F(math.sqrt(float(square)))
+
+
+def path_expectation(squares):
+    """E[sqrt(s)] under the stationary law from the exact squares s on every path; only the roots round."""
+    return float(sum(NU[path[0]] * weight(path) * rounded_root(s) for path, s in zip(PATHS, squares)))
+
+
+def test_llogl_chain_rows_on_the_unit_mass_instance():
+    # weights (1/4, 1/2, 1/4) leave nu and Q as they are, and M has sup 1, so
+    # the check's normalizations round nothing; the L log L norm itself is
+    # checked against its own oracle (tests/test_inequalities.py::TestLuxemburgOracle)
+    space = WeightedSpace(np.array([float(nu) for nu in NU]))
+    kernel = MarkovKernel(space, np.array([[float(q) for q in row] for row in Q]))
+    f = Field(space, as_complex(FIELD_RE, FIELD_IM))
+    (rows,), = llogl_chain_check([(PathSpace(kernel, HORIZON), [([float(m) for m in M], f)])])
+    davis, square_vs_maximal, _, end_to_end = rows
+    transform_abs = path_expectation([modulus_squared(transform(LEVELS_RE, path), transform(LEVELS_IM, path))
+                                      for path in PATHS])
+    square = path_expectation([square_sum(path) for path in PATHS])
+    maximal = path_expectation([max(modulus_squared(LEVELS_RE[k][path[k]], LEVELS_IM[k][path[k]])
+                                    for k in range(HORIZON + 1)) for path in PATHS])
+    conditioned_re = conditioned([transform(LEVELS_RE, path) for path in PATHS])
+    conditioned_im = conditioned([transform(LEVELS_IM, path) for path in PATHS])
+    end_lhs = float(sum(nu * rounded_root(modulus_squared(re, im))
+                        for nu, re, im in zip(NU, conditioned_re, conditioned_im)))
+    sides = {"davis-step": (transform_abs, square), "square-vs-maximal": (square, maximal)}
+    for row in (davis, square_vs_maximal):
+        for got, expected in zip((row.lhs, row.rhs), sides[row.name]):
+            assert abs(got - expected) <= 4 * np.spacing(expected), (row.name, got, expected)
+    assert end_to_end.name == "end-to-end-llogl"
+    assert abs(end_to_end.lhs - end_lhs) <= 4 * np.spacing(end_lhs), (end_to_end.lhs, end_lhs)
 
 
 def test_identity_checks_are_exact(instance):

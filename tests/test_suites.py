@@ -382,6 +382,24 @@ def test_llogl_chain_paper_suite_family_is_one_block():
     assert sum(len(batch) for _, batch in blocks[0]) == 800
 
 
+def test_llogl_chain_reads_the_pass_of_each_row(monkeypatch):
+    # one chain of one pair with one row, under a name the suite does not know:
+    # the row's infinite ratio fails it (make_report), and so the suite
+    row = make_report("one-row", 1.0, 0.0, math.inf, "report-only")
+    monkeypatch.setattr(suites, "llogl_chain_check", lambda block: [((row,),) for _ in block])
+    result = suite_llogl_chain(seed=21, chains=1, fields=1, n=3, horizon=2, stability_doubling=False)
+    assert result.summary["all_finite"] is False
+    assert list(result.summary["stability"]) == ["one-row"]
+    assert result.passed is False
+
+
+def test_probe_field_states_the_field_size():
+    _, gen = random_reversible_generator(7, 3)
+    with pytest.raises(ValueError, match=r"^field must have 3 entries$"):
+        suites.probe_field(gen, None, [1.0, 2.0])
+    assert suites.probe_field(gen, None, [1.0, 2j, 3.0]).values.tolist() == [1.0, 2j, 3.0]
+
+
 def test_mc_crosscheck_folds_the_path_weights_once(monkeypatch):
     # both exact reductions read the weights through transition_products, the
     # call the benchmark counts, and the kernel keeps them after the first fold
