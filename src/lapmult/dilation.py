@@ -161,14 +161,18 @@ def _fold(start: np.ndarray, tables: Sequence[np.ndarray], ufunc: np.ufunc) -> n
 
     ``start`` holds each start state's value at x_0; step k applies ``ufunc``
     to the accumulated value of each prefix x_0..x_k and ``tables[k][x_k,
-    x_{k+1}]`` (a 1-d table is read as constant in x_k).  Level k holds only
-    the n^{k+1} prefixes, yet each path's value goes through the operations a
-    per-path gather would apply, in the same order, so the bits are the same.
+    x_{k+1}]`` (a table without the x_k axis is read as constant in x_k).
+    Axes of ``start`` after the first are field axes, which every table ends
+    with too; the result holds one row per path, then the field axes.  Level
+    k holds only the n^{k+1} prefixes, yet each path's value goes through the
+    operations a per-path gather would apply, in the same order, so the bits
+    are the same.
     """
-    acc = start
+    acc, fields = start, start.shape[1:]
+    step = (..., None) + (slice(None),) * len(fields)  # a new state axis before the field axes
     for table in tables:
-        acc = ufunc(acc[..., None], table)
-    return acc.ravel()
+        acc = ufunc(acc[step], table)
+    return acc.reshape(-1, *fields)
 
 
 def _along_paths(ps: PathSpace, paths: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -219,26 +223,32 @@ def _fold_weights(kernel: MarkovKernel, horizon: int) -> np.ndarray:
     return weights
 
 
-def reverse_martingale(ps: PathSpace, f: Field) -> np.ndarray:
+def reverse_martingale(ps: PathSpace, f: Field | Sequence[Field]) -> np.ndarray:
     """Level fields g_0 = f, g_{k+1} = Q g_k for k = 0..N as the rows of one read-only array.
 
     The (N+1) x n complex array makes f_k(omega) = ``levels[k][x_k]`` a reverse
-    martingale.
+    martingale.  For a sequence of F fields the levels take a trailing field
+    axis, (N+1) x n x F.  Each field's level vectors are contiguous and each
+    step is one stacked matrix-vector product, ``q @ (F, n, 1)``: a BLAS gemv
+    per field, the bits of ``q @ g_k``, where ``q @ (n, F)`` would run a gemm
+    and move them.
     """
-    if not same_space(ps.kernel.space, f.space):
+    fields = [f] if isinstance(f, Field) else list(f)
+    if not all(same_space(ps.kernel.space, g.space) for g in fields):
         raise ValueError("field lives on a different space than the kernel")
     q = ps.kernel.entries
-    levels = np.empty((ps.horizon + 1, ps.n_states), dtype=complex)
-    levels[0] = f.values
+    levels = np.empty((len(fields), ps.horizon + 1, ps.n_states), dtype=complex)
+    levels[:, 0] = [g.values for g in fields]
     for k in range(ps.horizon):
-        levels[k + 1] = q @ levels[k]
+        levels[:, k + 1, :, None] = q @ levels[:, k, :, None]
+    levels = np.ascontiguousarray(levels.transpose(1, 2, 0))
     levels.setflags(write=False)
-    return levels
+    return levels[..., 0] if isinstance(f, Field) else levels
 
 
 def _increment_tables(levels: np.ndarray) -> np.ndarray:
-    """Per step i (axis 0), the n x n table of g_{i+1}[y] - g_i[x] at [x, y] (flat index x*n + y)."""
-    return levels[1:, None, :] - levels[:-1, :, None]
+    """Per step i (axis 0), the n x n table of g_{i+1}[y] - g_i[x] at [x, y] (flat index x*n + y), then field axes."""
+    return levels[1:, None] - levels[:-1, :, None]
 
 
 def _transform_tables(increments: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
@@ -252,11 +262,12 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _multiplier_row(m_values: Sequence[complex], horizon: int) -> np.ndarray:
-    m = np.asarray(m_values, dtype=complex).ravel()
-    if m.size != horizon:
-        raise ValueError(f"need exactly {horizon} multiplier values, got {m.size}")
-    return m
+def _multiplier_row(m_values: Sequence[complex], horizon: int, fields: tuple[int, ...] = ()) -> np.ndarray:
+    """The multiplier values as an array of shape (horizon, *fields)."""
+    m, count = np.asarray(m_values, dtype=complex), horizon * math.prod(fields)
+    if m.size != count:
+        raise ValueError(f"need exactly {count} multiplier values, got {m.size}")
+    return m.reshape(horizon, *fields)
 
 
 class ExactPaths:
@@ -273,23 +284,28 @@ class ExactPaths:
     which ``hat_expectation`` and ``path_lp_norm`` evaluate on
     :func:`all_paths`, reads the path table.
 
-    Every reduction gives the same bits as a per-path evaluation.  Each start
-    state's paths form one contiguous block, so E[S | x_0] is a running sum
-    along each block, which adds the paths in the order a per-state
-    accumulation would, and the measure is nu(x_0) repeated over its block
-    times the weights.  Level k repeats g_k(y) over the n^{N-k} paths that
-    continue a prefix ending at y, and tiles that over the n^k prefixes.  The
-    weights, the transform, the square function and the maximal function
-    fold per-step tables down the path tree (:func:`_fold`): Q, M_i
-    (g_{i+1}[y] - g_i[x]), the squared modulus of the raw increment, and
-    |g_{k+1}| per state.  A transform folds the same way on the table and
-    gathers the same per-step rule on sampled paths (:func:`_along_paths`).
-    Each path still sees the operations of a per-path gather in step order;
-    ``transform_and_square`` builds the raw increments once for both folds.
-    An L^p norm stays one BLAS dot per functional, ``measure @ |S|**p``, and
-    ``measure @ |S|`` at p = 1, where both powers are identities: a gemv, an
-    ``einsum`` or a ``sum`` over a (functionals x paths) block changes last
-    bits.
+    The reductions take a trailing field axis: levels of shape (N+1) x n x F
+    (:func:`reverse_martingale` of F fields) and multipliers N x F give path
+    values of shape paths x F, E[S | x_0] of shape n x F and F norms, one
+    pass for all F fields.  A single field is the case without that axis.
+
+    Every reduction gives the same bits as a per-path evaluation of one
+    field.  Each start state's paths form one contiguous block, so E[S | x_0]
+    is a running sum along each block, which adds the paths in the order a
+    per-state accumulation would (a ``sum`` over the block would add them
+    pairwise), and the measure is nu(x_0) repeated over its block times the
+    weights.  Level k repeats g_k(y) over the n^{N-k} paths that continue a
+    prefix ending at y, and tiles that over the n^k prefixes.  The weights,
+    the transform, the square function and the maximal function fold
+    per-step tables down the path tree (:func:`_fold`): Q, M_i (g_{i+1}[y] -
+    g_i[x]), the squared modulus of the raw increment, and |g_{k+1}| per
+    state.  A transform folds the same way on the table and gathers the same
+    per-step rule on sampled paths (:func:`_along_paths`).  Each path still
+    sees the operations of a per-path gather in step order.  An L^p norm is
+    one BLAS dot per field, ``measure @ |S|**p`` (``measure @ |S|`` at
+    p = 1), taken by ``np.vecdot`` over each field's contiguous row: a row
+    read through a transposed view, a gemv, an ``einsum`` or a ``sum`` over
+    a (fields x paths) block changes last bits.
     """
 
     def __init__(self, ps: PathSpace) -> None:
@@ -311,8 +327,10 @@ class ExactPaths:
 
     def transform(self, levels: np.ndarray, m_values: Sequence[complex]) -> np.ndarray:
         """S = sum_i M_i (g_{i+1}(x_{i+1}) - g_i(x_i)) on every path."""
-        m = _multiplier_row(m_values, self.ps.horizon)
-        return self._transform(_increment_tables(levels), m)
+        fields = levels.shape[2:]
+        m = _multiplier_row(m_values, self.ps.horizon, fields)
+        tables = _transform_tables(_increment_tables(levels), m)
+        return _fold(np.zeros((self.ps.n_states, *fields), dtype=complex), tables, np.add)
 
     def square(self, levels: np.ndarray) -> np.ndarray:
         """The square function (sum_i |g_{i+1}(x_{i+1}) - g_i(x_i)|^2)^{1/2} on every path.
@@ -320,19 +338,8 @@ class ExactPaths:
         A transform with signs M_i = +-1 has the same square function, so the
         L log L chain needs only the raw increments.
         """
-        return self._square(_increment_tables(levels))
-
-    def transform_and_square(self, levels: np.ndarray, m_values: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-        """``transform`` and ``square``, with their bits, from one build of the increment tables."""
-        m = _multiplier_row(m_values, self.ps.horizon)
-        increments = _increment_tables(levels)
-        return self._transform(increments, m), self._square(increments)
-
-    def _transform(self, increments: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return _fold(np.zeros(self.ps.n_states, dtype=complex), _transform_tables(increments, m), np.add)
-
-    def _square(self, increments: np.ndarray) -> np.ndarray:
-        return np.sqrt(_fold(np.zeros(self.ps.n_states), np.abs(increments) ** 2, np.add))
+        start = np.zeros((self.ps.n_states, *levels.shape[2:]))
+        return np.sqrt(_fold(start, np.abs(_increment_tables(levels)) ** 2, np.add))
 
     def maximal(self, levels: np.ndarray) -> np.ndarray:
         """The maximal function max_k |g_k(x_k)| on every path."""
@@ -345,20 +352,22 @@ class ExactPaths:
         ``+ 0.0`` gives a per-state accumulation's +0.0 where every term is -0.0.
         """
         svals = _finite(np.asarray(values, dtype=complex))
-        blocks = (self.weights * svals).reshape(self.ps.n_states, -1)
+        fields = svals.shape[1:]
+        blocks = (self.weights.reshape(-1, *(1,) * len(fields)) * svals).reshape(self.ps.n_states, -1, *fields)
         np.cumsum(blocks, axis=1, out=blocks)
         return blocks[:, -1] + 0.0
 
-    def lp_norm(self, avals: np.ndarray, p: float) -> float:
-        """||S||_{L^p(P)} from the moduli |S| on every path."""
+    def lp_norm(self, avals: np.ndarray, p: float) -> float | np.ndarray:
+        """||S||_{L^p(P)} from the moduli |S| on every path: a float, or one norm per field."""
         if not p >= 1.0:
             raise ValueError("p must satisfy p >= 1")
         _finite(avals)
         if math.isinf(p):
-            return float(avals[self.measure > 0.0].max(initial=0.0))
-        if p == 1.0:
-            return float(self.measure @ avals)
-        return float((self.measure @ avals**p) ** (1.0 / p))
+            norms = avals[self.measure > 0.0].max(axis=0, initial=0.0)
+        else:
+            rows = np.ascontiguousarray(np.moveaxis(avals, 0, -1))
+            norms = np.vecdot(rows, self.measure) if p == 1.0 else np.vecdot(rows**p, self.measure) ** (1.0 / p)
+        return float(norms) if norms.ndim == 0 else norms
 
 
 def _stratum_counts(ps: PathSpace, samples: int) -> np.ndarray:

@@ -461,10 +461,10 @@ def transform_expectation_identity(
 
 
 def _unit_sup(m_values: Sequence[complex]) -> np.ndarray:
-    """The multiplier values scaled to sup 1 (left as they are when all zero)."""
-    m = np.asarray(m_values, dtype=complex).ravel()
-    sup = float(np.abs(m).max()) if m.size else 0.0
-    return m / sup if sup > 0.0 else m
+    """The multiplier values scaled to sup 1 along axis 0, per field (left as they are when all zero)."""
+    m = np.asarray(m_values, dtype=complex)
+    sup = np.abs(m).max(axis=0, initial=0.0)
+    return np.divide(m, sup, out=m.copy(), where=sup > 0.0)
 
 
 def transform_pnorm_check(
@@ -503,6 +503,18 @@ def transform_pnorm_check(
     return tuple(results)
 
 
+# The most path values one block of a chain's fields holds: 8 fields at 4^6 paths.
+_LLOGL_BLOCK_VALUES = 2**15
+
+
+def _llogl_field_blocks(ps: PathSpace, batch: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(multipliers normalized to sup 1, levels) of each block of the batch, with a trailing field axis."""
+    batch, size = list(batch), max(1, _LLOGL_BLOCK_VALUES // ps.path_count)
+    parts = [batch[i : i + size] for i in range(0, len(batch), size)]
+    return [(_unit_sup(np.transpose([m for m, _ in part])), reverse_martingale(ps, [f for _, f in part]))
+            for part in parts]
+
+
 def llogl_chain_check(
     chains: Sequence[tuple[PathSpace, Sequence[tuple[Sequence[complex], Field]]]],
 ) -> tuple[tuple[tuple[InequalityReport, ...], ...], ...]:
@@ -519,13 +531,15 @@ def llogl_chain_check(
     threshold is report-only.
 
     The state counts, every space's mass and its enumeration limits are
-    checked before any batch is read.  The L log L norms of all fields share
-    one bisection (:func:`~lapmult.space.luxemburg_rows`: each row summed
-    against its own space's weights by one BLAS dot through ``np.vecdot``,
-    so with the bits of a bisection of its own).  Then each chain in turn
-    folds its weights and path measure once in one :class:`ExactPaths`,
-    shared by its pairs, and each pair builds its increment tables once for
-    the transform and the square function.
+    checked before any batch is read.  A chain's pairs go in blocks of at
+    most ``_LLOGL_BLOCK_VALUES`` path values, and each block's levels,
+    multipliers and reductions take one pass with a trailing field axis
+    (:class:`ExactPaths`), with the bits of each pair checked on its own.
+    The L log L norms of all fields share one bisection
+    (:func:`~lapmult.space.luxemburg_rows`: each row summed against its own
+    space's weights by one BLAS dot through ``np.vecdot``, so with the bits
+    of a bisection of its own), and each chain folds its weights and path
+    measure once in one :class:`ExactPaths`, shared by its blocks.
     """
     chains = list(chains)
     counts = sorted({ps.n_states for ps, _ in chains})
@@ -537,29 +551,31 @@ def llogl_chain_check(
         check_enumerable(ps.n_states, ps.horizon)
     if not chains:
         return ()
-    pairs = [[(_unit_sup(m_values), reverse_martingale(ps, f)) for m_values, f in batch] for ps, batch in chains]
-    moduli = np.abs([levels[0] for chain_pairs in pairs for _, levels in chain_pairs]).reshape(-1, counts[0])
-    weights = np.repeat([ps.kernel.space.weights for ps, _ in chains], [len(p) for p in pairs], axis=0)
-    llogls = iter(luxemburg_rows(moduli, weights).tolist())
+    blocks = [_llogl_field_blocks(ps, batch) for ps, batch in chains]
+    moduli = np.abs([row for chain_blocks in blocks for _, levels in chain_blocks for row in levels[0].T])
+    sizes = [sum(levels.shape[2] for _, levels in chain_blocks) for chain_blocks in blocks]
+    weights = np.repeat([ps.kernel.space.weights for ps, _ in chains], sizes, axis=0)
+    llogls = iter(luxemburg_rows(moduli.reshape(-1, counts[0]), weights).tolist())
 
     inf = math.inf
     results = []
-    for (ps, _), chain_pairs in zip(chains, pairs):
+    for (ps, _), chain_blocks in zip(chains, blocks):
         space = ps.kernel.space
         exact = ExactPaths(ps)
         rows = []
-        for (m, levels), llogl in zip(chain_pairs, llogls):
-            transform, square = exact.transform_and_square(levels, m)
-            e_transform = exact.lp_norm(np.abs(transform), 1.0)
-            e_square = exact.lp_norm(square, 1.0)
-            e_maximal = exact.lp_norm(exact.maximal(levels), 1.0)
-            end_lhs = lp_norm(Field(space, exact.conditioned(transform)), 1.0)
-            rows.append((
-                make_report("davis-step", e_transform, e_square, inf, "report-only"),
-                make_report("square-vs-maximal", e_square, e_maximal, inf, "report-only"),
-                make_report("maximal-vs-llogl", e_maximal, llogl, inf, "report-only"),
-                make_report("end-to-end-llogl", end_lhs, llogl, inf, "report-only"),
-            ))
+        for m, levels in chain_blocks:
+            transform = exact.transform(levels, m)
+            e_transform = exact.lp_norm(np.abs(transform), 1.0).tolist()
+            e_square = exact.lp_norm(exact.square(levels), 1.0).tolist()
+            e_maximal = exact.lp_norm(exact.maximal(levels), 1.0).tolist()
+            end_lhs = [lp_norm(Field(space, values), 1.0) for values in exact.conditioned(transform).T]
+            for e_t, e_s, e_m, end, llogl in zip(e_transform, e_square, e_maximal, end_lhs, llogls):
+                rows.append((
+                    make_report("davis-step", e_t, e_s, inf, "report-only"),
+                    make_report("square-vs-maximal", e_s, e_m, inf, "report-only"),
+                    make_report("maximal-vs-llogl", e_m, llogl, inf, "report-only"),
+                    make_report("end-to-end-llogl", end, llogl, inf, "report-only"),
+                ))
         results.append(tuple(rows))
     return tuple(results)
 

@@ -34,7 +34,8 @@ class ReversibleGenerator:
     roundoff that ``decompose`` also allows): nonpositive off-diagonal,
     nonnegative diagonal, zero row sums, and detailed balance
     dx_i A_ij = dx_j A_ji.  A generator keeps its decomposition (see
-    :func:`decompose`).
+    :func:`decompose`), and the 1-norm ||A||_1 that :func:`heat_operator`'s
+    tolerance reads is computed once, at construction.
     """
 
     space: WeightedSpace
@@ -61,6 +62,7 @@ class ReversibleGenerator:
             raise ValueError("generator violates detailed balance")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "_norm_1", float(np.linalg.norm(a, 1)))  # ||A||_1, read by heat_operator
 
     def to_dict(self) -> dict:
         """Dense row-major serialization with the weight vector."""
@@ -150,7 +152,7 @@ def heat_operator(generator: ReversibleGenerator, t: float) -> MarkovKernel:
     dec = decompose(generator)
     m = operator_matrix(dec, lambda lam: math.exp(-t * lam)).real
     # t times the norm, not the norm of t A: a product past the double range is inf, with no warning
-    ta_norm = t * float(np.linalg.norm(generator.entries, 1))
+    ta_norm = t * generator._norm_1
     tol = max(_HEAT_TOL, 8 * generator.space.n * np.finfo(float).eps * max(1.0, ta_norm))
     worst = float(m.min())
     if worst < -tol:

@@ -97,7 +97,9 @@ class SuiteResult:
 
 
 def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    """n complex normals: the values of two ``standard_normal(n)`` draws, and their stream, in one draw."""
+    draw = rng.standard_normal(2 * n)
+    return draw[:n] + 1j * draw[n:]
 
 
 _SIGNS = np.array([-1.0, 1.0])

@@ -34,7 +34,7 @@ from lapmult import (
     transform_pnorm_check,
     transition_products,
 )
-from lapmult import dilation
+from lapmult import dilation, inequalities
 from lapmult._keep import kept
 from lapmult.dilation import PathFunctional, PathSpace
 from lapmult.inequalities import UPPER_BOUND_MARGIN, CONTRACTION_TOL, make_report, pnorm_growth_fit
@@ -734,6 +734,29 @@ class TestBatchedChecksOracle:
                 for (m_values, f), got in zip(batch, chain_rows):
                     want = single_llogl_chain_check(ps, m_values, f)
                     assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+    @pytest.mark.parametrize("n,horizon,fields,block_values", [
+        (3, 3, 1, None),  # one field
+        (1, 4, 9, None),  # one state, so one path
+        (4, 0, 9, None),  # horizon 0: no increments
+        (3, 2, 9, 2 * 3**3),  # several blocks per chain, of 2, 2, 2, 2 and 1 fields
+        (2, 3, 9, 1),  # one block per field
+    ])
+    def test_llogl_field_blocks_equal_single_field_checks(self, monkeypatch, n, horizon, fields, block_values):
+        # two chains per call, so each chain's blocks must also take their
+        # fields' L log L norms from the shared bisection in order
+        if block_values is not None:
+            monkeypatch.setattr(inequalities, "_LLOGL_BLOCK_VALUES", block_values)
+        call = []
+        for seed in range(2):
+            space, _, ps = unit_mass_path_space(seed=seed + 50, n=n, horizon=horizon)
+            call.append((ps, oracle_batch(space, horizon, seed)[:fields]))
+        results = llogl_chain_check(call)
+        for (ps, batch), chain_rows in zip(call, results, strict=True):
+            assert len(chain_rows) == len(batch)
+            for (m_values, f), got in zip(batch, chain_rows):
+                want = single_llogl_chain_check(ps, m_values, f)
+                assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
     def test_llogl_chain_refuses_mixed_state_counts_before_any_work(self):
         # its one suite builds every chain with one state count

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -351,8 +352,11 @@ def test_llogl_chain_without_doubling():
     assert result.summary["all_finite"]
 
 
-def test_llogl_chain_runs_one_bisection_per_block_and_one_increment_build_per_field(monkeypatch):
-    # blocks of two 3-field chains: the doubled family of 4 chains makes two blocks
+def test_llogl_chain_bisects_per_block_and_builds_increments_twice_per_field_block(monkeypatch):
+    # blocks of two 3-field chains: the doubled family of 4 chains makes two
+    # bisection blocks; field blocks of 2 * 3^3 path values split each chain's
+    # 3 fields into 2 field blocks, and the transform and the square function
+    # each build a field block's increments once
     kwargs = dict(seed=21, chains=2, fields=3, n=3, horizon=2)
     whole = suite_llogl_chain(**kwargs)
     calls = {"luxemburg_rows": 0, "_increment_tables": 0}
@@ -369,8 +373,9 @@ def test_llogl_chain_runs_one_bisection_per_block_and_one_increment_build_per_fi
     counted(inequalities, "luxemburg_rows")
     counted(dilation, "_increment_tables")
     monkeypatch.setattr(suites, "_LLOGL_BLOCK_ROWS", 6)
+    monkeypatch.setattr(inequalities, "_LLOGL_BLOCK_VALUES", 2 * 3**3)
     split = suite_llogl_chain(**kwargs)
-    assert calls == {"luxemburg_rows": 2, "_increment_tables": 4 * 3}
+    assert calls == {"luxemburg_rows": 2, "_increment_tables": 4 * 2 * 2}
     assert json.dumps(split.to_dict()) == json.dumps(whole.to_dict())
 
 
@@ -380,6 +385,21 @@ def test_llogl_chain_paper_suite_family_is_one_block():
     blocks = list(suites._llogl_blocks(606, 40, 20, 4, 5, 0.8))
     assert [len(block) for block in blocks] == [40]
     assert sum(len(batch) for _, batch in blocks[0]) == 800
+
+
+def test_llogl_chain_traced_peak_on_the_paper_suite_family_stays_within_4_mib():
+    # each field block holds at most inequalities._LLOGL_BLOCK_VALUES path
+    # values (8 fields at 4^6 paths here), and its passes hold about 1 MiB
+    # at once; a larger block, or a pass kept past its block, shows here
+    blocks = list(suites._llogl_blocks(606, 40, 20, 4, 5, 0.8))
+    tracemalloc.start()
+    try:
+        for block in blocks:
+            inequalities.llogl_chain_check(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_llogl_chain_reads_the_pass_of_each_row(monkeypatch):
